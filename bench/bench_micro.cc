@@ -383,30 +383,72 @@ void BM_CnotLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_CnotLadder)->Arg(12)->Arg(18);
 
-void BM_AnnealSweeps(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  qdm::Rng rng(1);
+// The sampler benches' QUBO: a band of width 8 (degree <= 14) with
+// uniform real coefficients, drawn from `rng`.
+qdm::anneal::Qubo BandQubo(int n, qdm::Rng* rng) {
   qdm::anneal::Qubo qubo(n);
-  for (int i = 0; i < n; ++i) qubo.AddLinear(i, rng.Uniform(-1, 1));
+  for (int i = 0; i < n; ++i) qubo.AddLinear(i, rng->Uniform(-1, 1));
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n && j < i + 8; ++j) {
-      qubo.AddQuadratic(i, j, rng.Uniform(-1, 1));
+      qubo.AddQuadratic(i, j, rng->Uniform(-1, 1));
     }
   }
-  auto annealer =
-      qdm::anneal::SolverRegistry::Global().Create("simulated_annealing");
-  QDM_CHECK(annealer.ok()) << annealer.status();
-  qdm::anneal::SolverOptions options;
+  return qubo;
+}
+
+// One read of `solver` per iteration on BandQubo(n), with the knobs in
+// `options`; items are the flip deltas the read evaluates.
+void RunSamplerBench(benchmark::State& state, const char* solver,
+                     qdm::anneal::SolverOptions options,
+                     int64_t deltas_per_variable) {
+  const int n = static_cast<int>(state.range(0));
+  qdm::Rng rng(1);
+  const qdm::anneal::Qubo qubo = BandQubo(n, &rng);
+  auto sampler = qdm::anneal::SolverRegistry::Global().Create(solver);
+  QDM_CHECK(sampler.ok()) << sampler.status();
   options.num_reads = 1;
-  options.num_sweeps = 100;
   options.rng = &rng;
   for (auto _ : state) {
-    auto set = (*annealer)->Solve(qubo, options);
+    auto set = (*sampler)->Solve(qubo, options);
     benchmark::DoNotOptimize(set->best().energy);
   }
-  state.SetItemsProcessed(state.iterations() * 100 * n);  // Flips proposed.
+  state.SetItemsProcessed(state.iterations() * deltas_per_variable * n);
+}
+
+void BM_AnnealSweeps(benchmark::State& state) {
+  qdm::anneal::SolverOptions options;
+  options.num_sweeps = 100;
+  RunSamplerBench(state, "simulated_annealing", options, 100);
 }
 BENCHMARK(BM_AnnealSweeps)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_TemperingSweeps(benchmark::State& state) {
+  qdm::anneal::SolverOptions options;
+  options.num_sweeps = 100;
+  options.num_replicas = 8;
+  RunSamplerBench(state, "parallel_tempering", options, 100 * 8);
+}
+BENCHMARK(BM_TemperingSweeps)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_TabuIterations(benchmark::State& state) {
+  qdm::anneal::SolverOptions options;
+  options.max_iterations = 100;
+  RunSamplerBench(state, "tabu_search", options, 100);
+}
+BENCHMARK(BM_TabuIterations)->Arg(64)->Arg(256)->Arg(1024);
+
+// The samplers' acceptance draw: items are Uniform() calls.
+void BM_RngUniform(benchmark::State& state) {
+  qdm::Rng rng(1);
+  constexpr int kDraws = 1024;
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int i = 0; i < kDraws; ++i) sum += rng.Uniform();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kDraws);
+}
+BENCHMARK(BM_RngUniform);
 
 void BM_MqoQuboBuild(benchmark::State& state) {
   qdm::Rng rng(2);

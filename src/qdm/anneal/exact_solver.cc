@@ -11,23 +11,23 @@ Sample ExactSolver::Solve(const Qubo& qubo) {
   QDM_CHECK_LE(n, 30) << "ExactSolver enumerates 2^n assignments";
   const QuboAdjacency adj(qubo);
 
-  Assignment x(n, 0);
-  double energy = adj.Energy(x);
-  Assignment best = x;
+  double energy = adj.Energy(Assignment(n, 0));
+  SpinMasks x(n, 0);
+  SpinMasks best = x;
   double best_energy = energy;
 
   // Gray-code walk: step k flips bit ctz(k).
   const uint64_t total = uint64_t{1} << n;
   for (uint64_t k = 1; k < total; ++k) {
     const int bit = __builtin_ctzll(k);
-    energy += adj.FlipDelta(x, bit);
-    x[bit] ^= 1;
+    energy += adj.FlipDelta(x.data(), bit);
+    x[bit] = ~x[bit];
     if (energy < best_energy) {
       best_energy = energy;
       best = x;
     }
   }
-  return Sample{best, best_energy, 0.0};
+  return Sample{ToAssignment(best), best_energy, 0.0};
 }
 
 SampleSet ExactSolver::SampleQubo(const Qubo& qubo, int /*num_reads*/,

@@ -32,22 +32,22 @@ SampleSet ParallelTempering::SampleQubo(const Qubo& qubo, int num_reads,
 
   SampleSet result;
   for (int read = 0; read < num_reads; ++read) {
-    std::vector<Assignment> replicas(r, Assignment(n));
+    std::vector<SpinMasks> replicas(r);
     std::vector<double> energies(r);
     for (int k = 0; k < r; ++k) {
-      for (int i = 0; i < n; ++i) replicas[k][i] = rng->Bernoulli(0.5) ? 1 : 0;
-      energies[k] = adj.Energy(replicas[k]);
+      energies[k] = adj.RandomSpins(rng, &replicas[k]);
     }
 
-    Assignment best = replicas[0];
+    SpinMasks best = replicas[0];
     double best_energy = energies[0];
 
     for (int sweep = 0; sweep < options_.num_sweeps; ++sweep) {
       for (int k = 0; k < r; ++k) {
+        uint64_t* spins = replicas[k].data();
         for (int i = 0; i < n; ++i) {
-          const double delta = adj.FlipDelta(replicas[k], i);
+          const double delta = adj.FlipDelta(spins, i);
           if (delta <= 0.0 || rng->Uniform() < std::exp(-betas[k] * delta)) {
-            replicas[k][i] ^= 1;
+            spins[i] = ~spins[i];
             energies[k] += delta;
           }
         }
@@ -67,7 +67,7 @@ SampleSet ParallelTempering::SampleQubo(const Qubo& qubo, int num_reads,
         }
       }
     }
-    result.Add(Sample{best, best_energy, 0.0});
+    result.Add(Sample{ToAssignment(best), best_energy, 0.0});
   }
   return result;
 }

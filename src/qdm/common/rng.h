@@ -1,6 +1,8 @@
 #ifndef QDM_COMMON_RNG_H_
 #define QDM_COMMON_RNG_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -8,6 +10,42 @@
 #include "qdm/common/check.h"
 
 namespace qdm {
+
+/// MT19937-64 (Matsumoto & Nishimura), output-identical to
+/// std::mt19937_64: the standard fixes that engine's seeding and output
+/// sequence, and tests/common_test.cc compares the two over 10^6 outputs.
+/// The in-tree copy differs only in speed: its twist selects the matrix
+/// term with a mask, `(0 - (y & 1)) & a`, where libstdc++ branches on the
+/// low bit of every state word. Satisfies UniformRandomBitGenerator, so
+/// the std distributions accept it.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+
+  explicit Mt19937_64(uint64_t seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (index_ >= kStateSize) Twist();
+    uint64_t z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr size_t kStateSize = 312;
+
+  /// Regenerates all kStateSize words and rewinds index_.
+  void Twist();
+
+  uint64_t state_[kStateSize];
+  size_t index_;
+};
 
 /// Deterministic pseudo-random number generator used throughout the toolkit.
 /// All stochastic components (annealers, shot sampling, workload generators,
@@ -22,7 +60,20 @@ class Rng {
   explicit Rng(uint64_t seed = kDefaultSeed) : engine_(seed) {}
 
   /// Uniform double in [0, 1).
-  double Uniform() { return unit_(engine_); }
+  double Uniform() { return UnitFromBits(engine_()); }
+
+  /// The [0, 1) double for one 64-bit engine output: double(bits) * 2^-64,
+  /// with double(bits) rounded to nearest-even, and the top 1024 inputs
+  /// (which round to 2^64) clamped to nextafter(1.0, 0.0). This is the
+  /// value std::generate_canonical<double, 53> yields for one output of a
+  /// 64-bit engine. The conversion is done as two exact 32-bit halves and
+  /// one correctly rounded add, which equals the direct conversion without
+  /// its sign-test branch.
+  static double UnitFromBits(uint64_t bits) {
+    const double high = static_cast<double>(static_cast<uint32_t>(bits >> 32));
+    const double low = static_cast<double>(static_cast<uint32_t>(bits));
+    return std::min(high * 0x1p-32 + low * 0x1p-64, 0x1.fffffffffffffp-1);
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -64,11 +115,10 @@ class Rng {
   }
 
   /// Underlying engine, for std distributions not wrapped here.
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  Mt19937_64 engine_;
   std::normal_distribution<double> normal_{0.0, 1.0};
 };
 

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 #include "qdm/anneal/solver.h"
@@ -115,12 +116,23 @@ void QdmServer::Stop() {
   // and reaches the next request boundary, where it observes stop_.
   service_->Shutdown();
 
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     connections.swap(connections_);
   }
-  for (std::thread& connection : connections) connection.join();
+  for (Connection& connection : connections) connection.thread.join();
+}
+
+void QdmServer::ReapFinishedLocked() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void QdmServer::AcceptLoop() {
@@ -140,7 +152,18 @@ void QdmServer::AcceptLoop() {
       ::close(fd);
       return;
     }
-    connections_.emplace_back([this, fd] { ServeConnection(fd); });
+    ReapFinishedLocked();
+    Connection& connection = connections_.emplace_back();
+    try {
+      connection.thread = std::thread([this, fd, &connection] {
+        ServeConnection(fd);
+        connection.done.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error&) {
+      // Out of threads: drop this connection, keep the daemon.
+      connections_.pop_back();
+      ::close(fd);
+    }
   }
 }
 

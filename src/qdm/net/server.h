@@ -2,10 +2,10 @@
 #define QDM_NET_SERVER_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "qdm/common/status.h"
 #include "qdm/net/http.h"
@@ -44,9 +44,14 @@ struct ServerConfig {
 ///
 /// Threading: one acceptor thread plus one thread per live connection
 /// (handlers block in SolverService::Wait, so connections cannot share
-/// the solver pool without deadlock). Stop() is graceful: stop accepting,
-/// shut the service down (queued jobs resolve Cancelled, running jobs
-/// finish), then join every connection at its next request boundary.
+/// the solver pool without deadlock). Before it starts the thread for a
+/// new connection, the acceptor joins every connection thread that has
+/// finished, so a long-running daemon holds threads (and their stacks)
+/// only for the connections still open. If a thread cannot be created,
+/// that one connection is closed and the daemon keeps serving. Stop() is
+/// graceful: stop accepting, shut the service down (queued jobs resolve
+/// Cancelled, running jobs finish), then join every connection at its
+/// next request boundary.
 class QdmServer {
  public:
   /// Binds, listens, and starts the acceptor. The only expected failure
@@ -82,13 +87,23 @@ class QdmServer {
   HttpResponse HandleJobRoute(const std::string& method,
                               const std::string& target);
 
+  /// One connection's thread; `done` is set as the thread's last act.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  /// Joins and drops the finished connections. Caller holds mutex_.
+  void ReapFinishedLocked();
+
   int listen_fd_;
   int port_;
   std::unique_ptr<service::SolverService> service_;
   std::atomic<bool> stop_{false};
   std::thread acceptor_;
   std::mutex mutex_;  // Guards connections_.
-  std::vector<std::thread> connections_;
+  // A list, so each element stays put while its thread writes `done`.
+  std::list<Connection> connections_;
   bool stopped_ = false;  // Guarded by mutex_; makes Stop() idempotent.
 };
 

@@ -8,10 +8,13 @@
 // Cancelled->409, with every error body carrying the exact sync-path
 // Status message.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -497,6 +500,48 @@ TEST(NetLifecycleTest, KeepAliveConnectionServesManyRequests) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(client.Healthz().ok()) << "probe " << i;
   }
+  server->Stop();
+}
+
+// Threads of this process (entries of /proc/self/task).
+size_t CountThreads() {
+  size_t count = 0;
+  DIR* dir = ::opendir("/proc/self/task");
+  QDM_CHECK(dir != nullptr);
+  while (const struct dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++count;
+  }
+  ::closedir(dir);
+  return count;
+}
+
+// Memory mappings of this process (lines of /proc/self/maps).
+size_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  size_t count = 0;
+  for (std::string line; std::getline(maps, line);) ++count;
+  return count;
+}
+
+TEST(NetLifecycleTest, FinishedConnectionThreadsAreReaped) {
+  // Every QdmClient call is one connection, served by one thread. A
+  // finished thread leaves /proc/self/task at once, but keeps its stack
+  // mapped until it is joined: a daemon that joined only in Stop() grew
+  // by two mappings per connection and could not start a thread past the
+  // kernel's vm.max_map_count (about 32k connections). 2,000 sequential
+  // connections must leave both counts near where they started.
+  std::unique_ptr<QdmServer> server = StartServer(1);
+  QdmClient client(server->port());
+  ASSERT_TRUE(client.Healthz().ok());  // First connection thread.
+  const size_t threads_before = CountThreads();
+  const size_t mappings_before = CountMappings();
+  size_t threads_peak = threads_before;
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(client.Healthz().ok()) << "probe " << i;
+    threads_peak = std::max(threads_peak, CountThreads());
+  }
+  EXPECT_LE(threads_peak, threads_before + 8);
+  EXPECT_LE(CountMappings(), mappings_before + 64);
   server->Stop();
 }
 
