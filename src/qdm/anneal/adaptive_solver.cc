@@ -1,299 +1,15 @@
 #include "qdm/anneal/adaptive_solver.h"
 
-#include <algorithm>
-#include <utility>
+#include <memory>
 
-#include "qdm/anneal/portfolio_solver.h"
 #include "qdm/common/strings.h"
-#include "qdm/common/thread_pool.h"
 
 namespace qdm {
 namespace anneal {
 
-namespace {
-
-const char* kMemberLabel = "adaptive member";
-
-/// Per-member failure framing, matching RaceMemberSolvers' annotation so
-/// the explore and commit phases report members identically.
-Status AnnotateAdaptiveMemberError(const Status& status, size_t index,
+std::string FormatAdaptiveDecision(const std::string& phase, int arm,
                                    const std::string& member) {
-  return Status(status.code(),
-                StrFormat("%s %zu ('%s'): %s", kMemberLabel, index,
-                          member.c_str(), status.message().c_str()));
-}
-
-std::string DecisionString(const char* phase, int arm,
-                           const std::string& member) {
-  return StrFormat("%s:%d:%s", phase, arm, member.c_str());
-}
-
-/// Builds one backend per member name — the per-worker member sets of the
-/// threaded batch path. Members were already resolved when the adaptive
-/// solver was built, so failures here are unexpected, but they keep the
-/// Make-time annotation if they happen.
-Result<std::vector<std::unique_ptr<QuboSolver>>> CreateMemberSet(
-    const std::string& name, const std::vector<std::string>& members) {
-  std::vector<std::unique_ptr<QuboSolver>> solvers;
-  solvers.reserve(members.size());
-  for (size_t i = 0; i < members.size(); ++i) {
-    Result<std::unique_ptr<QuboSolver>> solver =
-        SolverRegistry::Global().Create(members[i]);
-    if (!solver.ok()) {
-      return Status(solver.status().code(),
-                    StrFormat("adaptive solver '%s' member '%s': %s",
-                              name.c_str(), members[i].c_str(),
-                              solver.status().message().c_str()));
-    }
-    solvers.push_back(std::move(solver).value());
-  }
-  return solvers;
-}
-
-std::vector<QuboSolver*> RawPointers(
-    const std::vector<std::unique_ptr<QuboSolver>>& solvers) {
-  std::vector<QuboSolver*> raw;
-  raw.reserve(solvers.size());
-  for (const auto& solver : solvers) raw.push_back(solver.get());
-  return raw;
-}
-
-}  // namespace
-
-AdaptiveSolver::AdaptiveSolver(
-    std::string registry_name, std::vector<std::string> members,
-    std::vector<std::unique_ptr<QuboSolver>> member_solvers)
-    : registry_name_(std::move(registry_name)),
-      members_(std::move(members)),
-      member_solvers_(std::move(member_solvers)),
-      wins_(members_.size(), 0) {
-  QDM_CHECK(members_.size() >= 2)
-      << "adaptive portfolio " << registry_name_ << " needs >= 2 members";
-  QDM_CHECK(member_solvers_.size() == members_.size())
-      << "adaptive portfolio " << registry_name_
-      << " member backends do not align with its member names";
-}
-
-int AdaptiveSolver::committed_member() const {
-  if (solves_seen_ < static_cast<uint64_t>(kExploreInstances)) return -1;
-  // Most wins commits; equal tallies keep the earliest member — the same
-  // deterministic tie-break as the race winner scan.
-  int best = 0;
-  for (size_t m = 1; m < wins_.size(); ++m) {
-    if (wins_[m] > wins_[best]) best = static_cast<int>(m);
-  }
-  return best;
-}
-
-Result<SampleSet> AdaptiveSolver::SolveOne(const Qubo& qubo,
-                                           const SolverOptions& options,
-                                           int solve_threads) {
-  if (solves_seen_ < static_cast<uint64_t>(kExploreInstances)) {
-    QDM_ASSIGN_OR_RETURN(
-        RaceOutcome outcome,
-        RaceMemberSolvers(members_, RawPointers(member_solvers_), qubo,
-                          options, solve_threads, kMemberLabel));
-    ++wins_[outcome.winner];
-    ++solves_seen_;
-    outcome.samples.set_decision(
-        DecisionString("explore", outcome.winner, members_[outcome.winner]));
-    return std::move(outcome.samples);
-  }
-  QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
-  const int w = committed_member();
-  // The committed member keeps the seed+index rule of the explore races
-  // (member m solves with seed + m), so one replay rule covers both
-  // phases. A caller-shared Rng is honored verbatim, as in a race.
-  const SolverOptions member_options =
-      options.rng != nullptr ? options : DeriveBatchOptions(options, w);
-  Result<SampleSet> samples = member_solvers_[w]->Solve(qubo, member_options);
-  if (!samples.ok()) {
-    return AnnotateAdaptiveMemberError(samples.status(), w, members_[w]);
-  }
-  if (samples->empty()) {
-    return AnnotateAdaptiveMemberError(
-        Status::Internal(StrFormat("solver '%s' returned an empty sample set",
-                                   members_[w].c_str())),
-        w, members_[w]);
-  }
-  ++solves_seen_;
-  samples->set_decision(DecisionString("commit", w, members_[w]));
-  return samples;
-}
-
-Result<SampleSet> AdaptiveSolver::Solve(const Qubo& qubo,
-                                        const SolverOptions& options) {
-  // A shared Rng can only be honored sequentially; seed-based explore races
-  // fan out across the shared pool like a race:* solve.
-  return SolveOne(qubo, options, options.rng != nullptr ? 1 : 0);
-}
-
-Result<std::vector<SampleSet>> AdaptiveSolver::SolveBatchThreaded(
-    const std::vector<Qubo>& qubos, const SolverOptions& options,
-    int num_threads) {
-  if (num_threads != 1 && options.rng != nullptr) {
-    return Status::InvalidArgument(
-        "SolveBatchParallel with num_threads != 1 requires seed-based "
-        "randomness (options.rng must be null): a shared Rng cannot be "
-        "fanned out deterministically");
-  }
-  QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
-  if (num_threads <= 0) num_threads = ThreadPool::DefaultNumThreads();
-  const size_t n = qubos.size();
-  if (num_threads == 1 || n <= 1) return SolveBatch(qubos, options);
-
-  // Positional schedule from the instance's current counter: the first
-  // `explore` instances race, the rest run the committed member. A fresh
-  // instance (counter 0) therefore explores instances [0, 8) and commits
-  // from instance 8 — exactly what the sequential per-instance reference
-  // does, at any thread count.
-  const uint64_t remaining_explore =
-      solves_seen_ < static_cast<uint64_t>(kExploreInstances)
-          ? static_cast<uint64_t>(kExploreInstances) - solves_seen_
-          : 0;
-  const size_t explore = static_cast<size_t>(
-      std::min<uint64_t>(static_cast<uint64_t>(n), remaining_explore));
-
-  // Worker-local member sets: a race inside one instance runs its members
-  // sequentially on that worker's own backends, so no backend is ever
-  // shared across threads. Set 0 reuses the instance's own members; the
-  // backend cache keeps the extra sets cheap.
-  const int workers =
-      std::min(num_threads, static_cast<int>(std::max<size_t>(
-                                explore, n - explore)));
-  std::vector<std::vector<std::unique_ptr<QuboSolver>>> extra_sets;
-  std::vector<std::vector<QuboSolver*>> sets;
-  sets.push_back(RawPointers(member_solvers_));
-  for (int w = 1; w < workers; ++w) {
-    QDM_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<QuboSolver>> set,
-                         CreateMemberSet(registry_name_, members_));
-    extra_sets.push_back(std::move(set));
-    sets.push_back(RawPointers(extra_sets.back()));
-  }
-
-  std::vector<SampleSet> results(n);
-
-  // Explore phase: each worker races all members for the instances it
-  // drains (inner races sequential — the parallelism is across instances).
-  std::vector<Result<RaceOutcome>> races(explore,
-                                         Status::Internal("not raced"));
-  ThreadPool::ParallelForWorkers(
-      std::min(num_threads, static_cast<int>(explore)),
-      static_cast<int>(explore),
-      [this, &sets, &qubos, &options, &races](int worker, int i) {
-        races[i] =
-            RaceMemberSolvers(members_, sets[worker], qubos[i],
-                              DeriveBatchOptions(options, i),
-                              /*num_threads=*/1, kMemberLabel);
-      });
-  // Tally sequentially in instance order — the win counts and the commit
-  // decision are a pure function of the batch, not of the fan-out. The
-  // counter advances per successful instance, mirroring the sequential
-  // reference's stop-at-first-failure accounting.
-  for (size_t i = 0; i < explore; ++i) {
-    if (!races[i].ok()) {
-      return AnnotateBatchInstanceError(races[i].status(), i, n);
-    }
-    RaceOutcome& outcome = *races[i];
-    ++wins_[outcome.winner];
-    ++solves_seen_;
-    outcome.samples.set_decision(
-        DecisionString("explore", outcome.winner, members_[outcome.winner]));
-    results[i] = std::move(outcome.samples);
-  }
-  if (explore == n) return results;
-
-  // Commit phase: only the winning member runs for the rest of the batch.
-  const int w = committed_member();
-  const size_t commit = n - explore;
-  std::vector<Status> statuses(commit);
-  ThreadPool::ParallelForWorkers(
-      std::min(num_threads, static_cast<int>(commit)),
-      static_cast<int>(commit),
-      [this, &sets, &qubos, &options, &results, &statuses, w, explore](
-          int worker, int j) {
-        const size_t i = explore + j;
-        Result<SampleSet> samples = sets[worker][w]->Solve(
-            qubos[i],
-            DeriveBatchOptions(DeriveBatchOptions(options, i), w));
-        if (!samples.ok()) {
-          statuses[j] =
-              AnnotateAdaptiveMemberError(samples.status(), w, members_[w]);
-          return;
-        }
-        if (samples->empty()) {
-          statuses[j] = AnnotateAdaptiveMemberError(
-              Status::Internal(
-                  StrFormat("solver '%s' returned an empty sample set",
-                            members_[w].c_str())),
-              w, members_[w]);
-          return;
-        }
-        samples->set_decision(DecisionString("commit", w, members_[w]));
-        results[i] = std::move(samples).value();
-      });
-  for (size_t j = 0; j < commit; ++j) {
-    if (!statuses[j].ok()) {
-      return AnnotateBatchInstanceError(statuses[j], explore + j, n);
-    }
-    ++solves_seen_;
-  }
-  return results;
-}
-
-Result<std::unique_ptr<QuboSolver>> MakeAdaptiveSolver(
-    const std::string& name) {
-  const std::string kPrefix = "adaptive:";
-  if (!StartsWith(name, kPrefix)) {
-    return Status::InvalidArgument(
-        StrFormat("adaptive solver name '%s' must start with '%s'",
-                  name.c_str(), kPrefix.c_str()));
-  }
-  const std::vector<std::string> members =
-      StrSplit(name.substr(kPrefix.size()), '+');
-  if (members.size() < 2) {
-    return Status::InvalidArgument(StrFormat(
-        "adaptive solver name '%s' needs at least two '+'-separated "
-        "members ('adaptive:<b1>+<b2>[+...]'); an adaptive portfolio of one "
-        "is just that backend",
-        name.c_str()));
-  }
-  std::vector<std::unique_ptr<QuboSolver>> member_solvers;
-  member_solvers.reserve(members.size());
-  for (size_t i = 0; i < members.size(); ++i) {
-    if (members[i].empty()) {
-      return Status::InvalidArgument(StrFormat(
-          "adaptive solver name '%s' has an empty member at position %zu",
-          name.c_str(), i));
-    }
-    if (StartsWith(members[i], kPrefix)) {
-      return Status::InvalidArgument(StrFormat(
-          "nested adaptive backends are not supported ('%s' inside '%s'): "
-          "'+' would be ambiguous",
-          members[i].c_str(), name.c_str()));
-    }
-    if (StartsWith(members[i], "race:")) {
-      return Status::InvalidArgument(StrFormat(
-          "race backends cannot be adaptive members ('%s' inside '%s'): '+' "
-          "would be ambiguous",
-          members[i].c_str(), name.c_str()));
-    }
-    // Resolve (not just Contains) so a member's real diagnosis survives —
-    // e.g. a malformed embedded topology spec stays InvalidArgument with
-    // the spec error instead of collapsing into a generic NotFound. The
-    // built backends are handed to the selector and reused by its solves.
-    Result<std::unique_ptr<QuboSolver>> member_solver =
-        SolverRegistry::Global().Create(members[i]);
-    if (!member_solver.ok()) {
-      return Status(member_solver.status().code(),
-                    StrFormat("adaptive solver '%s' member '%s': %s",
-                              name.c_str(), members[i].c_str(),
-                              member_solver.status().message().c_str()));
-    }
-    member_solvers.push_back(std::move(member_solver).value());
-  }
-  return std::unique_ptr<QuboSolver>(std::make_unique<AdaptiveSolver>(
-      name, members, std::move(member_solvers)));
+  return StrFormat("%s:%d:%s", phase.c_str(), arm, member.c_str());
 }
 
 Result<SampleSet> ReplayAdaptiveDecision(
@@ -331,28 +47,6 @@ Result<SampleSet> ReplayAdaptiveDecision(
   samples.set_decision(decision);
   return samples;
 }
-
-bool RegisterAdaptiveSolvers() {
-  auto& registry = SolverRegistry::Global();
-  // Any well-formed "adaptive:<b1>+<b2>+..." name resolves on demand.
-  (void)registry.RegisterPrefix("adaptive:", MakeAdaptiveSolver);
-  // Eagerly register the canonical selector so it shows up in
-  // RegisteredNames() (and is covered by the every-registered-backend
-  // tests). AlreadyExists on re-entry is expected and harmless.
-  const char* kDefault = "adaptive:simulated_annealing+tabu_search";
-  (void)registry.Register(kDefault, [kDefault] {
-    Result<std::unique_ptr<QuboSolver>> solver = MakeAdaptiveSolver(kDefault);
-    QDM_CHECK(solver.ok()) << "default adaptive backend '" << kDefault
-                           << "' failed to build: " << solver.status();
-    return std::move(solver).value();
-  });
-  return true;
-}
-
-namespace {
-[[maybe_unused]] const bool kAdaptiveSolversRegistered =
-    RegisterAdaptiveSolvers();
-}  // namespace
 
 }  // namespace anneal
 }  // namespace qdm

@@ -7,66 +7,46 @@ namespace qdm {
 namespace anneal {
 
 NoisySolver::NoisySolver(std::string registry_name, NoiseSpec spec,
-                         std::string base_name,
                          std::unique_ptr<QuboSolver> base)
     : registry_name_(std::move(registry_name)),
       spec_(spec),
-      base_name_(std::move(base_name)),
       base_(std::move(base)) {
   QDM_CHECK(base_ != nullptr);
 }
 
-Result<SampleSet> NoisySolver::Solve(const Qubo& qubo,
-                                     const SolverOptions& options) {
+Result<SolverOptions> NoisySolver::WithNoise(
+    const SolverOptions& options) const {
   if (options.noise.channel != NoiseChannel::kNone) {
     return Status::InvalidArgument(StrFormat(
         "solver '%s': options.noise is already set ('%s'); a noisy:* "
         "backend supplies its own model",
         registry_name_.c_str(), options.noise.ToString().c_str()));
   }
-  if (spec_.IsNoiseless()) {
-    // A zero-rate model perturbs nothing: delegate with options untouched so
-    // the result is bit-identical to the bare base backend.
-    return base_->Solve(qubo, options);
-  }
+  // A zero-rate model perturbs nothing: delegate with options untouched so
+  // the result is bit-identical to the bare base backend.
+  if (spec_.IsNoiseless()) return options;
   SolverOptions noisy = options;
   noisy.noise = spec_;
-  Result<SampleSet> samples = base_->Solve(qubo, noisy);
-  if (!samples.ok()) {
-    return Status(samples.status().code(),
-                  StrFormat("noisy base '%s': %s", base_name_.c_str(),
-                            samples.status().message().c_str()));
-  }
-  return samples;
+  return noisy;
 }
 
-Result<std::vector<SampleSet>> NoisySolver::SolveBatchThreaded(
+Result<SampleSet> NoisySolver::Solve(const Qubo& qubo,
+                                     const SolverOptions& options) {
+  QDM_ASSIGN_OR_RETURN(const SolverOptions noisy, WithNoise(options));
+  return base_->Solve(qubo, noisy);
+}
+
+Result<std::vector<SampleSet>> NoisySolver::SolveBatch(
     const std::vector<Qubo>& qubos, const SolverOptions& options,
     int num_threads) {
-  // Reached only when the base solves whole batches (the adaptive:*
-  // selector): forward the batch with the same options transform Solve
-  // applies per instance — the noise spec is seed-independent, so
-  // injecting it before or after per-instance seed derivation is
-  // equivalent, and the base keeps its cross-instance schedule.
-  if (options.noise.channel != NoiseChannel::kNone) {
-    // The sequential reference reports this per instance; instance 0 is
-    // the lowest-index failure.
-    return AnnotateBatchInstanceError(
-        Status::InvalidArgument(StrFormat(
-            "solver '%s': options.noise is already set ('%s'); a noisy:* "
-            "backend supplies its own model",
-            registry_name_.c_str(), options.noise.ToString().c_str())),
-        0, qubos.size());
+  // The noise spec is seed-independent, so injecting it before the base's
+  // per-instance seed derivation equals injecting it per instance. A
+  // pre-set model fails every instance; the lowest index is reported.
+  Result<SolverOptions> noisy = WithNoise(options);
+  if (!noisy.ok()) {
+    return AnnotateBatchInstanceError(noisy.status(), 0, qubos.size());
   }
-  if (spec_.IsNoiseless()) {
-    return base_->SolveBatchThreaded(qubos, options, num_threads);
-  }
-  SolverOptions noisy = options;
-  noisy.noise = spec_;
-  // Base failures keep the base's own framing here (the per-instance
-  // "noisy base" prefix of Solve cannot be threaded through the base's
-  // batch annotation); status codes are unchanged.
-  return base_->SolveBatchThreaded(qubos, noisy, num_threads);
+  return base_->SolveBatch(qubos, *noisy, num_threads);
 }
 
 Result<std::unique_ptr<QuboSolver>> MakeNoisySolver(const std::string& name) {
@@ -115,9 +95,8 @@ Result<std::unique_ptr<QuboSolver>> MakeNoisySolver(const std::string& name) {
                             name.c_str(), base.c_str(),
                             base_solver.status().message().c_str()));
   }
-  return std::unique_ptr<QuboSolver>(
-      std::make_unique<NoisySolver>(name, std::move(spec).value(), base,
-                                    std::move(base_solver).value()));
+  return std::unique_ptr<QuboSolver>(std::make_unique<NoisySolver>(
+      name, std::move(spec).value(), std::move(base_solver).value()));
 }
 
 bool RegisterNoisySolvers() {

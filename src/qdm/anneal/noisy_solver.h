@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "qdm/anneal/noise_spec.h"
 #include "qdm/anneal/solver.h"
@@ -23,26 +24,26 @@ namespace anneal {
 class NoisySolver : public QuboSolver {
  public:
   NoisySolver(std::string registry_name, NoiseSpec spec,
-              std::string base_name, std::unique_ptr<QuboSolver> base);
+              std::unique_ptr<QuboSolver> base);
 
   Result<SampleSet> Solve(const Qubo& qubo,
                           const SolverOptions& options) override;
-  /// Whole-batch orchestration forwards to the base (see solver.h): a
-  /// wrapped adaptive:* selector keeps its explore/commit schedule — and
-  /// therefore the thread-count bit-identity contract — under the noise
-  /// wrapper.
-  bool SolvesWholeBatch() const override {
-    return base_->SolvesWholeBatch();
-  }
-  Result<std::vector<SampleSet>> SolveBatchThreaded(
-      const std::vector<Qubo>& qubos, const SolverOptions& options,
-      int num_threads) override;
+  /// Injects the model once and hands the whole batch to the base, so a
+  /// base with its own batch schedule (an adaptive:* portfolio) keeps it —
+  /// and therefore the thread-count bit-identity contract — under the
+  /// noise wrapper. Base failures read the same as through Solve.
+  Result<std::vector<SampleSet>> SolveBatch(const std::vector<Qubo>& qubos,
+                                            const SolverOptions& options,
+                                            int num_threads) override;
   std::string name() const override { return registry_name_; }
 
  private:
+  /// `options` with the model injected; a pre-set options.noise is
+  /// InvalidArgument, and a noiseless model leaves `options` untouched.
+  Result<SolverOptions> WithNoise(const SolverOptions& options) const;
+
   std::string registry_name_;
   NoiseSpec spec_;
-  std::string base_name_;
   std::unique_ptr<QuboSolver> base_;
 };
 

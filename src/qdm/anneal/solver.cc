@@ -1,6 +1,7 @@
 #include "qdm/anneal/solver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <utility>
 
@@ -45,91 +46,79 @@ SolverOptions DeriveBatchOptions(const SolverOptions& options, size_t index) {
   return derived;
 }
 
-Result<std::vector<SampleSet>> QuboSolver::SolveBatch(
-    const std::vector<Qubo>& qubos, const SolverOptions& options) {
-  std::vector<SampleSet> results;
-  results.reserve(qubos.size());
-  for (size_t i = 0; i < qubos.size(); ++i) {
-    Result<SampleSet> result =
-        options.rng != nullptr
-            ? Solve(qubos[i], options)
-            : Solve(qubos[i], DeriveBatchOptions(options, i));
-    if (!result.ok()) {
-      return AnnotateBatchInstanceError(result.status(), i, qubos.size());
-    }
-    results.push_back(std::move(result).value());
-  }
-  return results;
+namespace {
+
+/// The batch entry points' one Rng rule: a caller-shared Rng is honored only
+/// by a strictly sequential batch.
+Status CheckBatchRng(const SolverOptions& options, int num_threads) {
+  if (num_threads == 1 || options.rng == nullptr) return Status::Ok();
+  return Status::InvalidArgument(
+      "SolveBatchParallel with num_threads != 1 requires seed-based "
+      "randomness (options.rng must be null): a shared Rng cannot be "
+      "fanned out deterministically");
 }
 
-Result<std::vector<SampleSet>> QuboSolver::SolveBatchThreaded(
+}  // namespace
+
+Result<std::vector<SampleSet>> QuboSolver::SolveBatch(
     const std::vector<Qubo>& qubos, const SolverOptions& options,
     int num_threads) {
-  // Default: the sequential reference. Only whole-batch backends
-  // (SolvesWholeBatch() == true) override this with a parallel schedule.
-  (void)num_threads;
-  return SolveBatch(qubos, options);
+  QDM_RETURN_IF_ERROR(CheckBatchRng(options, num_threads));
+  if (num_threads <= 0) num_threads = ThreadPool::DefaultNumThreads();
+  const size_t n = qubos.size();
+  // One backend per WORKER, not per instance: construction is not assumed
+  // trivial — an embedded:* backend builds a topology graph (amortized by
+  // backend_cache.h, but still not free) — so each worker gets one backend
+  // up front and reuses it across every instance it drains. Building them
+  // here, before the fan-out, keeps the construction count a pure function
+  // of (num_threads, n) and surfaces a Create error before any solve.
+  const int workers = std::min(num_threads, static_cast<int>(n));
+  std::vector<std::unique_ptr<QuboSolver>> owned;
+  std::vector<QuboSolver*> backends = {this};
+  for (int w = 1; w < workers; ++w) {
+    QDM_ASSIGN_OR_RETURN(std::unique_ptr<QuboSolver> backend,
+                         SolverRegistry::Global().Create(name()));
+    backends.push_back(backend.get());
+    owned.push_back(std::move(backend));
+  }
+  std::vector<SampleSet> results(n);
+  std::vector<Status> statuses(n);
+  // Instances past the lowest failure so far are skipped: at one worker
+  // that is the sequential reference's stop-at-first-failure, and with more
+  // every lower index was claimed earlier, so it still runs to completion.
+  std::atomic<size_t> first_failure{n};
+  ThreadPool::Shared().ForEach(
+      static_cast<int>(n), workers, [&](int worker, int index) {
+        const size_t i = static_cast<size_t>(index);
+        if (i > first_failure.load()) return;
+        Result<SampleSet> result = backends[worker]->Solve(
+            qubos[i],
+            options.rng != nullptr ? options : DeriveBatchOptions(options, i));
+        if (result.ok()) {
+          results[i] = std::move(result).value();
+          return;
+        }
+        statuses[i] = result.status();
+        size_t seen = first_failure.load();
+        while (i < seen) {
+          if (first_failure.compare_exchange_weak(seen, i)) break;
+        }
+      });
+  const size_t failed = first_failure.load();
+  if (failed < n) {
+    return AnnotateBatchInstanceError(statuses[failed], failed, n);
+  }
+  return results;
 }
 
 Result<std::vector<SampleSet>> SolveBatchParallel(
     const std::string& solver_name, const std::vector<Qubo>& qubos,
     const SolverOptions& options, int num_threads) {
-  if (num_threads != 1 && options.rng != nullptr) {
-    return Status::InvalidArgument(
-        "SolveBatchParallel with num_threads != 1 requires seed-based "
-        "randomness (options.rng must be null): a shared Rng cannot be "
-        "fanned out deterministically");
-  }
+  QDM_RETURN_IF_ERROR(CheckBatchRng(options, num_threads));
   QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
-  if (num_threads <= 0) num_threads = ThreadPool::DefaultNumThreads();
-  const size_t n = qubos.size();
-  if (num_threads == 1 || n <= 1) {
-    QDM_ASSIGN_OR_RETURN(std::unique_ptr<QuboSolver> solver,
-                         SolverRegistry::Global().Create(solver_name));
-    return solver->SolveBatch(qubos, options);
-  }
-  // One backend per WORKER, not per instance: construction is no longer
-  // assumed trivial — an embedded:* backend builds a topology graph (now
-  // amortized by backend_cache.h, but still not free) — so each worker
-  // builds one backend up front and reuses it across every instance it
-  // drains. That reuse is sound because a backend object is never shared
-  // across threads and Solve is required to be a pure function of
-  // (qubo, options) on this path; backends with cross-call Solve state opt
-  // out via the SolvesWholeBatch() hook below. Building the backends here,
-  // before any threads spin up, also surfaces unknown-name errors early.
-  const int workers = std::min(num_threads, static_cast<int>(n));
-  std::vector<std::unique_ptr<QuboSolver>> backends;
-  backends.reserve(workers);
-  for (int w = 0; w < workers; ++w) {
-    QDM_ASSIGN_OR_RETURN(std::unique_ptr<QuboSolver> backend,
-                         SolverRegistry::Global().Create(solver_name));
-    backends.push_back(std::move(backend));
-  }
-  // A backend with cross-instance Solve state (the adaptive:* selector)
-  // orchestrates the whole batch itself so its schedule cannot depend on
-  // which worker drained which instance.
-  if (backends[0]->SolvesWholeBatch()) {
-    return backends[0]->SolveBatchThreaded(qubos, options, num_threads);
-  }
-  // ParallelForWorkers' dynamic index scheduling keeps uneven per-instance
-  // costs balanced across workers.
-  std::vector<SampleSet> results(n);
-  std::vector<Status> statuses(n);
-  ThreadPool::ParallelForWorkers(
-      num_threads, static_cast<int>(n),
-      [&backends, &qubos, &options, &results, &statuses](int worker, int i) {
-        Result<SampleSet> result = backends[worker]->Solve(
-            qubos[i], DeriveBatchOptions(options, i));
-        if (result.ok()) {
-          results[i] = std::move(result).value();
-        } else {
-          statuses[i] = result.status();
-        }
-      });
-  for (size_t i = 0; i < n; ++i) {
-    if (!statuses[i].ok()) return AnnotateBatchInstanceError(statuses[i], i, n);
-  }
-  return results;
+  QDM_ASSIGN_OR_RETURN(std::unique_ptr<QuboSolver> solver,
+                       SolverRegistry::Global().Create(solver_name));
+  return solver->SolveBatch(qubos, options, num_threads);
 }
 
 Rng* ResolveSolverRng(const SolverOptions& options,

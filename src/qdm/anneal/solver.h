@@ -109,45 +109,36 @@ class QuboSolver {
   virtual Result<SampleSet> Solve(const Qubo& qubo,
                                   const SolverOptions& options) = 0;
 
-  /// Solves a batch of independent instances. Contract (which overrides must
-  /// preserve so the parallel fan-out stays interchangeable with this
-  /// sequential reference):
+  /// Solves a batch of independent instances on up to `num_threads` threads
+  /// (<= 0 meaning ThreadPool::DefaultNumThreads()). The one batch virtual;
+  /// overrides must preserve this contract so every backend stays
+  /// interchangeable behind SolveBatchParallel:
   ///
   ///  - Ordering: result[i] is the SampleSet for qubos[i]; the output vector
   ///    has exactly qubos.size() entries on success.
   ///  - Randomness: with options.rng == nullptr, instance i is solved with
   ///    DeriveBatchOptions(options, i) — i.e. seed + i — making the batch a
-  ///    pure function of (qubos, options) independent of execution order or
-  ///    thread count. A non-null options.rng is honored here (shared,
-  ///    sequential, order-dependent) but rejected by the parallel fan-out.
+  ///    pure function of (qubos, options), bit-identical for every
+  ///    num_threads value. A non-null options.rng is honored only when
+  ///    num_threads == 1 (shared, sequential, order-dependent) and is
+  ///    InvalidArgument otherwise: a shared Rng cannot fan out.
   ///  - Partial failure: all-or-nothing. The Status of the lowest-index
   ///    failing instance is returned, annotated "batch instance <i>:" when
   ///    the batch has more than one instance (a batch of one reports the
   ///    bare underlying error, so the single-shot batch-of-one wrappers
   ///    keep their original messages), and no partial results are exposed.
   ///    Instances after a failure may or may not have been attempted.
+  ///
+  /// The default runs Solve per instance on ThreadPool::Shared() across
+  /// min(num_threads, qubos.size()) workers with dynamic index scheduling:
+  /// worker 0 is `this` and workers 1.. are fresh SolverRegistry::Create(
+  /// name()) backends, each reused across every instance it drains (a
+  /// backend is never shared across threads). That reuse requires Solve to
+  /// be a pure function of (qubo, options); a backend whose Solve carries
+  /// state across calls — the adaptive:* portfolio's explore/commit
+  /// counter — overrides this with its own schedule. At one thread every
+  /// instance runs in order on `this`.
   virtual Result<std::vector<SampleSet>> SolveBatch(
-      const std::vector<Qubo>& qubos, const SolverOptions& options);
-
-  /// Whole-batch orchestration hook. SolveBatchParallel's fan-out reuses one
-  /// backend per worker and assigns instances to workers dynamically, which
-  /// requires Solve to be a pure function of (qubo, options). A backend
-  /// whose Solve carries state across calls — the adaptive:* selector's
-  /// explore/commit counter is the in-tree case — returns true here, and
-  /// SolveBatchParallel hands it the WHOLE batch via SolveBatchThreaded so
-  /// the backend can keep its cross-instance schedule deterministic while
-  /// still parallelizing internally. Wrappers around such a backend must
-  /// forward both hooks (see NoisySolver).
-  virtual bool SolvesWholeBatch() const { return false; }
-
-  /// Batch entry with a thread budget, used by SolveBatchParallel when
-  /// SolvesWholeBatch() is true. Overrides must preserve the SolveBatch
-  /// contract above plus the parallel fan-out's guarantees: results
-  /// bit-identical for every num_threads value (num_threads <= 0 meaning
-  /// ThreadPool::DefaultNumThreads()), and options.rng rejected as
-  /// InvalidArgument unless num_threads == 1. The default ignores
-  /// num_threads and runs the sequential SolveBatch reference.
-  virtual Result<std::vector<SampleSet>> SolveBatchThreaded(
       const std::vector<Qubo>& qubos, const SolverOptions& options,
       int num_threads);
 
@@ -163,8 +154,9 @@ class QuboSolver {
 /// embedded hardware-topology backends in qdm/anneal/embedded_solver.cc
 /// register a default "embedded:<base>:<topology>" set plus the "embedded:"
 /// prefix resolver; the portfolio backends in qdm/anneal/portfolio_solver.cc
-/// register "race:simulated_annealing+tabu_search" plus the "race:" prefix
-/// resolver).
+/// register "race:simulated_annealing+tabu_search" and
+/// "adaptive:simulated_annealing+tabu_search" plus the "race:" and
+/// "adaptive:" prefix resolvers).
 class SolverRegistry {
  public:
   using Factory = std::function<std::unique_ptr<QuboSolver>()>;
@@ -223,22 +215,13 @@ Result<Sample> SolveForBest(const std::string& solver_name, const Qubo& qubo,
 
 // -- Batched solving ----------------------------------------------------------
 
-/// Registry-level batch entry point: creates backend(s) registered under
-/// `solver_name` and solves all `qubos`, fanning instances out across a
-/// qdm::ThreadPool when num_threads != 1.
-///
-///  - num_threads == 1: strictly sequential on the calling thread via the
-///    backend's SolveBatch (the only mode that honors options.rng).
-///  - num_threads <= 0: uses ThreadPool::DefaultNumThreads().
-///  - num_threads > 1: fans instances out across min(num_threads, batch
-///    size) workers via ThreadPool::ParallelForWorkers (dynamic index
-///    scheduling), one backend instance per WORKER, reused across every
-///    instance that worker drains (QuboSolver implementations are not
-///    required to be thread-safe, but one object is never shared across
-///    threads). Requires options.rng == nullptr (InvalidArgument
-///    otherwise): a shared RNG cannot fan out. Backends that report
-///    SolvesWholeBatch() are instead handed the whole batch once via
-///    SolveBatchThreaded (see QuboSolver).
+/// Registry-level batch entry point: validates `options` (including the
+/// shared-Rng rule of QuboSolver::SolveBatch), creates the backend
+/// registered under `solver_name`, and returns its SolveBatch(qubos,
+/// options, num_threads) — strictly sequential on the calling thread at
+/// num_threads == 1 (the only mode that honors options.rng), otherwise
+/// fanned out across min(num_threads, batch size) workers on
+/// ThreadPool::Shared(), one backend per worker.
 ///
 /// Determinism guarantee: with options.rng == nullptr, instance i is always
 /// solved with seed options.seed + i, so the returned SampleSets are
@@ -258,8 +241,8 @@ SolverOptions DeriveBatchOptions(const SolverOptions& options, size_t index);
 /// <i>: ..."), preserving the original code so callers can still dispatch on
 /// it. Batches of one keep the bare error: the single-shot entry points are
 /// batch-of-one wrappers and their callers never asked for batch framing.
-/// Exposed so SolveBatchThreaded overrides frame their per-instance errors
-/// exactly like the sequential reference.
+/// Exposed so SolveBatch overrides frame their per-instance errors exactly
+/// like the default.
 Status AnnotateBatchInstanceError(const Status& status, size_t index,
                                   size_t batch_size);
 

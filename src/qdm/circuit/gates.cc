@@ -135,8 +135,14 @@ linalg::Matrix SingleQubitMatrix(GateKind kind,
     case GateKind::kU3: {
       double theta = params[0], phi = params[1], lambda = params[2];
       double c = std::cos(theta / 2), s = std::sin(theta / 2);
-      return Matrix{{Complex(c, 0), std::polar(-s, lambda)},
-                    {std::polar(s, phi), std::polar(c, phi + lambda)}};
+      // r·e^{it} spelled out: c and s can be negative, which std::polar
+      // forbids. This is libstdc++'s polar body, so the entries are the
+      // same bits.
+      const auto polar = [](double r, double t) {
+        return Complex(r * std::cos(t), r * std::sin(t));
+      };
+      return Matrix{{Complex(c, 0), polar(-s, lambda)},
+                    {polar(s, phi), polar(c, phi + lambda)}};
     }
     default:
       QDM_CHECK(false) << GateName(kind) << " is not a single-qubit gate";

@@ -11,10 +11,11 @@
 namespace qdm {
 
 /// Fixed-size worker pool for fanning independent tasks out across threads.
-/// The batching layer (anneal::SolveBatchParallel) uses it to run many QUBO
-/// instances concurrently; it is deliberately minimal — submit, wait, reuse —
-/// so future fan-out seams (multi-backend racing, embedded-solver sweeps) can
-/// share it without inheriting scheduler policy.
+/// Every fan-out in the toolkit — QUBO batches, portfolio races, the
+/// statevector kernels — runs on the process-wide Shared() pool through
+/// ForEach, so none of them spawns threads per call; the pool is
+/// deliberately minimal — submit, wait, reuse — so those seams share it
+/// without inheriting scheduler policy.
 ///
 /// Tasks must not throw (the toolkit is exception-free; failures travel as
 /// Status values captured by the task itself). Submitting from inside a task
@@ -51,38 +52,28 @@ class ThreadPool {
   /// stays usable from any shutdown context.
   static ThreadPool& Shared();
 
-  /// Runs body(i) for every i in [0, n) using this pool's workers AND the
-  /// calling thread, returning when all n iterations are done. Because the
-  /// caller participates in draining the shared index counter, the call
-  /// makes progress even when every worker is busy — nested use from inside
-  /// pool tasks cannot deadlock (worst case the caller runs all n
+  /// Runs body(worker, i) for every i in [0, n) using this pool's workers
+  /// AND the calling thread, returning when all n iterations are done.
+  /// Because the caller participates in draining the shared index counter,
+  /// the call makes progress even when every worker is busy — nested use
+  /// from inside pool tasks cannot deadlock (worst case the caller runs all n
   /// iterations itself). `body` must be safe to call concurrently for
   /// different i and — like every task (see class comment) — must not
   /// throw: an exception escaping a worker terminates the process, and one
   /// escaping the caller's own drain would unwind past helpers still
   /// referencing the call state. Iteration-to-thread assignment is dynamic,
-  /// so callers needing determinism must make body(i) independent of
-  /// execution order.
-  void ForEach(int n, const std::function<void(int)>& body);
-
-  /// One-shot data parallelism: runs body(i) for every i in [0, n) across a
-  /// transient pool of `num_threads` workers (dynamic index scheduling) and
-  /// returns when all iterations are done. `body` must be safe to call
-  /// concurrently from different threads for different i.
-  static void ParallelFor(int num_threads, int n,
-                          const std::function<void(int)>& body);
-
-  /// ParallelFor variant that also hands body the stable id of the worker
-  /// running it: body(worker, i) with worker in [0, min(num_threads, n)).
-  /// Each worker drains indices off the shared counter, so all iterations a
-  /// given worker runs see the same `worker` value — the seam that lets
-  /// callers reuse one expensive per-worker resource (e.g. a solver backend)
-  /// across every index that worker picks up, instead of recreating it per
-  /// index. Which indices land on which worker is still dynamic, so such
-  /// resources must not make body's result depend on the pairing.
-  static void ParallelForWorkers(
-      int num_threads, int n,
-      const std::function<void(int worker, int i)>& body);
+  /// so callers needing determinism must make iteration i's effect
+  /// independent of execution order and of which worker runs it.
+  ///
+  /// `worker` is the stable id of the drain running the iteration: the
+  /// caller is worker 0 and each of the min(num_threads(), n) helper tasks
+  /// gets its own id from 1 up. An id never runs on two threads at once, so
+  /// a caller can reuse one expensive per-worker resource (e.g. a solver
+  /// backend) across every index that id picks up. `max_workers` > 0 caps
+  /// the ids to [0, max_workers) — max_workers == 1 runs every index in
+  /// order on the caller; <= 0 means no cap beyond the pool's size.
+  void ForEach(int n, int max_workers,
+               const std::function<void(int worker, int i)>& body);
 
  private:
   void WorkerLoop();

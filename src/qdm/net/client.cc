@@ -66,18 +66,6 @@ Result<service::JobId> QdmClient::SubmitBatch(
   return SubmitRequest(request);
 }
 
-Result<service::JobId> QdmClient::SubmitRace(
-    const std::vector<std::string>& members, const anneal::Qubo& qubo,
-    const anneal::SolverOptions& options, std::chrono::nanoseconds deadline) {
-  JobRequest request;
-  request.type = JobRequest::Type::kSubmitRace;
-  request.members = members;
-  request.qubos.push_back(qubo);
-  request.options = options;
-  request.deadline = deadline;
-  return SubmitRequest(request);
-}
-
 Result<service::JobSnapshot> QdmClient::Poll(service::JobId id) {
   QDM_ASSIGN_OR_RETURN(const std::string body,
                        RoundTrip("GET", JobTarget(id, ""), ""));

@@ -51,11 +51,6 @@ class QdmClient {
       const anneal::SolverOptions& options = {},
       std::chrono::nanoseconds deadline = std::chrono::nanoseconds(0));
 
-  Result<service::JobId> SubmitRace(
-      const std::vector<std::string>& members, const anneal::Qubo& qubo,
-      const anneal::SolverOptions& options = {},
-      std::chrono::nanoseconds deadline = std::chrono::nanoseconds(0));
-
   Result<service::JobSnapshot> Poll(service::JobId id);
 
   /// Blocks server-side until the job is terminal.

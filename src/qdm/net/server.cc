@@ -244,14 +244,6 @@ HttpResponse QdmServer::HandleSubmit(const std::string& body) {
       id = job->id;
       break;
     }
-    case JobRequest::Type::kSubmitRace: {
-      Result<service::SubmittedJob> job = service_->SubmitRace(
-          request.members, std::move(request.qubos[0]), request.options,
-          submit);
-      if (!job.ok()) return ErrorResponse(job.status());
-      id = job->id;
-      break;
-    }
   }
   return OkResponse(EncodeSubmitResponse(id));
 }

@@ -29,7 +29,7 @@ struct ServerConfig {
 /// SolverService. Endpoints (bodies are the qdm/net wire format, see
 /// docs/network.md):
 ///
-///   POST   /v1/jobs           submit | submit_batch | submit_race
+///   POST   /v1/jobs           submit | submit_batch (| legacy submit_race)
 ///   GET    /v1/jobs/<id>      poll (one JobSnapshot)
 ///   POST   /v1/jobs/<id>/wait block until terminal, return results
 ///   DELETE /v1/jobs/<id>      cancel

@@ -443,18 +443,6 @@ std::string EncodeJobRequest(const JobRequest& request) {
       fields += "]";
       break;
     }
-    case JobRequest::Type::kSubmitRace: {
-      QDM_CHECK(request.qubos.size() == 1)
-          << "submit_race carries exactly one qubo";
-      fields += "\"type\":\"submit_race\",\"members\":[";
-      for (size_t i = 0; i < request.members.size(); ++i) {
-        if (i > 0) fields.push_back(',');
-        JsonAppendQuoted(request.members[i], &fields);
-      }
-      fields += "],\"qubo\":";
-      AppendQuboJson(request.qubos[0], &fields);
-      break;
-    }
   }
   fields += ",\"options\":";
   AppendSolverOptionsJson(request.options, &fields);
@@ -480,12 +468,10 @@ Result<JobRequest> DecodeJobRequest(const std::string& body) {
     return TypeError("request.type", "a string", *type);
   }
   const std::string& type_name = type->string_value();
-  if (type_name == "submit") {
+  if (type_name == "submit" || type_name == "submit_race") {
     request.type = JobRequest::Type::kSubmit;
   } else if (type_name == "submit_batch") {
     request.type = JobRequest::Type::kSubmitBatch;
-  } else if (type_name == "submit_race") {
-    request.type = JobRequest::Type::kSubmitRace;
   } else {
     return Status::InvalidArgument(StrFormat(
         "request.type: unknown type '%s' (submit | submit_batch | "
@@ -493,20 +479,24 @@ Result<JobRequest> DecodeJobRequest(const std::string& body) {
         type_name.c_str()));
   }
 
-  if (request.type == JobRequest::Type::kSubmitRace) {
+  if (type_name == "submit_race") {
+    // Legacy: a race of the listed members is the submit of their "race:"
+    // name, which is exactly what the server used to run for it.
     const JsonValue* members = envelope.Find("members");
     if (members == nullptr) return MissingError("request.members");
     if (!members->is_array()) {
       return TypeError("request.members", "an array", *members);
     }
+    std::vector<std::string> names;
     for (size_t i = 0; i < members->array().size(); ++i) {
       const JsonValue& member = members->array()[i];
       if (!member.is_string()) {
         return TypeError(StrFormat("request.members[%zu]", i), "a string",
                          member);
       }
-      request.members.push_back(member.string_value());
+      names.push_back(member.string_value());
     }
+    request.solver = "race:" + StrJoin(names, "+");
   } else {
     const JsonValue* solver = envelope.Find("solver");
     if (solver == nullptr) return MissingError("request.solver");

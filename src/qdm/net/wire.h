@@ -89,24 +89,27 @@ Result<anneal::SampleSet> DecodeSampleSet(const JsonValue& value,
 
 // -- Job submission (POST /v1/jobs) -------------------------------------------
 
-/// One submission, covering all three SolverService entry points:
+/// One submission, covering both SolverService entry points:
 ///
 ///   {"version": 1, "type": "submit",       "solver": "...",
 ///    "qubo": {...},    "options": {...}, "deadline_ns": u64}
 ///   {"version": 1, "type": "submit_batch", "solver": "...",
 ///    "qubos": [{...}], "options": {...}, "deadline_ns": u64}
+///
+/// "options" and "deadline_ns" are optional (defaults: default-constructed
+/// SolverOptions, no deadline). The decoder also accepts the legacy
+///
 ///   {"version": 1, "type": "submit_race",  "members": ["...", "..."],
 ///    "qubo": {...},    "options": {...}, "deadline_ns": u64}
 ///
-/// "options" and "deadline_ns" are optional (defaults: default-constructed
-/// SolverOptions, no deadline).
+/// as a kSubmit of solver "race:<m1>+<m2>+..." — the name a portfolio race
+/// goes by, so the job is exactly the one such a submit would run.
 struct JobRequest {
-  enum class Type { kSubmit, kSubmitBatch, kSubmitRace };
+  enum class Type { kSubmit, kSubmitBatch };
 
   Type type = Type::kSubmit;
-  std::string solver;                // kSubmit / kSubmitBatch.
-  std::vector<std::string> members;  // kSubmitRace.
-  std::vector<anneal::Qubo> qubos;   // Exactly one except kSubmitBatch.
+  std::string solver;
+  std::vector<anneal::Qubo> qubos;  // Exactly one except kSubmitBatch.
   anneal::SolverOptions options;
   std::chrono::nanoseconds deadline{0};
 };
@@ -136,7 +139,7 @@ std::string EncodeSnapshotResponse(const service::JobSnapshot& snapshot);
 Result<service::JobSnapshot> DecodeSnapshotResponse(const std::string& body);
 
 /// {"version": 1, "results": [<SampleSet>...]} — a successful Wait (one
-/// entry per batch instance; submit/race jobs carry exactly one).
+/// entry per batch instance; submit jobs carry exactly one).
 std::string EncodeResultsResponse(
     const std::vector<anneal::SampleSet>& results);
 Result<std::vector<anneal::SampleSet>> DecodeResultsResponse(

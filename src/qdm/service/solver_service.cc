@@ -368,17 +368,6 @@ Result<SubmittedBatch> SolverService::SubmitBatch(
   return submitted;
 }
 
-Result<SubmittedJob> SolverService::SubmitRace(
-    const std::vector<std::string>& members, Qubo qubo,
-    const SolverOptions& options, const SubmitOptions& submit) {
-  // Delegating to the "race:" registry family keeps one taxonomy: member
-  // validation (>= 2 members, no nested races, unknown/malformed members)
-  // and the deterministic best-energy contract all come from
-  // MakePortfolioSolver, exactly as on the synchronous path.
-  return Submit("race:" + StrJoin(members, "+"), std::move(qubo), options,
-                submit);
-}
-
 Result<JobSnapshot> SolverService::Poll(JobId id) const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto it = impl_->jobs.find(id);

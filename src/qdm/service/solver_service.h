@@ -15,7 +15,7 @@
 namespace qdm {
 namespace service {
 
-/// A Submit/SubmitRace acceptance: the opaque id (for Poll/Wait/Cancel) and
+/// A Submit acceptance: the opaque id (for Poll/Wait/Cancel) and
 /// a typed future resolving with the job's SampleSet.
 struct SubmittedJob {
   JobId id = 0;
@@ -30,9 +30,10 @@ struct SubmittedBatch {
 };
 
 /// Async execution layer over the SolverRegistry — the "solver as a
-/// service" step of the ROADMAP: many concurrent clients submit QUBOs,
-/// batches, or races by registry name and poll or await results, instead
-/// of one synchronous caller driving Solve directly.
+/// service" step of the ROADMAP: many concurrent clients submit QUBOs or
+/// batches by registry name (a portfolio race is just a "race:<m1>+<m2>"
+/// name) and poll or await results, instead of one synchronous caller
+/// driving Solve directly.
 ///
 /// Execution model: accepted jobs enter a bounded FIFO queue drained by up
 /// to `config.num_workers` worker tasks on the process-wide
@@ -46,10 +47,10 @@ struct SubmittedBatch {
 /// docs/batching.md): a job submitted with options.seed == s resolves with
 /// exactly the SampleSet(s) the synchronous path produces with seed s —
 /// Solve(qubo, options) for Submit, SolveBatchParallel's per-instance
-/// seed + index derivation for SubmitBatch, SolveWith("race:...") for
-/// SubmitRace — regardless of queue interleaving, worker count, or what
-/// other jobs are in flight. options.rng must be null (InvalidArgument):
-/// a shared Rng cannot cross the async boundary deterministically.
+/// seed + index derivation for SubmitBatch — regardless of queue
+/// interleaving, worker count, or what other jobs are in flight.
+/// options.rng must be null (InvalidArgument): a shared Rng cannot cross
+/// the async boundary deterministically.
 ///
 /// Error taxonomy: submission-time errors (unknown solver name ->
 /// NotFound, malformed "embedded:"/"race:" spec -> InvalidArgument, bad
@@ -92,22 +93,12 @@ class SolverService {
                                      const anneal::SolverOptions& options,
                                      const SubmitOptions& submit = {});
 
-  /// Submits a portfolio race of the given registry members on one QUBO —
-  /// sugar for Submit("race:<m1>+<m2>+...", ...), so the full "race:"
-  /// taxonomy applies (>= 2 members, no nested races, member errors
-  /// annotated with the race name) and the result is bit-identical to the
-  /// synchronous SolveWith on the same race name and seed.
-  Result<SubmittedJob> SubmitRace(const std::vector<std::string>& members,
-                                  anneal::Qubo qubo,
-                                  const anneal::SolverOptions& options,
-                                  const SubmitOptions& submit = {});
-
   /// Non-blocking state probe; NotFound for ids never issued or already
   /// Released. Terminal snapshots carry the job's final Status.
   Result<JobSnapshot> Poll(JobId id) const;
 
   /// Blocks until the job is terminal and returns its result (the batch
-  /// form — Submit/SubmitRace jobs yield one-element vectors; their typed
+  /// form — Submit jobs yield one-element vectors; their typed
   /// future unwraps it). Safe to call repeatedly and from several threads:
   /// every call returns the same resolved Result. NotFound for unknown
   /// ids.

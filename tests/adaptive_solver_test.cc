@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "qdm/anneal/adaptive_solver.h"
+#include "qdm/anneal/portfolio_solver.h"
 #include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 #include "qdm/common/status.h"
@@ -100,20 +101,20 @@ TEST(AdaptiveSolverTest, ArbitrarySpecsResolveThroughThePrefixFactory) {
 // -- Explore/commit schedule --------------------------------------------------
 
 TEST(AdaptiveSolverTest, ScheduleExploresThenCommitsWithAccessorsToMatch) {
-  auto created = MakeAdaptiveSolver(kDefaultName);
+  auto created = MakePortfolioSolver(kDefaultName);
   ASSERT_TRUE(created.ok()) << created.status();
-  auto* solver = static_cast<AdaptiveSolver*>(created->get());
+  auto* solver = static_cast<PortfolioSolver*>(created->get());
   ASSERT_EQ(solver->members().size(), 2u);
   EXPECT_EQ(solver->committed_member(), -1);
 
   const std::vector<Qubo> qubos =
-      SmallBatch(AdaptiveSolver::kExploreInstances + 4);
+      SmallBatch(PortfolioSolver::kExploreInstances + 4);
   const SolverOptions options = FastOptions(11);
   for (size_t i = 0; i < qubos.size(); ++i) {
     auto samples =
         solver->Solve(qubos[i], DeriveBatchOptions(options, i));
     ASSERT_TRUE(samples.ok()) << "solve " << i << ": " << samples.status();
-    if (i < static_cast<size_t>(AdaptiveSolver::kExploreInstances)) {
+    if (i < static_cast<size_t>(PortfolioSolver::kExploreInstances)) {
       EXPECT_EQ(samples->decision().rfind("explore:", 0), 0u)
           << "solve " << i << " decision '" << samples->decision() << "'";
     } else {
@@ -127,13 +128,13 @@ TEST(AdaptiveSolverTest, ScheduleExploresThenCommitsWithAccessorsToMatch) {
   }
   // Exactly one explore win per explored instance, none after commit.
   EXPECT_EQ(std::accumulate(solver->wins().begin(), solver->wins().end(), 0),
-            AdaptiveSolver::kExploreInstances);
+            PortfolioSolver::kExploreInstances);
 }
 
 TEST(AdaptiveSolverTest, BatchIsBitIdenticalAcrossThreadCounts) {
   // Long enough to cross the explore/commit boundary inside the batch.
   const std::vector<Qubo> qubos =
-      SmallBatch(AdaptiveSolver::kExploreInstances + 8);
+      SmallBatch(PortfolioSolver::kExploreInstances + 8);
   const SolverOptions options = FastOptions(29);
   for (const std::string& name :
        {std::string(kDefaultName),
@@ -172,11 +173,11 @@ TEST(AdaptiveSolverTest, CommitPhaseRunsOnlyTheWinner) {
   // the adaptive seed rule (instance seed + winner index).
   auto created = SolverRegistry::Global().Create(kDefaultName);
   ASSERT_TRUE(created.ok()) << created.status();
-  auto* solver = static_cast<AdaptiveSolver*>(created->get());
+  auto* solver = static_cast<PortfolioSolver*>(created->get());
   const SolverOptions options = FastOptions(43);
   const std::vector<Qubo> warmup =
-      SmallBatch(AdaptiveSolver::kExploreInstances);
-  auto explored = solver->SolveBatchThreaded(warmup, options, 4);
+      SmallBatch(PortfolioSolver::kExploreInstances);
+  auto explored = solver->SolveBatch(warmup, options, 4);
   ASSERT_TRUE(explored.ok()) << explored.status();
   const int w = solver->committed_member();
   ASSERT_GE(w, 0);
@@ -199,7 +200,7 @@ TEST(AdaptiveSolverTest, CommitPhaseRunsOnlyTheWinner) {
 
 TEST(AdaptiveSolverTest, RecordedDecisionsReplayBitIdentically) {
   const std::vector<Qubo> qubos =
-      SmallBatch(AdaptiveSolver::kExploreInstances + 4);
+      SmallBatch(PortfolioSolver::kExploreInstances + 4);
   const SolverOptions options = FastOptions(61);
   auto batch = SolveBatchParallel(kDefaultName, qubos, options, 8);
   ASSERT_TRUE(batch.ok()) << batch.status();
@@ -327,11 +328,11 @@ TEST(AdaptiveSolverTest, ComposesWithEmbeddedAndNoisyMembers) {
 
 TEST(AdaptiveSolverTest, NoisyWrappedSelectorKeepsItsScheduleInBatches) {
   // noisy:<model>:adaptive:... must forward whole batches to the selector
-  // (SolvesWholeBatch passthrough), keeping thread-count bit-identity even
-  // across the explore/commit boundary.
+  // (NoisySolver::SolveBatch passthrough), keeping thread-count
+  // bit-identity even across the explore/commit boundary.
   const std::string name = std::string("noisy:depol@0.05:") + kDefaultName;
   const std::vector<Qubo> qubos =
-      SmallBatch(AdaptiveSolver::kExploreInstances + 4);
+      SmallBatch(PortfolioSolver::kExploreInstances + 4);
   const SolverOptions options = FastOptions(23);
   auto one = SolveBatchParallel(name, qubos, options, 1);
   ASSERT_TRUE(one.ok()) << one.status();
@@ -359,7 +360,7 @@ TEST(AdaptiveSolverTest, SharedRngIsHonoredSequentially) {
   SolverOptions options = FastOptions(0);
   options.rng = &rng;
   const std::vector<Qubo> qubos =
-      SmallBatch(AdaptiveSolver::kExploreInstances + 1);
+      SmallBatch(PortfolioSolver::kExploreInstances + 1);
   for (size_t i = 0; i < qubos.size(); ++i) {
     auto samples = (*created)->Solve(qubos[i], options);
     ASSERT_TRUE(samples.ok()) << "solve " << i << ": " << samples.status();

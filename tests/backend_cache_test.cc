@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qdm/anneal/backend_cache.h"
@@ -17,7 +18,6 @@
 #include "qdm/anneal/solver.h"
 #include "qdm/anneal/topology.h"
 #include "qdm/common/status.h"
-#include "qdm/common/thread_pool.h"
 
 namespace qdm {
 namespace anneal {
@@ -51,11 +51,15 @@ TEST(BackendCacheTest, ConcurrentFirstTouchConstructsOnce) {
   const std::string spec = "chimera:5x5x4";
   const BackendCacheStats before = GetBackendCacheStats();
   std::vector<std::shared_ptr<const HardwareTopology>> seen(8);
-  ThreadPool::ParallelFor(8, 8, [&seen, &spec](int i) {
-    auto topology = GetCachedTopology(spec);
-    QDM_CHECK(topology.ok()) << topology.status();
-    seen[i] = std::move(topology).value();
-  });
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 8; ++i) {
+    threads.emplace_back([&seen, &spec, i] {
+      auto topology = GetCachedTopology(spec);
+      QDM_CHECK(topology.ok()) << topology.status();
+      seen[i] = std::move(topology).value();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   const BackendCacheStats after = GetBackendCacheStats();
   EXPECT_EQ(after.topology_constructions - before.topology_constructions, 1u);
   EXPECT_EQ(after.topology_hits - before.topology_hits, 7u);
@@ -69,11 +73,15 @@ TEST(BackendCacheTest, ConcurrentFirstTouchEmbeddingConstructsOnce) {
   const int num_logical = 11;
   const BackendCacheStats before = GetBackendCacheStats();
   std::vector<std::shared_ptr<const Embedding>> seen(8);
-  ThreadPool::ParallelFor(8, 8, [&seen, &topology, num_logical](int i) {
-    auto plan = GetCachedCliqueEmbedding(num_logical, **topology);
-    QDM_CHECK(plan.ok()) << plan.status();
-    seen[i] = std::move(plan).value();
-  });
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 8; ++i) {
+    threads.emplace_back([&seen, &topology, num_logical, i] {
+      auto plan = GetCachedCliqueEmbedding(num_logical, **topology);
+      QDM_CHECK(plan.ok()) << plan.status();
+      seen[i] = std::move(plan).value();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   const BackendCacheStats after = GetBackendCacheStats();
   EXPECT_EQ(after.embedding_constructions - before.embedding_constructions,
             1u);
@@ -146,6 +154,39 @@ TEST(BackendCacheTest, EmbeddedBackendCreationSharesTopology) {
   const BackendCacheStats after = GetBackendCacheStats();
   EXPECT_EQ(after.topology_constructions, before.topology_constructions);
   EXPECT_EQ(after.topology_hits - before.topology_hits, 1u);
+}
+
+TEST(BackendCacheTest, BatchBuildsOneBackendPerWorker) {
+  // A batch builds min(num_threads, batch size) backends — the created one
+  // plus one re-Created per extra worker — never one per instance. Once
+  // the spec is warm every embedded:* creation is one topology hit, so the
+  // hit delta counts the backends the batch built.
+  const std::string name = "embedded:simulated_annealing:chimera:3x3x4";
+  ASSERT_TRUE(SolverRegistry::Global().Create(name).ok());
+  std::vector<Qubo> qubos;
+  for (int k = 0; k < 6; ++k) {
+    Qubo qubo(3);
+    qubo.AddLinear(0, -1.0 - k);
+    qubo.AddQuadratic(0, 1, 0.5);
+    qubo.AddQuadratic(1, 2, -1.0);
+    qubos.push_back(qubo);
+  }
+  SolverOptions options;
+  options.num_reads = 2;
+  options.num_sweeps = 20;
+  options.seed = 3;
+  const int kThreads[] = {1, 2, 4, 8};
+  const uint64_t kBackends[] = {1, 2, 4, 6};
+  for (int t = 0; t < 4; ++t) {
+    const BackendCacheStats before = GetBackendCacheStats();
+    auto batch = SolveBatchParallel(name, qubos, options, kThreads[t]);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    const BackendCacheStats after = GetBackendCacheStats();
+    EXPECT_EQ(after.topology_hits - before.topology_hits, kBackends[t])
+        << kThreads[t] << " threads";
+    EXPECT_EQ(after.topology_constructions, before.topology_constructions)
+        << kThreads[t] << " threads";
+  }
 }
 
 }  // namespace

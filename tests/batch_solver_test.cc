@@ -67,7 +67,7 @@ TEST(BatchSolverTest, DefaultSolveBatchMatchesPerInstanceDerivedSolve) {
   const SolverOptions options = FastOptions(42);
   auto solver = SolverRegistry::Global().Create("simulated_annealing");
   ASSERT_TRUE(solver.ok());
-  auto batch = (*solver)->SolveBatch(qubos, options);
+  auto batch = (*solver)->SolveBatch(qubos, options, /*num_threads=*/1);
   ASSERT_TRUE(batch.ok()) << batch.status();
   ASSERT_EQ(batch->size(), qubos.size());
   for (size_t i = 0; i < qubos.size(); ++i) {

@@ -219,8 +219,8 @@ TEST(NetParityTest, RemoteRaceBitIdenticalToSyncRace) {
 
   std::unique_ptr<QdmServer> server = StartServer(2);
   QdmClient client(server->port());
-  auto id = client.SubmitRace({"simulated_annealing", "tabu_search"}, qubo,
-                              options);
+  auto id =
+      client.Submit("race:simulated_annealing+tabu_search", qubo, options);
   ASSERT_TRUE(id.ok()) << id.status();
   auto remote = client.Wait(*id);
   ASSERT_TRUE(remote.ok()) << remote.status();
@@ -232,6 +232,44 @@ TEST(NetParityTest, RemoteRaceBitIdenticalToSyncRace) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
   EXPECT_EQ(snapshot->state, JobState::kSucceeded);
   EXPECT_TRUE(snapshot->status.ok());
+}
+
+TEST(NetParityTest, LegacySubmitRaceBodyWaitsToTheRaceNameResult) {
+  // A raw "submit_race" body, byte for byte what older clients send, is the
+  // submit of its "race:" name: the /wait response bytes match that
+  // submit's exactly.
+  const Qubo qubo = MakeQubo(5, 34);
+  const SolverOptions options = FastOptions(56);
+  const std::string name = "race:simulated_annealing+tabu_search";
+  JobRequest request;
+  request.solver = name;
+  request.qubos.push_back(qubo);
+  request.options = options;
+  const std::string submit_body = EncodeJobRequest(request);
+  std::string race_body = submit_body;
+  const std::string submit_head =
+      "\"type\":\"submit\",\"solver\":\"" + name + "\"";
+  const size_t at = race_body.find(submit_head);
+  ASSERT_NE(at, std::string::npos) << race_body;
+  race_body.replace(at, submit_head.size(),
+                    "\"type\":\"submit_race\",\"members\":"
+                    "[\"simulated_annealing\",\"tabu_search\"]");
+
+  std::unique_ptr<QdmServer> server = StartServer(2);
+  std::vector<std::string> waited;
+  for (const std::string& body : {submit_body, race_body}) {
+    auto submitted = HttpRoundTrip(server->port(), "POST", "/v1/jobs", body);
+    ASSERT_TRUE(submitted.ok()) << submitted.status();
+    ASSERT_EQ(submitted->status, 200) << submitted->body;
+    auto id = DecodeSubmitResponse(submitted->body);
+    ASSERT_TRUE(id.ok()) << id.status();
+    auto wait = HttpRoundTrip(server->port(), "POST",
+                              "/v1/jobs/" + std::to_string(*id) + "/wait", "");
+    ASSERT_TRUE(wait.ok()) << wait.status();
+    ASSERT_EQ(wait->status, 200) << wait->body;
+    waited.push_back(wait->body);
+  }
+  EXPECT_EQ(waited[1], waited[0]);
 }
 
 TEST(NetParityTest, ConcurrentClientsEachGetTheirOwnDeterministicResult) {

@@ -18,6 +18,7 @@
 #include "qdm/anneal/noisy_solver.h"
 #include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
+#include "qdm/service/solver_service.h"
 #include "qdm/sim/statevector.h"
 
 namespace qdm {
@@ -176,6 +177,38 @@ TEST(NoisySolverTest, PresetOptionsNoiseIsRejected) {
                 "options.noise is already set ('damp@0.5')"),
             std::string::npos)
       << result.status().message();
+}
+
+TEST(NoisySolverTest, BaseFailuresReadTheSameOnEveryBatchPath) {
+  // A failing base is framed once — "batch instance <i>: <base error>" —
+  // whether the batch runs on one thread, fans out, or goes through the
+  // service's per-instance solves. 31 variables exceed the exact solver's
+  // limit, so both arms of every explore race fail.
+  const std::string name = "noisy:depol@0.05:adaptive:exact+exact";
+  std::vector<Qubo> qubos;
+  for (int k = 0; k < 3; ++k) {
+    Qubo q(31);
+    for (int i = 0; i < 31; ++i) q.AddLinear(i, -1.0 - k);
+    qubos.push_back(q);
+  }
+  const SolverOptions options = FastOptions(9);
+  const std::string expected =
+      "batch instance 0: adaptive member 0 ('exact'): exact solver "
+      "enumerates 2^n assignments; 31 variables exceed the 30-variable limit";
+  for (int threads : {1, 2, 8}) {
+    auto batch = SolveBatchParallel(name, qubos, options, threads);
+    ASSERT_FALSE(batch.ok()) << threads << " threads";
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument)
+        << threads << " threads";
+    EXPECT_EQ(batch.status().message(), expected) << threads << " threads";
+  }
+  service::SolverService service;
+  auto submitted = service.SubmitBatch(name, qubos, options);
+  ASSERT_TRUE(submitted.ok()) << submitted.status();
+  const auto& result = submitted->future.Get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(), expected);
 }
 
 // -- Zero-rate bit-identity --------------------------------------------------

@@ -124,7 +124,7 @@ TEST(PortfolioSolverTest, WinnerIsBitIdenticalAcrossThreadCounts) {
       "simulated_annealing", "tabu_search", "parallel_tempering"};
   auto sequential = SolveRaceParallel(members, qubo, options, 1);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
-  // 0 = the shared-pool composition default; 2/8 = transient pools.
+  // 0 = the uncapped shared-pool default; 2/8 = capped shared-pool fan-outs.
   for (int threads : {0, 2, 8}) {
     auto raced = SolveRaceParallel(members, qubo, options, threads);
     ASSERT_TRUE(raced.ok()) << threads << " threads: " << raced.status();

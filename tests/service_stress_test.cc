@@ -177,7 +177,7 @@ void ExpectConserved(const ServiceStats& stats) {
 
 // ---------------------------------------------------------------------------
 // Multi-producer storm: N producer threads x M jobs each, mixing Submit /
-// SubmitBatch / SubmitRace, every result checked against its sync twin,
+// SubmitBatch / race submits, every result checked against its sync twin,
 // stats sampled concurrently and conserved at every instant.
 // ---------------------------------------------------------------------------
 
@@ -244,8 +244,8 @@ TEST(ServiceStressTest, ProducersTimesJobsAllMatchSync) {
             auto sync = anneal::SolveWith(
                 "race:simulated_annealing+tabu_search", qubo, options);
             ASSERT_TRUE(sync.ok()) << sync.status();
-            auto submitted = service.SubmitRace(
-                {"simulated_annealing", "tabu_search"}, qubo, options);
+            auto submitted = service.Submit(
+                "race:simulated_annealing+tabu_search", qubo, options);
             ASSERT_TRUE(submitted.ok()) << submitted.status();
             std::lock_guard<std::mutex> lock(pending_mutex);
             singles.push_back({submitted->id, *sync});
@@ -309,8 +309,8 @@ TEST(ServiceStressTest, NestedFanOutOnSharedPoolDoesNotDeadlock) {
     ASSERT_TRUE(nested.ok()) << nested.status();
     ids.push_back(nested->id);
 
-    auto race = service.SubmitRace({"simulated_annealing", "tabu_search"},
-                                   MakeQubo(4, seed + 50), FastOptions(seed));
+    auto race = service.Submit("race:simulated_annealing+tabu_search",
+                               MakeQubo(4, seed + 50), FastOptions(seed));
     ASSERT_TRUE(race.ok()) << race.status();
     ids.push_back(race->id);
 

@@ -387,8 +387,8 @@ TEST(ServiceRoundTripTest, SubmitRaceMatchesSyncRace) {
   ASSERT_TRUE(sync.ok()) << sync.status();
 
   SolverService service;
-  auto submitted = service.SubmitRace({"simulated_annealing", "tabu_search"},
-                                      qubo, options);
+  auto submitted =
+      service.Submit("race:simulated_annealing+tabu_search", qubo, options);
   ASSERT_TRUE(submitted.ok()) << submitted.status();
   const auto& result = submitted->future.Get();
   ASSERT_TRUE(result.ok()) << result.status();
@@ -739,10 +739,10 @@ TEST(ServiceErrorTest, MalformedRaceSpecKeepsItsSyncMessage) {
   EXPECT_EQ(submitted.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(submitted.status().message(), sync_status.message());
 
-  // SubmitRace goes through the same "race:" resolver, so an unknown
-  // member surfaces the member's NotFound annotated with the full spec.
-  auto race = service.SubmitRace({"simulated_annealing", "nope"},
-                                 MakeQubo(3, 4), FastOptions(4));
+  // A race goes through the same "race:" resolver, so an unknown member
+  // surfaces the member's NotFound annotated with the full spec.
+  auto race = service.Submit("race:simulated_annealing+nope", MakeQubo(3, 4),
+                             FastOptions(4));
   ASSERT_FALSE(race.ok());
   EXPECT_EQ(race.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(race.status().message(),

@@ -85,21 +85,54 @@ TEST(ThreadPoolTest, TasksRunConcurrently) {
   EXPECT_EQ(started, 2);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, CappedForEachCoversEveryIndexExactlyOnce) {
   const int n = 1000;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
-  ThreadPool::ParallelFor(4, n, [&hits](int i) { hits[i].fetch_add(1); });
+  ThreadPool::Shared().ForEach(n, 4,
+                               [&hits](int, int i) { hits[i].fetch_add(1); });
   for (int i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, ParallelForHandlesEmptyAndSingleRanges) {
-  ThreadPool::ParallelFor(4, 0, [](int) { FAIL() << "body on empty range"; });
+TEST(ThreadPoolTest, CappedForEachHandlesEmptyAndSingleRanges) {
+  ThreadPool::Shared().ForEach(
+      0, 4, [](int, int) { FAIL() << "body on empty range"; });
   std::atomic<int> counter{0};
-  ThreadPool::ParallelFor(4, 1, [&counter](int) { counter.fetch_add(1); });
+  ThreadPool::Shared().ForEach(1, 4,
+                               [&counter](int, int) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(ThreadPoolTest, ForEachWorkerIdsStayBelowTheCapAndNeverOverlap) {
+  // The per-worker-resource contract: every id lies in [0, cap), the caller
+  // is worker 0, and an id is never running on two threads at once — so a
+  // backend indexed by worker id is never shared across threads.
+  ThreadPool pool(6);
+  for (int cap : {1, 2, 3, 8}) {
+    std::vector<std::atomic<int>> busy(cap);
+    for (auto& b : busy) b.store(0);
+    std::atomic<int> overlaps{0};
+    std::atomic<int> out_of_range{0};
+    std::atomic<int> caller_ids{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ForEach(200, cap, [&](int worker, int) {
+      if (worker < 0 || worker >= cap) {
+        out_of_range.fetch_add(1);
+        return;
+      }
+      if (busy[worker].exchange(1) != 0) overlaps.fetch_add(1);
+      if (std::this_thread::get_id() == caller && worker != 0) {
+        caller_ids.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      busy[worker].store(0);
+    });
+    EXPECT_EQ(out_of_range.load(), 0) << "cap " << cap;
+    EXPECT_EQ(overlaps.load(), 0) << "cap " << cap;
+    EXPECT_EQ(caller_ids.load(), 0) << "cap " << cap;
+  }
 }
 
 TEST(ThreadPoolTest, NonPositiveThreadCountFallsBackToHardware) {
@@ -112,16 +145,19 @@ TEST(ThreadPoolTest, ForEachCoversEveryIndexExactlyOnce) {
   const int n = 1000;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
-  ThreadPool::Shared().ForEach(n, [&hits](int i) { hits[i].fetch_add(1); });
+  ThreadPool::Shared().ForEach(n, 0,
+                               [&hits](int, int i) { hits[i].fetch_add(1); });
   for (int i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(ThreadPoolTest, ForEachHandlesEmptyAndSingleRanges) {
-  ThreadPool::Shared().ForEach(0, [](int) { FAIL() << "body on empty range"; });
+  ThreadPool::Shared().ForEach(
+      0, 0, [](int, int) { FAIL() << "body on empty range"; });
   std::atomic<int> counter{0};
-  ThreadPool::Shared().ForEach(1, [&counter](int) { counter.fetch_add(1); });
+  ThreadPool::Shared().ForEach(1, 0,
+                               [&counter](int, int) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 1);
 }
 
@@ -133,7 +169,7 @@ TEST(ThreadPoolTest, ForEachWithMoreWorkersThanItemsTouchesNothingExtra) {
   const int n = 3;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
-  pool.ForEach(n, [&hits, n](int i) {
+  pool.ForEach(n, 0, [&hits, n](int, int i) {
     ASSERT_GE(i, 0);
     ASSERT_LT(i, n);
     hits[i].fetch_add(1);
@@ -145,9 +181,9 @@ TEST(ThreadPoolTest, ForEachWithMoreWorkersThanItemsTouchesNothingExtra) {
 
 TEST(ThreadPoolTest, ForEachWithNegativeCountReturnsImmediately) {
   ThreadPool pool(2);
-  pool.ForEach(-5, [](int) { FAIL() << "body on negative range"; });
-  ThreadPool::Shared().ForEach(-1,
-                               [](int) { FAIL() << "body on negative range"; });
+  pool.ForEach(-5, 0, [](int, int) { FAIL() << "body on negative range"; });
+  ThreadPool::Shared().ForEach(
+      -1, 0, [](int, int) { FAIL() << "body on negative range"; });
 }
 
 TEST(ThreadPoolTest, DestructorWhileIdleReturnsPromptly) {
@@ -201,8 +237,8 @@ TEST(ThreadPoolTest, SharedForEachNestsWithoutDeadlock) {
   // draining its own index counter. Worst case everything runs inline —
   // never a deadlock.
   std::atomic<int> inner_iterations{0};
-  ThreadPool::Shared().ForEach(8, [&inner_iterations](int) {
-    ThreadPool::Shared().ForEach(16, [&inner_iterations](int) {
+  ThreadPool::Shared().ForEach(8, 0, [&inner_iterations](int, int) {
+    ThreadPool::Shared().ForEach(16, 0, [&inner_iterations](int, int) {
       inner_iterations.fetch_add(1);
     });
   });
@@ -211,15 +247,14 @@ TEST(ThreadPoolTest, SharedForEachNestsWithoutDeadlock) {
 
 TEST(ThreadPoolTest, NestedParallelForInsideWorkersCompletes) {
   // Pool workers that themselves fan out (as SolveBatchParallel workers
-  // running parallel statevector kernels do) must not deadlock: the static
-  // ParallelFor spins a transient pool and the kernels' shared-pool ForEach
-  // is caller-participating, so no worker ever blocks on work that cannot
-  // be stolen.
+  // running parallel statevector kernels do) must not deadlock: the
+  // kernels' shared-pool ForEach is caller-participating, so no worker ever
+  // blocks on work that cannot be stolen.
   ThreadPool outer(4);
   std::atomic<int> inner_iterations{0};
   for (int t = 0; t < 8; ++t) {
     outer.Submit([&inner_iterations] {
-      ThreadPool::Shared().ForEach(16, [&inner_iterations](int) {
+      ThreadPool::Shared().ForEach(16, 0, [&inner_iterations](int, int) {
         inner_iterations.fetch_add(1);
       });
     });

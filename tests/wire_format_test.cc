@@ -322,17 +322,12 @@ TEST(WireSampleSetTest, EmptyAndDegenerateSetsRoundTrip) {
 // Round trips: requests and responses.
 // ---------------------------------------------------------------------------
 
-TEST(WireJobRequestTest, AllThreeTypesRoundTrip) {
+TEST(WireJobRequestTest, BothTypesRoundTrip) {
   for (const JobRequest::Type type :
-       {JobRequest::Type::kSubmit, JobRequest::Type::kSubmitBatch,
-        JobRequest::Type::kSubmitRace}) {
+       {JobRequest::Type::kSubmit, JobRequest::Type::kSubmitBatch}) {
     JobRequest request;
     request.type = type;
-    if (type == JobRequest::Type::kSubmitRace) {
-      request.members = {"simulated_annealing", "tabu_search"};
-    } else {
-      request.solver = "simulated_annealing";
-    }
+    request.solver = "simulated_annealing";
     request.qubos.push_back(MakeQubo(4, 7));
     if (type == JobRequest::Type::kSubmitBatch) {
       request.qubos.push_back(MakeQubo(3, 8));
@@ -345,7 +340,6 @@ TEST(WireJobRequestTest, AllThreeTypesRoundTrip) {
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     EXPECT_EQ(decoded->type, request.type);
     EXPECT_EQ(decoded->solver, request.solver);
-    EXPECT_EQ(decoded->members, request.members);
     ASSERT_EQ(decoded->qubos.size(), request.qubos.size());
     for (size_t i = 0; i < request.qubos.size(); ++i) {
       EXPECT_TRUE(QubosBitEqual(decoded->qubos[i], request.qubos[i]));
@@ -353,6 +347,49 @@ TEST(WireJobRequestTest, AllThreeTypesRoundTrip) {
     EXPECT_EQ(decoded->options.seed, request.options.seed);
     EXPECT_EQ(decoded->deadline, request.deadline);
   }
+}
+
+TEST(WireJobRequestTest, LegacySubmitRaceDecodesAsASubmitOfTheRaceName) {
+  JobRequest submit;
+  submit.solver = "race:simulated_annealing+tabu_search";
+  submit.qubos.push_back(MakeQubo(4, 7));
+  submit.options.num_reads = 5;
+  submit.options.seed = (1ull << 53) + 1;
+  submit.deadline = std::chrono::nanoseconds(123456789);
+  const std::string submit_body = EncodeJobRequest(submit);
+  // The body older encoders wrote for the same race: "members" in place of
+  // "solver", every other byte equal.
+  const std::string submit_head =
+      "\"type\":\"submit\",\"solver\":\"" + submit.solver + "\"";
+  const auto legacy_body = [&](const std::string& members) {
+    std::string body = submit_body;
+    const size_t at = body.find(submit_head);
+    QDM_CHECK(at != std::string::npos) << body;
+    return body.replace(at, submit_head.size(),
+                        "\"type\":\"submit_race\",\"members\":" + members);
+  };
+
+  Result<JobRequest> decoded = DecodeJobRequest(
+      legacy_body("[\"simulated_annealing\",\"tabu_search\"]"));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->type, JobRequest::Type::kSubmit);
+  EXPECT_EQ(decoded->solver, submit.solver);
+  ASSERT_EQ(decoded->qubos.size(), 1u);
+  EXPECT_TRUE(QubosBitEqual(decoded->qubos[0], submit.qubos[0]));
+  EXPECT_EQ(decoded->options.seed, submit.options.seed);
+  EXPECT_EQ(decoded->deadline, submit.deadline);
+  // It IS that submit: re-encoding yields the submit's bytes.
+  EXPECT_EQ(EncodeJobRequest(*decoded), submit_body);
+
+  // The legacy field keeps its own decode errors.
+  auto not_array = DecodeJobRequest(legacy_body("\"tabu_search\""));
+  ASSERT_FALSE(not_array.ok());
+  EXPECT_EQ(not_array.status().message(),
+            "request.members: expected an array, got string");
+  auto not_string = DecodeJobRequest(legacy_body("[\"tabu_search\",7]"));
+  ASSERT_FALSE(not_string.ok());
+  EXPECT_EQ(not_string.status().message(),
+            "request.members[1]: expected a string, got number");
 }
 
 TEST(WireErrorBodyTest, EveryStatusCodeRoundTripsExactly) {
