@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the toolkit's hot paths: gate
-// application, annealing sweeps, QUBO construction, DP join optimization and
-// hash-join execution. These are engineering benchmarks, not paper
-// experiments; they track the substrate's raw speed.
+// application, annealing sweeps, QUBO construction, the qdmd wire codec, DP
+// join optimization and hash-join execution. These are engineering benchmarks,
+// not paper experiments; they track the substrate's raw speed.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +22,7 @@
 #include "qdm/db/executor.h"
 #include "qdm/db/join_optimizer.h"
 #include "qdm/db/workload.h"
+#include "qdm/net/wire.h"
 #include "qdm/qopt/mqo.h"
 #include "qdm/sim/statevector.h"
 
@@ -460,6 +461,54 @@ void BM_MqoQuboBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MqoQuboBuild)->Arg(8)->Arg(32);
+
+// The qdmd wire codec on one remote MQO job: 8 queries x 3 plans is a
+// 24-variable QUBO, solved with 4 reads x 200 sweeps. Items are requests
+// encoded or decoded, or results responses decoded.
+qdm::net::JobRequest MqoJobRequest() {
+  qdm::Rng rng(1);
+  qdm::net::JobRequest request;
+  request.solver = "simulated_annealing";
+  request.qubos.push_back(
+      qdm::qopt::MqoToQubo(qdm::qopt::GenerateMqoProblem(8, 3, 0.3, &rng)));
+  request.options.num_reads = 4;
+  request.options.num_sweeps = 200;
+  request.options.seed = 1;
+  return request;
+}
+
+void BM_WireEncodeJobRequest(benchmark::State& state) {
+  const qdm::net::JobRequest request = MqoJobRequest();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qdm::net::EncodeJobRequest(request).size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireEncodeJobRequest);
+
+void BM_WireDecodeJobRequest(benchmark::State& state) {
+  const std::string body = qdm::net::EncodeJobRequest(MqoJobRequest());
+  QDM_CHECK(qdm::net::DecodeJobRequest(body).ok());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qdm::net::DecodeJobRequest(body).ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireDecodeJobRequest);
+
+void BM_WireDecodeResults(benchmark::State& state) {
+  const qdm::net::JobRequest request = MqoJobRequest();
+  auto solved =
+      qdm::anneal::SolveWith(request.solver, request.qubos[0], request.options);
+  QDM_CHECK(solved.ok()) << solved.status();
+  const std::string body = qdm::net::EncodeResultsResponse({*solved});
+  QDM_CHECK(qdm::net::DecodeResultsResponse(body).ok());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qdm::net::DecodeResultsResponse(body).ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireDecodeResults);
 
 void BM_OptimalBushyPlan(benchmark::State& state) {
   qdm::Rng rng(3);

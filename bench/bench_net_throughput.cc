@@ -6,9 +6,11 @@
 // runtime: results are bit-identical across client counts (and therefore
 // to the in-process path — tests/net_e2e_test.cc proves that leg).
 //
-// Each job is one connection (submit) plus one blocking wait connection,
-// so the metric prices the full remote loop: TCP setup, JSON encode,
-// HTTP parse, service scheduling, JSON decode.
+// Each client thread's QdmClient keeps one keep-alive connection, and each
+// job is two RPCs on it: the submit, then a blocking wait. The metric
+// prices the full remote loop: JSON encode, HTTP parse, service
+// scheduling, JSON decode, plus one TCP connect per client thread and the
+// server's start and Stop() (which its wake fd makes prompt).
 //
 // Perf-gate metrics (scripts/perf_gate.py, ratio-compared):
 //   net_jobs_per_s_t<N>  completed remote jobs/s with N client threads.

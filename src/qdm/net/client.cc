@@ -1,5 +1,7 @@
 #include "qdm/net/client.h"
 
+#include <unistd.h>
+
 #include <utility>
 
 #include "qdm/common/strings.h"
@@ -16,13 +18,52 @@ std::string JobTarget(service::JobId id, const char* suffix) {
 
 }  // namespace
 
+QdmClient::~QdmClient() {
+  for (const int fd : idle_) ::close(fd);
+}
+
+Result<HttpResponse> QdmClient::PooledExchange(const std::string& method,
+                                               const std::string& target,
+                                               const std::string& body) {
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!idle_.empty()) {
+      fd = idle_.back();
+      idle_.pop_back();
+    }
+  }
+  const bool reused = fd >= 0;
+  if (!reused) {
+    QDM_ASSIGN_OR_RETURN(fd, HttpConnect(port_));
+  }
+  HttpExchangeInfo info;
+  Result<HttpResponse> response =
+      HttpExchange(fd, method, target, body, /*keep_alive=*/true, &info);
+  if (!response.ok() && reused && !info.response_started) {
+    // The server closed this socket while it sat idle and never read the
+    // request, so sending it again cannot run it twice.
+    ::close(fd);
+    QDM_ASSIGN_OR_RETURN(fd, HttpConnect(port_));
+    response =
+        HttpExchange(fd, method, target, body, /*keep_alive=*/true, &info);
+  }
+  if (info.reusable) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    idle_.push_back(fd);
+  } else {
+    ::close(fd);
+  }
+  return response;
+}
+
 Result<std::string> QdmClient::RoundTrip(const std::string& method,
                                          const std::string& target,
                                          const std::string& body) {
-  QDM_ASSIGN_OR_RETURN(const HttpResponse response,
-                       HttpRoundTrip(port_, method, target, body));
+  QDM_ASSIGN_OR_RETURN(HttpResponse response,
+                       PooledExchange(method, target, body));
   if (response.status >= 200 && response.status < 300) {
-    return response.body;
+    return std::move(response.body);
   }
   Status remote;
   const Status decode = DecodeErrorBody(response.body, &remote);

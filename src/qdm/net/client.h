@@ -2,6 +2,7 @@
 #define QDM_NET_CLIENT_H_
 
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -31,11 +32,24 @@ namespace net {
 /// Solve at seed s — the wire codec round-trips doubles and seeds
 /// exactly (see wire.h).
 ///
-/// Each call opens one connection (Connection: close); the client itself
-/// is stateless and therefore trivially thread-safe.
+/// Connections: calls send Connection: keep-alive, and a connection whose
+/// response also said keep-alive, with no bytes after its body, goes back
+/// on a list of idle sockets for the next call. A call takes an idle
+/// socket or connects a new one, so the list grows to the number of
+/// concurrent callers. If a reused socket fails before any response byte
+/// arrives, the server closed it while it was idle without reading the
+/// request (qdmd answers every request it starts reading), and the call
+/// is sent once more on a fresh connection. Every other failure is
+/// returned as is, so no request is sent twice after the server has read
+/// it. The client is safe to share across threads; the destructor closes
+/// the idle sockets.
 class QdmClient {
  public:
   explicit QdmClient(int port) : port_(port) {}
+  ~QdmClient();
+
+  QdmClient(const QdmClient&) = delete;
+  QdmClient& operator=(const QdmClient&) = delete;
 
   int port() const { return port_; }
 
@@ -85,9 +99,17 @@ class QdmClient {
                                 const std::string& target,
                                 const std::string& body);
 
+  /// The exchange on an idle or new keep-alive connection, with the one
+  /// retry the class comment describes.
+  Result<HttpResponse> PooledExchange(const std::string& method,
+                                      const std::string& target,
+                                      const std::string& body);
+
   Result<service::JobId> SubmitRequest(const JobRequest& request);
 
-  int port_;
+  const int port_;
+  std::mutex mutex_;
+  std::vector<int> idle_;  // Guarded by mutex_: connected, unused sockets.
 };
 
 }  // namespace net

@@ -20,10 +20,6 @@ namespace net {
 
 namespace {
 
-/// Poll slice while waiting for bytes: short enough that a stop flag is
-/// observed promptly, long enough to stay off the scheduler's back.
-constexpr int kPollMillis = 200;
-
 /// Headers are small; a header block larger than this is hostile.
 constexpr size_t kMaxHeaderBytes = 64 * 1024;
 
@@ -122,6 +118,7 @@ bool ParseHead(const std::string& head, bool expect_request, ParsedHead* out,
       *error = "malformed status line '" + start_line + "'";
       return false;
     }
+    out->keep_alive = start_line.rfind("HTTP/1.1", 0) == 0;
     out->status = std::atoi(start_line.substr(9, 3).c_str());
     if (out->status < 100 || out->status > 599) {
       *error = "malformed status code in '" + start_line + "'";
@@ -209,9 +206,9 @@ HttpConnection::~HttpConnection() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-HttpConnection::ReadOutcome HttpConnection::ReadRequest(
-    HttpRequest* request, const std::atomic<bool>* stop,
-    std::string* error) {
+HttpConnection::ReadOutcome HttpConnection::ReadRequest(HttpRequest* request,
+                                                        int wake_fd,
+                                                        std::string* error) {
   while (true) {
     const size_t header_end = buffer_.find("\r\n\r\n");
     if (header_end != std::string::npos) {
@@ -240,25 +237,17 @@ HttpConnection::ReadOutcome HttpConnection::ReadRequest(
       return ReadOutcome::kBad;
     }
 
-    // Idle (or mid-header) — wait for bytes in short slices so shutdown is
-    // observed at request boundaries.
-    struct pollfd pfd;
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, kPollMillis);
-    if (ready < 0) {
+    // Wait for bytes. At a request boundary the wake fd is watched too, so
+    // shutdown ends an idle wait at once; a started request is read to its
+    // end, and bytes that are already waiting are read before a stop.
+    struct pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fd, POLLIN, 0}};
+    const nfds_t count = buffer_.empty() && wake_fd >= 0 ? 2 : 1;
+    if (::poll(fds, count, -1) < 0) {
       if (errno == EINTR) continue;
       *error = "poll failed";
       return ReadOutcome::kBad;
     }
-    if (ready == 0) {
-      if (stop != nullptr && stop->load(std::memory_order_acquire) &&
-          buffer_.empty()) {
-        return ReadOutcome::kStopped;
-      }
-      continue;
-    }
+    if (fds[0].revents == 0) return ReadOutcome::kStopped;
     const int got = ReadSome(fd_, &buffer_);
     if (got == 0) {
       if (buffer_.empty()) return ReadOutcome::kClosed;
@@ -283,18 +272,11 @@ bool HttpConnection::WriteResponse(const HttpResponse& response,
   return WriteAll(fd_, head);
 }
 
-Result<HttpResponse> HttpRoundTrip(int port, const std::string& method,
-                                   const std::string& target,
-                                   const std::string& body) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+Result<int> HttpConnect(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Status::Internal("socket() failed");
   }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -302,18 +284,27 @@ Result<HttpResponse> HttpRoundTrip(int port, const std::string& method,
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
-    return Status::Internal(
-        StrFormat("connect to 127.0.0.1:%d failed: %s", port,
-                  std::strerror(errno)));
+    const Status status = Status::Internal(StrFormat(
+        "connect to 127.0.0.1:%d failed: %s", port, std::strerror(errno)));
+    ::close(fd);
+    return status;
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
 
+Result<HttpResponse> HttpExchange(int fd, const std::string& method,
+                                  const std::string& target,
+                                  const std::string& body, bool keep_alive,
+                                  HttpExchangeInfo* info) {
+  *info = HttpExchangeInfo();
   std::string request = StrFormat(
       "%s %s HTTP/1.1\r\nHost: 127.0.0.1\r\n"
       "Content-Type: application/json\r\nContent-Length: %zu\r\n"
-      "Connection: close\r\n\r\n",
-      method.c_str(), target.c_str(), body.size());
+      "Connection: %s\r\n\r\n",
+      method.c_str(), target.c_str(), body.size(),
+      keep_alive ? "keep-alive" : "close");
   request += body;
   if (!WriteAll(fd, request)) {
     return Status::Internal("request write failed (peer closed?)");
@@ -326,6 +317,7 @@ Result<HttpResponse> HttpRoundTrip(int port, const std::string& method,
       return Status::Internal("response header block too large");
     }
     const int got = ReadSome(fd, &buffer);
+    info->response_started = !buffer.empty();
     if (got <= 0) {
       return Status::Internal("connection closed before response headers");
     }
@@ -343,9 +335,22 @@ Result<HttpResponse> HttpRoundTrip(int port, const std::string& method,
       return Status::Internal("connection closed mid-response");
     }
   }
+  info->reusable =
+      head.keep_alive && buffer.size() == body_begin + head.content_length;
   HttpResponse response;
   response.status = head.status;
   response.body = buffer.substr(body_begin, head.content_length);
+  return response;
+}
+
+Result<HttpResponse> HttpRoundTrip(int port, const std::string& method,
+                                   const std::string& target,
+                                   const std::string& body) {
+  QDM_ASSIGN_OR_RETURN(const int fd, HttpConnect(port));
+  HttpExchangeInfo info;
+  Result<HttpResponse> response =
+      HttpExchange(fd, method, target, body, /*keep_alive=*/false, &info);
+  ::close(fd);
   return response;
 }
 

@@ -1,8 +1,9 @@
 #include "qdm/net/json.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <system_error>
 #include <utility>
 
 #include "qdm/common/strings.h"
@@ -327,7 +328,32 @@ bool TokenIsInteger(const std::string& token) {
          token.find('E') == std::string::npos;
 }
 
+/// True when std::from_chars takes the whole token. A JSON integer token
+/// it refuses is out of range; AsDouble retries any refused token with
+/// strtod.
+template <typename T>
+bool FromCharsWhole(const std::string& token, T* value) {
+  const char* const end = token.data() + token.size();
+  const std::from_chars_result result =
+      std::from_chars(token.data(), end, *value);
+  return result.ec == std::errc() && result.ptr == end;
+}
+
 }  // namespace
+
+std::string JsonPath::ToString() const {
+  if (parent_ == nullptr) return text_;
+  std::string path = parent_->ToString();
+  if (text_ != nullptr) {
+    path += '.';
+    path += text_;
+  } else {
+    path += '[';
+    JsonAppendInteger(index_, &path);
+    path += ']';
+  }
+  return path;
+}
 
 JsonValue JsonValue::MakeBool(bool value) {
   JsonValue v;
@@ -407,7 +433,7 @@ const JsonValue::Members& JsonValue::members() const {
   return members_;
 }
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
+const JsonValue* JsonValue::Find(std::string_view key) const {
   if (!is_object()) return nullptr;
   for (const auto& [name, value] : members_) {
     if (name == key) return &value;
@@ -415,63 +441,58 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
-Result<double> JsonValue::AsDouble(const std::string& field) const {
+Result<double> JsonValue::AsDouble(const JsonPath& field) const {
   if (!is_number()) {
     return Status::InvalidArgument(StrFormat(
-        "%s: expected a number, got %s", field.c_str(), TypeName()));
+        "%s: expected a number, got %s", field.ToString().c_str(), TypeName()));
   }
-  errno = 0;
+  double fast = 0.0;
+  if (FromCharsWhole(scalar_, &fast) && std::isfinite(fast)) return fast;
   char* end = nullptr;
   const double value = std::strtod(scalar_.c_str(), &end);
   if (end != scalar_.c_str() + scalar_.size() || !std::isfinite(value)) {
     return Status::InvalidArgument(StrFormat(
         "%s: number '%s' does not fit a finite double (NaN/Inf are not "
         "representable on the wire)",
-        field.c_str(), scalar_.c_str()));
+        field.ToString().c_str(), scalar_.c_str()));
   }
   return value;
 }
 
-Result<int64_t> JsonValue::AsInt64(const std::string& field) const {
+Result<int64_t> JsonValue::AsInt64(const JsonPath& field) const {
   if (!is_number()) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: expected an integer, got %s", field.c_str(), TypeName()));
+    return Status::InvalidArgument(StrFormat("%s: expected an integer, got %s",
+                                             field.ToString().c_str(),
+                                             TypeName()));
   }
+  int64_t value = 0;
+  if (FromCharsWhole(scalar_, &value)) return value;
   if (!TokenIsInteger(scalar_)) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: expected an integer, got '%s'", field.c_str(), scalar_.c_str()));
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(scalar_.c_str(), &end, 10);
-  if (errno == ERANGE || end != scalar_.c_str() + scalar_.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: integer '%s' out of int64 range", field.c_str(),
-        scalar_.c_str()));
-  }
-  return static_cast<int64_t>(value);
-}
-
-Result<uint64_t> JsonValue::AsUint64(const std::string& field) const {
-  if (!is_number()) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: expected an unsigned integer, got %s", field.c_str(),
-        TypeName()));
-  }
-  if (!TokenIsInteger(scalar_) || scalar_[0] == '-') {
     return Status::InvalidArgument(
-        StrFormat("%s: expected an unsigned integer, got '%s'", field.c_str(),
+        StrFormat("%s: expected an integer, got '%s'", field.ToString().c_str(),
                   scalar_.c_str()));
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(scalar_.c_str(), &end, 10);
-  if (errno == ERANGE || end != scalar_.c_str() + scalar_.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: integer '%s' out of uint64 range", field.c_str(),
-        scalar_.c_str()));
+  return Status::InvalidArgument(
+      StrFormat("%s: integer '%s' out of int64 range", field.ToString().c_str(),
+                scalar_.c_str()));
+}
+
+Result<uint64_t> JsonValue::AsUint64(const JsonPath& field) const {
+  if (!is_number()) {
+    return Status::InvalidArgument(
+        StrFormat("%s: expected an unsigned integer, got %s",
+                  field.ToString().c_str(), TypeName()));
   }
-  return static_cast<uint64_t>(value);
+  uint64_t value = 0;
+  if (FromCharsWhole(scalar_, &value)) return value;
+  if (!TokenIsInteger(scalar_) || scalar_[0] == '-') {
+    return Status::InvalidArgument(
+        StrFormat("%s: expected an unsigned integer, got '%s'",
+                  field.ToString().c_str(), scalar_.c_str()));
+  }
+  return Status::InvalidArgument(
+      StrFormat("%s: integer '%s' out of uint64 range",
+                field.ToString().c_str(), scalar_.c_str()));
 }
 
 Result<JsonValue> JsonParse(const std::string& text) {
@@ -517,7 +538,11 @@ void JsonAppendQuoted(const std::string& value, std::string* out) {
 void JsonAppendDouble(double value, std::string* out) {
   QDM_CHECK(std::isfinite(value))
       << "the wire format cannot represent NaN/Inf";
-  *out += StrFormat("%.17g", value);
+  // C++17 defines this overload as printf's "%.17g" with the same bytes.
+  char buffer[32];  // "%.17g" needs at most 24: "-d.<16 digits>e-308".
+  const std::to_chars_result result = std::to_chars(
+      buffer, buffer + sizeof(buffer), value, std::chars_format::general, 17);
+  out->append(buffer, result.ptr);
 }
 
 }  // namespace net

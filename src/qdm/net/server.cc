@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,8 +20,6 @@ namespace qdm {
 namespace net {
 
 namespace {
-
-constexpr int kAcceptPollMillis = 200;
 
 HttpResponse ErrorResponse(const Status& status) {
   HttpResponse response;
@@ -86,20 +85,30 @@ Result<std::unique_ptr<QdmServer>> QdmServer::Start(
   }
   const int bound_port = ntohs(addr.sin_port);
 
+  const int wake_fd = ::eventfd(0, EFD_CLOEXEC);
+  if (wake_fd < 0) {
+    ::close(fd);
+    return Status::Internal("eventfd() failed");
+  }
+
   std::unique_ptr<QdmServer> server(
-      new QdmServer(fd, bound_port, config.service));
+      new QdmServer(fd, wake_fd, bound_port, config.service));
   return server;
 }
 
-QdmServer::QdmServer(int listen_fd, int port,
+QdmServer::QdmServer(int listen_fd, int wake_fd, int port,
                      const service::ServiceConfig& config)
     : listen_fd_(listen_fd),
+      wake_fd_(wake_fd),
       port_(port),
       service_(new service::SolverService(config)) {
   acceptor_ = std::thread([this] { AcceptLoop(); });
 }
 
-QdmServer::~QdmServer() { Stop(); }
+QdmServer::~QdmServer() {
+  Stop();
+  ::close(wake_fd_);
+}
 
 void QdmServer::Stop() {
   {
@@ -108,6 +117,9 @@ void QdmServer::Stop() {
     stopped_ = true;
   }
   stop_.store(true, std::memory_order_release);
+  // Never read, so the eventfd stays readable: every later poll on it,
+  // the acceptor's and each idle connection's, returns at once.
+  ::eventfd_write(wake_fd_, 1);
   acceptor_.join();
   ::close(listen_fd_);
 
@@ -137,12 +149,9 @@ void QdmServer::ReapFinishedLocked() {
 
 void QdmServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, kAcceptPollMillis);
-    if (ready <= 0) continue;  // Timeout or EINTR: re-check stop_.
+    struct pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) continue;  // EINTR: re-check stop_.
+    if (fds[1].revents != 0) return;       // Stop() wrote the wake fd.
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     const int one = 1;
@@ -173,7 +182,7 @@ void QdmServer::ServeConnection(int fd) {
     HttpRequest request;
     std::string error;
     const HttpConnection::ReadOutcome outcome =
-        connection.ReadRequest(&request, &stop_, &error);
+        connection.ReadRequest(&request, wake_fd_, &error);
     switch (outcome) {
       case HttpConnection::ReadOutcome::kClosed:
       case HttpConnection::ReadOutcome::kStopped:

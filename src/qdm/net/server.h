@@ -51,7 +51,9 @@ struct ServerConfig {
 /// that one connection is closed and the daemon keeps serving. Stop() is
 /// graceful: stop accepting, shut the service down (queued jobs resolve
 /// Cancelled, running jobs finish), then join every connection at its
-/// next request boundary.
+/// next request boundary. It writes one wake fd, polled beside the listen
+/// socket and beside every idle connection, so none of them waits out a
+/// timeout: an idle keep-alive connection closes at once.
 class QdmServer {
  public:
   /// Binds, listens, and starts the acceptor. The only expected failure
@@ -78,7 +80,8 @@ class QdmServer {
   HttpResponse Handle(const HttpRequest& request);
 
  private:
-  QdmServer(int listen_fd, int port, const service::ServiceConfig& config);
+  QdmServer(int listen_fd, int wake_fd, int port,
+            const service::ServiceConfig& config);
 
   void AcceptLoop();
   void ServeConnection(int fd);
@@ -97,6 +100,7 @@ class QdmServer {
   void ReapFinishedLocked();
 
   int listen_fd_;
+  int wake_fd_;  // eventfd; Stop() writes it once and nothing reads it.
   int port_;
   std::unique_ptr<service::SolverService> service_;
   std::atomic<bool> stop_{false};

@@ -1,5 +1,6 @@
 #include "qdm/net/wire.h"
 
+#include <initializer_list>
 #include <utility>
 
 #include "qdm/common/strings.h"
@@ -18,21 +19,21 @@ using service::JobId;
 using service::JobSnapshot;
 using service::JobState;
 
-Status TypeError(const std::string& field, const char* expected,
+Status TypeError(const JsonPath& field, const char* expected,
                  const JsonValue& value) {
   return Status::InvalidArgument(StrFormat("%s: expected %s, got %s",
-                                           field.c_str(), expected,
+                                           field.ToString().c_str(), expected,
                                            value.TypeName()));
 }
 
-Status MissingError(const std::string& field) {
+Status MissingError(const JsonPath& field) {
   return Status::InvalidArgument(
-      StrFormat("%s: missing required field", field.c_str()));
+      StrFormat("%s: missing required field", field.ToString().c_str()));
 }
 
 /// Strict-decode guard: every member of `value` must be in `allowed`.
-Status RejectUnknownFields(const JsonValue& value, const std::string& field,
-                           const std::vector<const char*>& allowed) {
+Status RejectUnknownFields(const JsonValue& value, const JsonPath& field,
+                           std::initializer_list<const char*> allowed) {
   for (const auto& [key, unused] : value.members()) {
     bool known = false;
     for (const char* name : allowed) {
@@ -42,33 +43,32 @@ Status RejectUnknownFields(const JsonValue& value, const std::string& field,
       }
     }
     if (!known) {
-      return Status::InvalidArgument(
-          StrFormat("%s.%s: unknown field", field.c_str(), key.c_str()));
+      return Status::InvalidArgument(StrFormat(
+          "%s.%s: unknown field", field.ToString().c_str(), key.c_str()));
     }
   }
   return Status::Ok();
 }
 
-Result<int> DecodeIntField(const JsonValue& object, const std::string& field,
+Result<int> DecodeIntField(const JsonValue& object, const JsonPath& field,
                            const char* key, int fallback) {
   const JsonValue* value = object.Find(key);
   if (value == nullptr) return fallback;
-  const std::string path = field + "." + key;
+  const JsonPath path = field.Key(key);
   QDM_ASSIGN_OR_RETURN(const int64_t wide, value->AsInt64(path));
   if (wide < INT32_MIN || wide > INT32_MAX) {
     return Status::InvalidArgument(
-        StrFormat("%s: integer %lld out of int range", path.c_str(),
+        StrFormat("%s: integer %lld out of int range", path.ToString().c_str(),
                   static_cast<long long>(wide)));
   }
   return static_cast<int>(wide);
 }
 
-Result<double> DecodeDoubleField(const JsonValue& object,
-                                 const std::string& field, const char* key,
-                                 double fallback) {
+Result<double> DecodeDoubleField(const JsonValue& object, const JsonPath& field,
+                                 const char* key, double fallback) {
   const JsonValue* value = object.Find(key);
   if (value == nullptr) return fallback;
-  return value->AsDouble(field + "." + key);
+  return value->AsDouble(field.Key(key));
 }
 
 const char* ChainBreakPolicyName(ChainBreakPolicy policy) {
@@ -84,7 +84,9 @@ const char* ChainBreakPolicyName(ChainBreakPolicy policy) {
 }
 
 void AppendVersionPrefix(std::string* out) {
-  *out += StrFormat("{\"version\":%d,", kWireVersion);
+  *out += "{\"version\":";
+  JsonAppendInteger(kWireVersion, out);
+  out->push_back(',');
 }
 
 std::string WrapEnvelope(const std::string& fields) {
@@ -95,12 +97,11 @@ std::string WrapEnvelope(const std::string& fields) {
   return out;
 }
 
-Result<JobId> DecodeJobIdField(const JsonValue& envelope,
-                               const std::string& field, const char* key) {
+Result<JobId> DecodeJobIdField(const JsonValue& envelope, const JsonPath& field,
+                               const char* key) {
   const JsonValue* id = envelope.Find(key);
-  if (id == nullptr) return MissingError(field + "." + key);
-  QDM_ASSIGN_OR_RETURN(const uint64_t value,
-                       id->AsUint64(field + "." + key));
+  if (id == nullptr) return MissingError(field.Key(key));
+  QDM_ASSIGN_OR_RETURN(const uint64_t value, id->AsUint64(field.Key(key)));
   return static_cast<JobId>(value);
 }
 
@@ -135,8 +136,9 @@ Result<JsonValue> ParseEnvelope(const std::string& text) {
 // -- Qubo ---------------------------------------------------------------------
 
 void AppendQuboJson(const Qubo& qubo, std::string* out) {
-  *out += StrFormat("{\"num_variables\":%d,\"offset\":",
-                    qubo.num_variables());
+  *out += "{\"num_variables\":";
+  JsonAppendInteger(qubo.num_variables(), out);
+  *out += ",\"offset\":";
   JsonAppendDouble(qubo.offset(), out);
   *out += ",\"linear\":[";
   for (int i = 0; i < qubo.num_variables(); ++i) {
@@ -148,27 +150,30 @@ void AppendQuboJson(const Qubo& qubo, std::string* out) {
   for (const auto& [key, weight] : qubo.quadratic_terms()) {
     if (!first) out->push_back(',');
     first = false;
-    *out += StrFormat("[%d,%d,", key.first, key.second);
+    out->push_back('[');
+    JsonAppendInteger(key.first, out);
+    out->push_back(',');
+    JsonAppendInteger(key.second, out);
+    out->push_back(',');
     JsonAppendDouble(weight, out);
     out->push_back(']');
   }
   *out += "]}";
 }
 
-Result<Qubo> DecodeQubo(const JsonValue& value, const std::string& field) {
+Result<Qubo> DecodeQubo(const JsonValue& value, const JsonPath& field) {
   if (!value.is_object()) return TypeError(field, "a JSON object", value);
   QDM_RETURN_IF_ERROR(RejectUnknownFields(
       value, field, {"num_variables", "offset", "linear", "quadratic"}));
 
   const JsonValue* num_variables = value.Find("num_variables");
-  if (num_variables == nullptr) {
-    return MissingError(field + ".num_variables");
-  }
-  QDM_ASSIGN_OR_RETURN(const int64_t n, num_variables->AsInt64(
-                                            field + ".num_variables"));
+  const JsonPath num_variables_path = field.Key("num_variables");
+  if (num_variables == nullptr) return MissingError(num_variables_path);
+  QDM_ASSIGN_OR_RETURN(const int64_t n,
+                       num_variables->AsInt64(num_variables_path));
   if (n < 1 || n > kMaxWireVariables) {
     return Status::InvalidArgument(StrFormat(
-        "%s.num_variables: %lld outside [1, %d]", field.c_str(),
+        "%s: %lld outside [1, %d]", num_variables_path.ToString().c_str(),
         static_cast<long long>(n), kMaxWireVariables));
   }
   Qubo qubo(static_cast<int>(n));
@@ -179,44 +184,45 @@ Result<Qubo> DecodeQubo(const JsonValue& value, const std::string& field) {
 
   const JsonValue* linear = value.Find("linear");
   if (linear != nullptr) {
-    const std::string path = field + ".linear";
+    const JsonPath path = field.Key("linear");
     if (!linear->is_array()) return TypeError(path, "an array", *linear);
-    if (linear->array().size() != static_cast<size_t>(n)) {
+    const std::vector<JsonValue>& weights = linear->array();
+    if (weights.size() != static_cast<size_t>(n)) {
       return Status::InvalidArgument(StrFormat(
           "%s: expected %lld entries (one per variable), got %zu",
-          path.c_str(), static_cast<long long>(n), linear->array().size()));
+          path.ToString().c_str(), static_cast<long long>(n), weights.size()));
     }
-    for (size_t i = 0; i < linear->array().size(); ++i) {
-      QDM_ASSIGN_OR_RETURN(
-          const double weight,
-          linear->array()[i].AsDouble(StrFormat("%s[%zu]", path.c_str(), i)));
+    for (size_t i = 0; i < weights.size(); ++i) {
+      QDM_ASSIGN_OR_RETURN(const double weight,
+                           weights[i].AsDouble(path.Index(i)));
       if (weight != 0.0) qubo.AddLinear(static_cast<int>(i), weight);
     }
   }
 
   const JsonValue* quadratic = value.Find("quadratic");
   if (quadratic != nullptr) {
-    const std::string path = field + ".quadratic";
+    const JsonPath path = field.Key("quadratic");
     if (!quadratic->is_array()) {
       return TypeError(path, "an array", *quadratic);
     }
     for (size_t t = 0; t < quadratic->array().size(); ++t) {
       const JsonValue& term = quadratic->array()[t];
-      const std::string term_path = StrFormat("%s[%zu]", path.c_str(), t);
+      const JsonPath term_path = path.Index(t);
       if (!term.is_array() || term.array().size() != 3) {
-        return Status::InvalidArgument(StrFormat(
-            "%s: expected an [i, j, weight] triple", term_path.c_str()));
+        return Status::InvalidArgument(
+            StrFormat("%s: expected an [i, j, weight] triple",
+                      term_path.ToString().c_str()));
       }
       QDM_ASSIGN_OR_RETURN(const int64_t i,
-                           term.array()[0].AsInt64(term_path + "[0]"));
+                           term.array()[0].AsInt64(term_path.Index(0)));
       QDM_ASSIGN_OR_RETURN(const int64_t j,
-                           term.array()[1].AsInt64(term_path + "[1]"));
+                           term.array()[1].AsInt64(term_path.Index(1)));
       QDM_ASSIGN_OR_RETURN(const double weight,
-                           term.array()[2].AsDouble(term_path + "[2]"));
+                           term.array()[2].AsDouble(term_path.Index(2)));
       if (i < 0 || i >= n || j < 0 || j >= n || i == j) {
         return Status::InvalidArgument(StrFormat(
             "%s: variable pair (%lld, %lld) invalid for %lld variables",
-            term_path.c_str(), static_cast<long long>(i),
+            term_path.ToString().c_str(), static_cast<long long>(i),
             static_cast<long long>(j), static_cast<long long>(n)));
       }
       qubo.AddQuadratic(static_cast<int>(i), static_cast<int>(j), weight);
@@ -231,27 +237,35 @@ void AppendSolverOptionsJson(const SolverOptions& options, std::string* out) {
   QDM_CHECK(options.rng == nullptr)
       << "a SolverOptions with a live rng cannot cross the wire (seed-based "
          "randomness only)";
-  *out += StrFormat("{\"num_reads\":%d,\"seed\":%llu,\"num_sweeps\":%d,",
-                    options.num_reads,
-                    static_cast<unsigned long long>(options.seed),
-                    options.num_sweeps);
-  *out += "\"beta_min\":";
-  JsonAppendDouble(options.beta_min, out);
-  *out += ",\"beta_max\":";
-  JsonAppendDouble(options.beta_max, out);
-  *out += StrFormat(
-      ",\"num_replicas\":%d,\"swap_interval\":%d,\"max_iterations\":%d,"
-      "\"tenure\":%d,\"layers\":%d,\"restarts\":%d,\"max_qubits\":%d,",
-      options.num_replicas, options.swap_interval, options.max_iterations,
-      options.tenure, options.layers, options.restarts, options.max_qubits);
-  *out += "\"chain_strength\":";
-  JsonAppendDouble(options.chain_strength, out);
-  *out += StrFormat(",\"chain_break_policy\":\"%s\"}",
-                    ChainBreakPolicyName(options.chain_break_policy));
+  // Each number follows its key and the separator before it.
+  const auto append_int = [out](const char* key, auto value) {
+    *out += key;
+    JsonAppendInteger(value, out);
+  };
+  const auto append_double = [out](const char* key, double value) {
+    *out += key;
+    JsonAppendDouble(value, out);
+  };
+  append_int("{\"num_reads\":", options.num_reads);
+  append_int(",\"seed\":", options.seed);
+  append_int(",\"num_sweeps\":", options.num_sweeps);
+  append_double(",\"beta_min\":", options.beta_min);
+  append_double(",\"beta_max\":", options.beta_max);
+  append_int(",\"num_replicas\":", options.num_replicas);
+  append_int(",\"swap_interval\":", options.swap_interval);
+  append_int(",\"max_iterations\":", options.max_iterations);
+  append_int(",\"tenure\":", options.tenure);
+  append_int(",\"layers\":", options.layers);
+  append_int(",\"restarts\":", options.restarts);
+  append_int(",\"max_qubits\":", options.max_qubits);
+  append_double(",\"chain_strength\":", options.chain_strength);
+  *out += ",\"chain_break_policy\":\"";
+  *out += ChainBreakPolicyName(options.chain_break_policy);
+  *out += "\"}";
 }
 
 Result<SolverOptions> DecodeSolverOptions(const JsonValue& value,
-                                          const std::string& field) {
+                                          const JsonPath& field) {
   if (!value.is_object()) return TypeError(field, "a JSON object", value);
   QDM_RETURN_IF_ERROR(RejectUnknownFields(
       value, field,
@@ -265,7 +279,7 @@ Result<SolverOptions> DecodeSolverOptions(const JsonValue& value,
       DecodeIntField(value, field, "num_reads", options.num_reads));
   const JsonValue* seed = value.Find("seed");
   if (seed != nullptr) {
-    QDM_ASSIGN_OR_RETURN(options.seed, seed->AsUint64(field + ".seed"));
+    QDM_ASSIGN_OR_RETURN(options.seed, seed->AsUint64(field.Key("seed")));
   }
   QDM_ASSIGN_OR_RETURN(options.num_sweeps,
                        DecodeIntField(value, field, "num_sweeps", 0));
@@ -292,7 +306,7 @@ Result<SolverOptions> DecodeSolverOptions(const JsonValue& value,
 
   const JsonValue* policy = value.Find("chain_break_policy");
   if (policy != nullptr) {
-    const std::string path = field + ".chain_break_policy";
+    const JsonPath path = field.Key("chain_break_policy");
     if (!policy->is_string()) return TypeError(path, "a string", *policy);
     const std::string& name = policy->string_value();
     if (name == "majority_vote") {
@@ -305,7 +319,7 @@ Result<SolverOptions> DecodeSolverOptions(const JsonValue& value,
       return Status::InvalidArgument(StrFormat(
           "%s: unknown policy '%s' (majority_vote | minimize_energy | "
           "discard)",
-          path.c_str(), name.c_str()));
+          path.ToString().c_str(), name.c_str()));
     }
   }
   return options;
@@ -321,7 +335,7 @@ void AppendSampleSetJson(const SampleSet& samples, std::string* out) {
     *out += "{\"assignment\":[";
     for (size_t v = 0; v < sample.assignment.size(); ++v) {
       if (v > 0) out->push_back(',');
-      *out += StrFormat("%d", sample.assignment[v]);
+      JsonAppendInteger(sample.assignment[v], out);
     }
     *out += "],\"energy\":";
     JsonAppendDouble(sample.energy, out);
@@ -348,48 +362,51 @@ void AppendSampleSetJson(const SampleSet& samples, std::string* out) {
 }
 
 Result<SampleSet> DecodeSampleSet(const JsonValue& value,
-                                  const std::string& field) {
+                                  const JsonPath& field) {
   if (!value.is_object()) return TypeError(field, "a JSON object", value);
   QDM_RETURN_IF_ERROR(RejectUnknownFields(
       value, field, {"samples", "noise_fidelity", "decision"}));
   const JsonValue* samples = value.Find("samples");
-  if (samples == nullptr) return MissingError(field + ".samples");
+  const JsonPath samples_path = field.Key("samples");
+  if (samples == nullptr) return MissingError(samples_path);
   if (!samples->is_array()) {
-    return TypeError(field + ".samples", "an array", *samples);
+    return TypeError(samples_path, "an array", *samples);
   }
 
   std::vector<Sample> decoded;
   decoded.reserve(samples->array().size());
   for (size_t s = 0; s < samples->array().size(); ++s) {
     const JsonValue& entry = samples->array()[s];
-    const std::string path = StrFormat("%s.samples[%zu]", field.c_str(), s);
+    const JsonPath path = samples_path.Index(s);
     if (!entry.is_object()) return TypeError(path, "a JSON object", entry);
     QDM_RETURN_IF_ERROR(RejectUnknownFields(
         entry, path, {"assignment", "energy", "chain_break_fraction"}));
 
     Sample sample;
     const JsonValue* assignment = entry.Find("assignment");
-    if (assignment == nullptr) return MissingError(path + ".assignment");
+    const JsonPath assignment_path = path.Key("assignment");
+    if (assignment == nullptr) return MissingError(assignment_path);
     if (!assignment->is_array()) {
-      return TypeError(path + ".assignment", "an array", *assignment);
+      return TypeError(assignment_path, "an array", *assignment);
     }
-    sample.assignment.reserve(assignment->array().size());
-    for (size_t v = 0; v < assignment->array().size(); ++v) {
-      const std::string bit_path =
-          StrFormat("%s.assignment[%zu]", path.c_str(), v);
+    const std::vector<JsonValue>& bits = assignment->array();
+    sample.assignment.reserve(bits.size());
+    for (size_t v = 0; v < bits.size(); ++v) {
       QDM_ASSIGN_OR_RETURN(const int64_t bit,
-                           assignment->array()[v].AsInt64(bit_path));
+                           bits[v].AsInt64(assignment_path.Index(v)));
       if (bit != 0 && bit != 1) {
         return Status::InvalidArgument(
-            StrFormat("%s: expected 0 or 1, got %lld", bit_path.c_str(),
+            StrFormat("%s: expected 0 or 1, got %lld",
+                      assignment_path.Index(v).ToString().c_str(),
                       static_cast<long long>(bit)));
       }
       sample.assignment.push_back(static_cast<int>(bit));
     }
 
     const JsonValue* energy = entry.Find("energy");
-    if (energy == nullptr) return MissingError(path + ".energy");
-    QDM_ASSIGN_OR_RETURN(sample.energy, energy->AsDouble(path + ".energy"));
+    const JsonPath energy_path = path.Key("energy");
+    if (energy == nullptr) return MissingError(energy_path);
+    QDM_ASSIGN_OR_RETURN(sample.energy, energy->AsDouble(energy_path));
     QDM_ASSIGN_OR_RETURN(
         sample.chain_break_fraction,
         DecodeDoubleField(entry, path, "chain_break_fraction", 0.0));
@@ -411,7 +428,7 @@ Result<SampleSet> DecodeSampleSet(const JsonValue& value,
   const JsonValue* decision = value.Find("decision");
   if (decision != nullptr) {
     if (!decision->is_string()) {
-      return TypeError(field + ".decision", "a string", *decision);
+      return TypeError(field.Key("decision"), "a string", *decision);
     }
     set.set_decision(decision->string_value());
   }
@@ -447,9 +464,8 @@ std::string EncodeJobRequest(const JobRequest& request) {
   fields += ",\"options\":";
   AppendSolverOptionsJson(request.options, &fields);
   if (request.deadline.count() > 0) {
-    fields += StrFormat(
-        ",\"deadline_ns\":%llu",
-        static_cast<unsigned long long>(request.deadline.count()));
+    fields += ",\"deadline_ns\":";
+    JsonAppendInteger(request.deadline.count(), &fields);
   }
   return WrapEnvelope(fields);
 }
@@ -491,7 +507,7 @@ Result<JobRequest> DecodeJobRequest(const std::string& body) {
     for (size_t i = 0; i < members->array().size(); ++i) {
       const JsonValue& member = members->array()[i];
       if (!member.is_string()) {
-        return TypeError(StrFormat("request.members[%zu]", i), "a string",
+        return TypeError(JsonPath("request.members").Index(i), "a string",
                          member);
       }
       names.push_back(member.string_value());
@@ -512,10 +528,10 @@ Result<JobRequest> DecodeJobRequest(const std::string& body) {
     if (!qubos->is_array()) {
       return TypeError("request.qubos", "an array", *qubos);
     }
+    const JsonPath path = "request.qubos";
     for (size_t i = 0; i < qubos->array().size(); ++i) {
-      QDM_ASSIGN_OR_RETURN(
-          Qubo qubo, DecodeQubo(qubos->array()[i],
-                                StrFormat("request.qubos[%zu]", i)));
+      QDM_ASSIGN_OR_RETURN(Qubo qubo,
+                           DecodeQubo(qubos->array()[i], path.Index(i)));
       request.qubos.push_back(std::move(qubo));
     }
   } else {
@@ -661,11 +677,10 @@ Result<std::vector<SampleSet>> DecodeResultsResponse(
   }
   std::vector<SampleSet> decoded;
   decoded.reserve(results->array().size());
+  const JsonPath path = "response.results";
   for (size_t i = 0; i < results->array().size(); ++i) {
-    QDM_ASSIGN_OR_RETURN(
-        SampleSet set,
-        DecodeSampleSet(results->array()[i],
-                        StrFormat("response.results[%zu]", i)));
+    QDM_ASSIGN_OR_RETURN(SampleSet set,
+                         DecodeSampleSet(results->array()[i], path.Index(i)));
     decoded.push_back(std::move(set));
   }
   return decoded;
@@ -699,8 +714,7 @@ Result<std::vector<std::string>> DecodeSolversResponse(
   for (size_t i = 0; i < solvers->array().size(); ++i) {
     const JsonValue& name = solvers->array()[i];
     if (!name.is_string()) {
-      return TypeError(StrFormat("response.solvers[%zu]", i), "a string",
-                       name);
+      return TypeError(JsonPath("response.solvers").Index(i), "a string", name);
     }
     names.push_back(name.string_value());
   }
@@ -745,9 +759,10 @@ Result<StatsResponse> DecodeStatsResponse(const std::string& body) {
       {"cancelled", &response.stats.cancelled},
       {"deadline_exceeded", &response.stats.deadline_exceeded},
   };
+  const JsonPath stats_path = "response.stats";
   for (const Field& field : fields) {
     const JsonValue* value = stats->Find(field.key);
-    const std::string path = std::string("response.stats.") + field.key;
+    const JsonPath path = stats_path.Key(field.key);
     if (value == nullptr) return MissingError(path);
     QDM_ASSIGN_OR_RETURN(*field.slot, value->AsUint64(path));
   }

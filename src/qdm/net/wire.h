@@ -24,8 +24,9 @@ namespace net {
 ///    carrying "version": kWireVersion. Documents with a different version
 ///    are rejected with InvalidArgument before any field is interpreted, so
 ///    the format can evolve without silent misdecodes.
-///  - Bit-exact round trip: doubles are encoded with "%.17g" and decoded
-///    with strtod (the exact inverse), and 64-bit integers (job ids, seeds)
+///  - Bit-exact round trip: doubles are encoded as "%.17g" prints them
+///    (via std::to_chars) and decoded with std::from_chars, falling back to
+///    strtod (the exact inverse), and 64-bit integers (job ids, seeds)
 ///    travel as raw integer tokens, never through a double. Consequently
 ///    Decode*(Encode*(x)) == x bit for bit — the property that extends the
 ///    toolkit's determinism contract across the network (and what makes
@@ -72,20 +73,19 @@ Result<JsonValue> ParseEnvelope(const std::string& text);
 // Append* writes the canonical encoding (all fields, stable order) to
 // `out`; Decode* accepts any field order, defaults omitted option knobs,
 // and rejects unknown fields. `field` is the dotted path prefix used in
-// error messages.
+// error messages; a path is formatted only for a rejected value.
 
 void AppendQuboJson(const anneal::Qubo& qubo, std::string* out);
-Result<anneal::Qubo> DecodeQubo(const JsonValue& value,
-                                const std::string& field);
+Result<anneal::Qubo> DecodeQubo(const JsonValue& value, const JsonPath& field);
 
 void AppendSolverOptionsJson(const anneal::SolverOptions& options,
                              std::string* out);
 Result<anneal::SolverOptions> DecodeSolverOptions(const JsonValue& value,
-                                                  const std::string& field);
+                                                  const JsonPath& field);
 
 void AppendSampleSetJson(const anneal::SampleSet& samples, std::string* out);
 Result<anneal::SampleSet> DecodeSampleSet(const JsonValue& value,
-                                          const std::string& field);
+                                          const JsonPath& field);
 
 // -- Job submission (POST /v1/jobs) -------------------------------------------
 

@@ -10,11 +10,17 @@
 
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -528,11 +534,9 @@ TEST(NetLifecycleTest, StopDrainsAndStopsAccepting) {
 }
 
 TEST(NetLifecycleTest, KeepAliveConnectionServesManyRequests) {
-  // QdmClient opens one connection per call; drive the server's
-  // keep-alive loop directly with two pipelined-style requests on one
-  // socket via the raw connection class the server itself uses... which
-  // is server-side only, so just issue back-to-back client calls and a
-  // burst of Healthz probes — every one must be answered.
+  // QdmClient keeps its connection open between calls, so this burst of
+  // back-to-back Healthz probes drives the server's keep-alive loop on one
+  // socket: every probe must be answered.
   std::unique_ptr<QdmServer> server = StartServer(2);
   QdmClient client(server->port());
   for (int i = 0; i < 20; ++i) {
@@ -562,24 +566,223 @@ size_t CountMappings() {
 }
 
 TEST(NetLifecycleTest, FinishedConnectionThreadsAreReaped) {
-  // Every QdmClient call is one connection, served by one thread. A
+  // Every HttpRoundTrip is one connection, served by one thread. A
   // finished thread leaves /proc/self/task at once, but keeps its stack
   // mapped until it is joined: a daemon that joined only in Stop() grew
   // by two mappings per connection and could not start a thread past the
   // kernel's vm.max_map_count (about 32k connections). 2,000 sequential
   // connections must leave both counts near where they started.
   std::unique_ptr<QdmServer> server = StartServer(1);
-  QdmClient client(server->port());
-  ASSERT_TRUE(client.Healthz().ok());  // First connection thread.
+  const auto probe = [&] {
+    auto response = HttpRoundTrip(server->port(), "GET", "/healthz", "");
+    return response.ok() && response->status == 200;
+  };
+  ASSERT_TRUE(probe());  // First connection thread.
   const size_t threads_before = CountThreads();
   const size_t mappings_before = CountMappings();
   size_t threads_peak = threads_before;
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(client.Healthz().ok()) << "probe " << i;
+    ASSERT_TRUE(probe()) << "probe " << i;
     threads_peak = std::max(threads_peak, CountThreads());
   }
   EXPECT_LE(threads_peak, threads_before + 8);
   EXPECT_LE(CountMappings(), mappings_before + 64);
+  server->Stop();
+}
+
+TEST(NetLifecycleTest, StopRightAfterAnExchangeReturnsAtOnce) {
+  // The client's keep-alive connection sits idle in the server's read
+  // loop, and the acceptor is back in poll: Stop() wakes both through its
+  // wake fd instead of waiting out a poll timeout.
+  std::unique_ptr<QdmServer> server = StartServer(2);
+  QdmClient client(server->port());
+  ASSERT_TRUE(client.Healthz().ok());
+  const auto start = std::chrono::steady_clock::now();
+  server->Stop();
+  const auto elapsed = std::chrono::duration_cast<milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(elapsed.count(), 50);
+}
+
+// ---------------------------------------------------------------------------
+// QdmClient connections: reuse, the one retry, and sharing across threads.
+// ---------------------------------------------------------------------------
+
+/// A loopback listen socket the test owns, so a test can play the server:
+/// accept, answer, or close exactly when it chooses.
+class TestListener {
+ public:
+  TestListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    QDM_CHECK(fd_ >= 0);
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    QDM_CHECK(::bind(fd_, reinterpret_cast<struct sockaddr*>(&addr),
+                     sizeof(addr)) == 0);
+    QDM_CHECK(::listen(fd_, 16) == 0);
+    socklen_t len = sizeof(addr);
+    QDM_CHECK(::getsockname(fd_, reinterpret_cast<struct sockaddr*>(&addr),
+                            &len) == 0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~TestListener() { Close(); }
+
+  TestListener(const TestListener&) = delete;
+  TestListener& operator=(const TestListener&) = delete;
+
+  int port() const { return port_; }
+
+  /// The next connection, or nullptr when none arrives within
+  /// `timeout_ms`: a client that never connects fails the test instead of
+  /// hanging it.
+  std::unique_ptr<HttpConnection> Accept(int timeout_ms = 5000) {
+    struct pollfd pfd = {fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) != 1) return nullptr;
+    const int fd = ::accept(fd_, nullptr, nullptr);
+    QDM_CHECK(fd >= 0);
+    return std::make_unique<HttpConnection>(fd);
+  }
+
+  /// Stops listening: from now on a connect is refused, and connections
+  /// not yet accepted are reset.
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_ = -1;
+  int port_ = 0;
+};
+
+/// Reads one request on `connection` and answers it with a keep-alive 200
+/// health body. False when there is no connection or the peer closed it.
+bool AnswerOne(HttpConnection* connection) {
+  HttpRequest request;
+  std::string error;
+  if (connection == nullptr ||
+      connection->ReadRequest(&request, /*wake_fd=*/-1, &error) !=
+          HttpConnection::ReadOutcome::kRequest) {
+    return false;
+  }
+  HttpResponse response;
+  response.status = 200;
+  response.body = EncodeHealthResponse(true);
+  return connection->WriteResponse(response, /*keep_alive=*/true);
+}
+
+TEST(NetClientConnectionTest, TwentyCallsShareOneConnection) {
+  // The listener accepts once and stops listening, so a call that opened
+  // a second connection would be refused.
+  TestListener listener;
+  int requests = 0;
+  std::thread peer([&] {
+    std::unique_ptr<HttpConnection> connection = listener.Accept();
+    listener.Close();
+    while (AnswerOne(connection.get())) ++requests;
+  });
+  int answered = 0;
+  {
+    QdmClient client(listener.port());
+    for (int i = 0; i < 20; ++i) answered += client.Healthz().ok();
+  }  // Closing the idle socket ends the peer's loop.
+  peer.join();
+  EXPECT_EQ(answered, 20);
+  EXPECT_EQ(requests, 20);
+}
+
+TEST(NetClientConnectionTest, IdleSocketClosedByThePeerIsRetriedOnce) {
+  // The peer answers one request, then closes that connection while the
+  // client holds it idle. The next call fails on it before any response
+  // byte, so it is sent once more, on a second connection.
+  TestListener listener;
+  int accepts = 0;
+  int requests = 0;
+  std::promise<void> first_closed;
+  std::thread peer([&] {
+    if (std::unique_ptr<HttpConnection> first = listener.Accept()) {
+      ++accepts;
+      requests += AnswerOne(first.get());
+    }  // Closed here, while the client holds it idle.
+    first_closed.set_value();
+    if (std::unique_ptr<HttpConnection> second = listener.Accept()) {
+      ++accepts;
+      while (AnswerOne(second.get())) ++requests;
+    }
+  });
+  Status first_call;
+  Status second_call;
+  {
+    QdmClient client(listener.port());
+    first_call = client.Healthz();
+    first_closed.get_future().wait();
+    second_call = client.Healthz();
+  }
+  peer.join();
+  EXPECT_TRUE(first_call.ok()) << first_call;
+  EXPECT_TRUE(second_call.ok()) << second_call;
+  EXPECT_EQ(accepts, 2);
+  EXPECT_EQ(requests, 2);
+}
+
+TEST(NetClientConnectionTest, FreshConnectionClosedWithoutAResponseFails) {
+  // A new connection that the peer closes after reading the request may
+  // have run it: the call fails and the POST is not sent again. A retry
+  // would connect within microseconds, so the peer watches for one for
+  // 200 ms before it stops listening.
+  TestListener listener;
+  int requests = 0;
+  bool second_connection = false;
+  std::thread peer([&] {
+    if (std::unique_ptr<HttpConnection> connection = listener.Accept()) {
+      HttpRequest request;
+      std::string error;
+      requests += connection->ReadRequest(&request, /*wake_fd=*/-1, &error) ==
+                  HttpConnection::ReadOutcome::kRequest;
+    }  // Closed without a response.
+    second_connection = listener.Accept(/*timeout_ms=*/200) != nullptr;
+    listener.Close();
+  });
+  QdmClient client(listener.port());
+  auto submitted =
+      client.Submit("simulated_annealing", MakeQubo(3, 1), FastOptions(1));
+  peer.join();
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(requests, 1);
+  EXPECT_FALSE(second_connection);
+}
+
+TEST(NetClientConnectionTest, OneClientSharedByEightThreads) {
+  // The idle list is shared: concurrent calls each take their own socket,
+  // and every thread still gets its own seed's exact result.
+  const Qubo qubo = MakeQubo(4, 10);
+  std::unique_ptr<QdmServer> server = StartServer(4);
+  QdmClient client(server->port());
+  const int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::vector<Status> failures(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        const SolverOptions options = FastOptions(2000 + 10 * t + round);
+        auto sync = anneal::SolveWith("simulated_annealing", qubo, options);
+        auto remote = client.Solve("simulated_annealing", qubo, options);
+        if (!remote.ok()) {
+          failures[t] = remote.status();
+        } else if (!sync.ok() || !SampleSetsEqual(*remote, *sync)) {
+          failures[t] = Status::Internal("remote result != sync result");
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(failures[t].ok()) << "thread " << t << ": " << failures[t];
+  }
   server->Stop();
 }
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qdm/anneal/qubo.h"
@@ -149,6 +150,59 @@ TEST(WireDoubleTest, AwkwardValuesRoundTripBitExactly) {
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     EXPECT_TRUE(BitEqual(value, *decoded)) << "value " << value;
   }
+}
+
+TEST(WireDoubleTest, EncodingIsPrintfPercent17gByteForByte) {
+  // JsonAppendDouble writes through std::to_chars, which C++17 defines as
+  // "%.17g": the bytes on the wire must be exactly what printf wrote, and
+  // the decoder's from_chars path must read them back to the same bits.
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                0.1,
+                                1.0 / 3.0,
+                                -1234.5678,
+                                1e-300,
+                                1e300,
+                                1e16,
+                                -123456789012345678.0,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon()};
+  Rng rng(20240501);
+  for (int added = 0; added < 100000;) {
+    const uint64_t bits = rng.engine()();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (!std::isfinite(value)) continue;
+    values.push_back(value);
+    ++added;
+  }
+  for (const double value : values) {
+    std::string text;
+    JsonAppendDouble(value, &text);
+    ASSERT_EQ(text, StrFormat("%.17g", value));
+    Result<JsonValue> parsed = JsonParse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    Result<double> decoded = parsed->AsDouble("x");
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ASSERT_TRUE(BitEqual(value, *decoded)) << text;
+  }
+}
+
+TEST(WireDoubleTest, UnderflowingLiteralsStillDecodeToSignedZero) {
+  // std::from_chars refuses these as out of range; the strtod fallback
+  // accepts them, as the decoder always has, as a zero of their sign.
+  Result<JsonValue> positive = JsonParse("1e-400");
+  Result<JsonValue> negative = JsonParse("-1e-400");
+  ASSERT_TRUE(positive.ok() && negative.ok());
+  Result<double> plus_zero = positive->AsDouble("x");
+  Result<double> minus_zero = negative->AsDouble("x");
+  ASSERT_TRUE(plus_zero.ok()) << plus_zero.status();
+  ASSERT_TRUE(minus_zero.ok()) << minus_zero.status();
+  EXPECT_TRUE(BitEqual(*plus_zero, 0.0));
+  EXPECT_TRUE(BitEqual(*minus_zero, -0.0));
 }
 
 TEST(WireIntegerTest, Uint64ExtremesRoundTripExactly) {
@@ -647,6 +701,90 @@ TEST(WireTaxonomyTest, MiscellaneousFieldValidation) {
       "{\"samples\":[{\"assignment\":[0,2],\"energy\":0.0}]}");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ExpectRejected(DecodeSampleSet(*parsed, "set"), "set.samples[0]");
+}
+
+TEST(WireTaxonomyTest, RejectionsKeepTheirExactMessages) {
+  // Whole messages, not substrings: the decoder's fast paths (from_chars
+  // first, field paths built only for a rejected value) may change how
+  // fast a value is accepted, never what a rejection says.
+  const std::string submit =
+      "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\",";
+  const std::pair<std::string, const char*> requests[] = {
+      {submit + "\"qubo\":{\"num_variables\":2,\"linear\":[0.5,\"a\"]}}",
+       "request.qubo.linear[1]: expected a number, got string"},
+      {submit + "\"qubo\":{\"num_variables\":1,\"linear\":[1e999]}}",
+       "request.qubo.linear[0]: number '1e999' does not fit a finite double "
+       "(NaN/Inf are not representable on the wire)"},
+      {submit + "\"qubo\":{\"num_variables\":2,"
+                "\"quadratic\":[[0,1,0.5],[0,1]]}}",
+       "request.qubo.quadratic[1]: expected an [i, j, weight] triple"},
+      {submit + "\"qubo\":{\"num_variables\":2,\"quadratic\":[[0.5,1,1.0]]}}",
+       "request.qubo.quadratic[0][0]: expected an integer, got '0.5'"},
+      {submit + "\"qubo\":{\"num_variables\":2,"
+                "\"quadratic\":[[0,99999999999999999999,1]]}}",
+       "request.qubo.quadratic[0][1]: integer '99999999999999999999' out of "
+       "int64 range"},
+      {submit + "\"qubo\":{\"num_variables\":2,\"quadratic\":[[0,1,\"w\"]]}}",
+       "request.qubo.quadratic[0][2]: expected a number, got string"},
+      {submit + "\"qubo\":{\"num_variables\":2,\"quadratic\":[[0,5,1.0]]}}",
+       "request.qubo.quadratic[0]: variable pair (0, 5) invalid for 2 "
+       "variables"},
+      {submit + "\"qubo\":{\"num_variables\":2,\"quadratic\":[[1,1,1.0]]}}",
+       "request.qubo.quadratic[0]: variable pair (1, 1) invalid for 2 "
+       "variables"},
+      {"{\"version\":1,\"type\":\"submit_batch\",\"solver\":\"x\","
+       "\"qubos\":[{\"num_variables\":1},"
+       "{\"num_variables\":2,\"linear\":[0,1e-5,3]}]}",
+       "request.qubos[1].linear: expected 2 entries (one per variable), got "
+       "3"},
+      {submit + "\"qubo\":{\"num_variables\":1},\"options\":{\"seed\":-1}}",
+       "request.options.seed: expected an unsigned integer, got '-1'"},
+      {submit + "\"qubo\":{\"num_variables\":1},"
+                "\"options\":{\"seed\":18446744073709551616}}",
+       "request.options.seed: integer '18446744073709551616' out of uint64 "
+       "range"},
+      {submit +
+           "\"qubo\":{\"num_variables\":1},\"options\":{\"num_reads\":2.5}}",
+       "request.options.num_reads: expected an integer, got '2.5'"},
+  };
+  for (const auto& [body, message] : requests) {
+    Result<JobRequest> decoded = DecodeJobRequest(body);
+    ASSERT_FALSE(decoded.ok()) << body;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(decoded.status().message(), message);
+  }
+
+  const std::pair<std::string, const char*> responses[] = {
+      {"{\"version\":1,\"results\":[{\"samples\":"
+       "[{\"assignment\":[0,2],\"energy\":0}]}]}",
+       "response.results[0].samples[0].assignment[1]: expected 0 or 1, got "
+       "2"},
+      {"{\"version\":1,\"results\":[{\"samples\":"
+       "[{\"assignment\":[1.0],\"energy\":0}]}]}",
+       "response.results[0].samples[0].assignment[0]: expected an integer, "
+       "got '1.0'"},
+      {"{\"version\":1,\"results\":[{\"samples\":[]},{\"samples\":"
+       "[{\"assignment\":[1],\"energy\":0},"
+       "{\"assignment\":[0,1],\"energy\":\"low\"}]}]}",
+       "response.results[1].samples[1].energy: expected a number, got "
+       "string"},
+      {"{\"version\":1,\"results\":[{\"samples\":"
+       "[{\"assignment\":[1],\"energy\":0,\"bogus\":1}]}]}",
+       "response.results[0].samples[0].bogus: unknown field"},
+  };
+  for (const auto& [body, message] : responses) {
+    Result<std::vector<SampleSet>> decoded = DecodeResultsResponse(body);
+    ASSERT_FALSE(decoded.ok()) << body;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(decoded.status().message(), message);
+  }
+
+  Result<std::vector<std::string>> solvers =
+      DecodeSolversResponse("{\"version\":1,\"solvers\":[\"tabu_search\",7]}");
+  ASSERT_FALSE(solvers.ok());
+  EXPECT_EQ(solvers.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(solvers.status().message(),
+            "response.solvers[1]: expected a string, got number");
 }
 
 }  // namespace
