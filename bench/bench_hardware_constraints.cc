@@ -13,14 +13,13 @@
 //       feeding items/s + max-chain-length + chain-break-fraction metrics
 //       to scripts/perf_gate.py (--sweep-only --json PATH).
 
+#include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "qdm/algo/qaoa.h"
 #include "qdm/anneal/backend_cache.h"
-#include "qdm/anneal/chimera.h"
 #include "qdm/anneal/embedded_solver.h"
 #include "qdm/anneal/embedding.h"
 #include "qdm/anneal/solver.h"
@@ -41,23 +40,6 @@ constexpr const char* kSweepBackends[] = {
     "embedded:simulated_annealing:pegasus:6",
     "embedded:simulated_annealing:zephyr:4",
 };
-
-bool SameSampleSets(const std::vector<qdm::anneal::SampleSet>& a,
-                    const std::vector<qdm::anneal::SampleSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t s = 0; s < a[i].size(); ++s) {
-      const qdm::anneal::Sample& x = a[i].samples()[s];
-      const qdm::anneal::Sample& y = b[i].samples()[s];
-      if (x.assignment != y.assignment || x.energy != y.energy ||
-          x.chain_break_fraction != y.chain_break_fraction) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -104,25 +86,24 @@ int main(int argc, char** argv) {
     QDM_CHECK(ground.ok()) << ground.status();
     const double optimum = ground->best().energy;
 
-    // (2) Chain-strength sweep on Chimera-embedded annealing. The base
-    // annealer comes from the registry and is adapted back to the Sampler
-    // interface for the embedding combinator.
+    // (2) Chain-strength sweep on Chimera-embedded annealing, through the
+    // registry backend's chain_strength knob.
     qdm::TablePrinter chains({"chain strength", "success rate",
                               "mean chain breaks"});
-    auto base_solver = registry.Create("simulated_annealing");
-    QDM_CHECK(base_solver.ok()) << base_solver.status();
-    std::unique_ptr<qdm::anneal::Sampler> base = qdm::anneal::WrapAsSampler(
-        std::move(*base_solver), {.num_sweeps = 400});
     for (double strength : {0.05, 0.2, 1.0, 5.0, 25.0, 125.0}) {
-      qdm::anneal::EmbeddedSampler sampler(
-          base.get(), std::make_shared<qdm::anneal::ChimeraGraph>(2, 2, 4),
-          strength);
-      qdm::anneal::SampleSet set = sampler.SampleQubo(qubo, 30, &rng);
+      qdm::anneal::SolverOptions options;
+      options.num_reads = 30;
+      options.rng = &rng;
+      options.num_sweeps = 400;
+      options.chain_strength = strength;
+      auto set = qdm::anneal::SolveWith(
+          "embedded:simulated_annealing:chimera:2x2x4", qubo, options);
+      QDM_CHECK(set.ok()) << set.status();
       double breaks = 0;
-      for (const auto& s : set.samples()) breaks += s.chain_break_fraction;
+      for (const auto& s : set->samples()) breaks += s.chain_break_fraction;
       chains.AddRow({qdm::StrFormat("%.2f", strength),
-                     qdm::StrFormat("%.2f", set.SuccessRate(optimum)),
-                     qdm::StrFormat("%.3f", breaks / set.size())});
+                     qdm::StrFormat("%.2f", set->SuccessRate(optimum)),
+                     qdm::StrFormat("%.3f", breaks / set->size())});
     }
     std::printf(
         "E14.2: chain-strength sweep (8 logical vars on C(2,2,4))\n%s\n",
@@ -143,9 +124,14 @@ int main(int argc, char** argv) {
                                                    // fine for a relative sweep.
       qdm::anneal::Qubo swept =
           qdm::qopt::MqoToQubo(problem, scale * auto_penalty);
-      qdm::anneal::SampleSet set = base->SampleQubo(swept, 40, &rng);
+      qdm::anneal::SolverOptions options;
+      options.num_reads = 40;
+      options.rng = &rng;
+      options.num_sweeps = 400;
+      auto set = qdm::anneal::SolveWith("simulated_annealing", swept, options);
+      QDM_CHECK(set.ok()) << set.status();
       int feasible = 0, optimal_hits = 0;
-      for (const auto& s : set.samples()) {
+      for (const auto& s : set->samples()) {
         auto decoded = qdm::qopt::DecodeMqoSample(problem, s.assignment);
         if (decoded.feasible) {
           ++feasible;
@@ -251,8 +237,7 @@ int main(int argc, char** argv) {
 
     std::vector<qdm::anneal::SampleSet> reference =
         qdm_bench::RunThreadSweep<std::vector<qdm::anneal::SampleSet>>(
-            qdm::StrFormat("E14.6: embedded batch sweep — %s", backend)
-                .c_str(),
+            qdm::StrFormat("E14.6: embedded batch sweep — %s", backend).c_str(),
             static_cast<int>(batch.size()), "items/s",
             [&](int threads) {
               auto result = qdm::anneal::SolveBatchParallel(backend, batch,
@@ -260,7 +245,12 @@ int main(int argc, char** argv) {
               QDM_CHECK(result.ok()) << backend << ": " << result.status();
               return std::move(result).value();
             },
-            SameSampleSets, prefix.c_str(), flags, &metrics);
+            [](const std::vector<qdm::anneal::SampleSet>& a,
+               const std::vector<qdm::anneal::SampleSet>& b) {
+              return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                                qdm::anneal::BitIdentical);
+            },
+            prefix.c_str(), flags, &metrics);
 
     // Chain geometry + break statistics of the 1-thread reference — gated
     // as EXACT metrics (perf_gate compares them for equality, not ratio):

@@ -17,6 +17,7 @@
 //
 // Usage mirrors the other sweeps: --sweep-only --json PATH for CI.
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -33,6 +34,7 @@
 namespace {
 
 using qdm::Rng;
+using qdm::anneal::BitIdentical;
 using qdm::anneal::Qubo;
 using qdm::anneal::SampleSet;
 using qdm::anneal::SolverOptions;
@@ -62,17 +64,6 @@ SolverOptions JobOptions(uint64_t seed) {
   options.num_sweeps = 200;
   options.seed = seed;
   return options;
-}
-
-bool SampleSetsEqual(const SampleSet& a, const SampleSet& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.samples()[i].energy != b.samples()[i].energy ||
-        a.samples()[i].assignment != b.samples()[i].assignment) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // One timed pass: a fresh loopback server, `clients` client threads
@@ -115,11 +106,7 @@ int main(int argc, char** argv) {
       "48 remote simulated-annealing jobs, 24 variables)",
       kJobs, "jobs/s", [](int clients) { return RunPass(clients); },
       [](const std::vector<SampleSet>& a, const std::vector<SampleSet>& b) {
-        if (a.size() != b.size()) return false;
-        for (size_t i = 0; i < a.size(); ++i) {
-          if (!SampleSetsEqual(a[i], b[i])) return false;
-        }
-        return true;
+        return std::equal(a.begin(), a.end(), b.begin(), b.end(), BitIdentical);
       },
       "net_jobs_per_s", flags);
   return 0;

@@ -10,6 +10,7 @@
 //
 // Usage mirrors the other sweeps: --sweep-only --json PATH for CI.
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@
 namespace {
 
 using qdm::Rng;
+using qdm::anneal::BitIdentical;
 using qdm::anneal::Qubo;
 using qdm::anneal::SampleSet;
 using qdm::anneal::SolverOptions;
@@ -54,17 +56,6 @@ SolverOptions JobOptions(uint64_t seed) {
   options.num_sweeps = 200;
   options.seed = seed;
   return options;
-}
-
-bool SampleSetsEqual(const SampleSet& a, const SampleSet& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.samples()[i].energy != b.samples()[i].energy ||
-        a.samples()[i].assignment != b.samples()[i].assignment) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // One timed pass: kProducers threads submit kJobs jobs into a service with
@@ -116,11 +107,7 @@ int main(int argc, char** argv) {
       "(2 producers x 48 simulated-annealing jobs, 24 variables)",
       kJobs, "jobs/s", [](int workers) { return RunPass(workers); },
       [](const std::vector<SampleSet>& a, const std::vector<SampleSet>& b) {
-        if (a.size() != b.size()) return false;
-        for (size_t i = 0; i < a.size(); ++i) {
-          if (!SampleSetsEqual(a[i], b[i])) return false;
-        }
-        return true;
+        return std::equal(a.begin(), a.end(), b.begin(), b.end(), BitIdentical);
       },
       "service_jobs_per_s", flags);
   return 0;

@@ -1,58 +1,43 @@
 #include "qdm/algo/grover_min_sampler.h"
 
+#include <optional>
+#include <vector>
+
 #include "qdm/algo/grover.h"
 #include "qdm/algo/noisy_sampling.h"
 #include "qdm/algo/qaoa.h"
-#include "qdm/common/check.h"
 
 namespace qdm {
 namespace algo {
 
-anneal::SampleSet GroverMinSampler::SampleQubo(const anneal::Qubo& qubo,
-                                               int num_reads, Rng* rng) {
-  QDM_CHECK_LE(qubo.num_variables(), options_.max_qubits)
-      << "Grover minimum finding limited to " << options_.max_qubits
-      << " qubits";
+Result<anneal::SampleSet> GroverMinSampler::Solve(
+    const anneal::Qubo& qubo, const anneal::SolverOptions& options) {
+  QDM_RETURN_IF_ERROR(anneal::ValidateSolverOptions(options));
+  QDM_RETURN_IF_ERROR(CheckFitsStateVector(qubo, options, kDefaultMaxQubits,
+                                           "Grover minimum finding"));
+  std::optional<Rng> local;
+  Rng* rng = anneal::ResolveSolverRng(options, &local);
   const std::vector<double> diag = BuildDiagonal(qubo);
   const int n = qubo.num_variables();
-
-  anneal::SampleSet set;
-  last_oracle_queries_ = 0;
-  for (int read = 0; read < num_reads; ++read) {
-    MinimumResult min = DurrHoyerMinimum(
-        n, [&](uint64_t z) { return diag[z]; }, rng);
-    last_oracle_queries_ += min.oracle_queries;
-    anneal::Assignment x(n);
-    for (int i = 0; i < n; ++i) x[i] = (min.argmin >> i) & 1;
-    set.Add(anneal::Sample{std::move(x), min.minimum, 0.0});
-  }
-  return set;
-}
-
-anneal::SampleSet GroverMinSampler::SampleQuboNoisy(
-    const anneal::Qubo& qubo, int num_reads, const sim::NoiseModel& model,
-    Rng* rng) {
-  QDM_CHECK_LE(qubo.num_variables(), options_.max_qubits)
-      << "Grover minimum finding limited to " << options_.max_qubits
-      << " qubits";
-  const std::vector<double> diag = BuildDiagonal(qubo);
-  const int n = qubo.num_variables();
+  const bool noisy = !options.noise.IsNoiseless();
+  const sim::NoiseModel model = ToNoiseModel(options.noise);
 
   anneal::SampleSet set;
   last_oracle_queries_ = 0;
   double survival_total = 0.0;
-  for (int read = 0; read < num_reads; ++read) {
-    MinimumResult min = DurrHoyerMinimum(
+  for (int read = 0; read < options.num_reads; ++read) {
+    const MinimumResult min = DurrHoyerMinimum(
         n, [&](uint64_t z) { return diag[z]; }, rng);
     last_oracle_queries_ += min.oracle_queries;
-    double survival = 1.0;
-    const uint64_t z = CorruptBasisState(min.argmin, n, model, rng, &survival);
-    survival_total += survival;
-    anneal::Assignment x(n);
-    for (int i = 0; i < n; ++i) x[i] = (z >> i) & 1;
-    set.Add(anneal::Sample{std::move(x), diag[z], 0.0});
+    uint64_t z = min.argmin;
+    if (noisy) {
+      double survival = 1.0;
+      z = CorruptBasisState(z, n, model, rng, &survival);
+      survival_total += survival;
+    }
+    AddBasisSample(&set, diag, n, z);
   }
-  set.set_noise_fidelity(num_reads > 0 ? survival_total / num_reads : 1.0);
+  if (noisy) set.set_noise_fidelity(survival_total / options.num_reads);
   return set;
 }
 

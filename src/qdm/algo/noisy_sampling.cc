@@ -29,14 +29,14 @@ uint64_t ApplyReadoutFlips(uint64_t z, int num_qubits, double p, Rng* rng) {
   return z;
 }
 
+}  // namespace
+
 void AddBasisSample(anneal::SampleSet* set, const std::vector<double>& diagonal,
                     int num_variables, uint64_t z) {
   anneal::Assignment x(num_variables);
   for (int i = 0; i < num_variables; ++i) x[i] = (z >> i) & 1;
   set->Add(anneal::Sample{std::move(x), diagonal[z], 0.0});
 }
-
-}  // namespace
 
 sim::NoiseModel ToNoiseModel(const anneal::NoiseSpec& spec) {
   sim::NoiseModel model;

@@ -23,6 +23,11 @@ constexpr int kMaxDensityQubits = 6;
 /// one- and two-qubit depolarizing rates.
 sim::NoiseModel ToNoiseModel(const anneal::NoiseSpec& spec);
 
+/// Adds basis state z to `set` as a sample: variable i read from bit i of
+/// z, energy diagonal[z]. The sampling tail of every gate-based backend.
+void AddBasisSample(anneal::SampleSet* set, const std::vector<double>& diagonal,
+                    int num_variables, uint64_t z);
+
 /// Samples `num_reads` measurement outcomes of the (fully bound) circuit `c`
 /// under `model`, scoring each outcome z against `diagonal` (the QUBO energy
 /// of basis state z, variable i read from bit i). Small circuits

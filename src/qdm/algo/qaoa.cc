@@ -1,17 +1,19 @@
 #include "qdm/algo/qaoa.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
 #include "qdm/algo/noisy_sampling.h"
 #include "qdm/common/check.h"
+#include "qdm/common/strings.h"
 
 namespace qdm {
 namespace algo {
 
 std::vector<double> BuildDiagonal(const anneal::Qubo& qubo) {
   const int n = qubo.num_variables();
-  QDM_CHECK_LE(n, 26) << "diagonal would exceed memory budget";
+  QDM_CHECK_LE(n, kDiagonalQubitCap) << "diagonal would exceed memory budget";
   const uint64_t dim = uint64_t{1} << n;
   std::vector<double> diag(dim, qubo.offset());
   for (int i = 0; i < n; ++i) {
@@ -31,6 +33,21 @@ std::vector<double> BuildDiagonal(const anneal::Qubo& qubo) {
     }
   }
   return diag;
+}
+
+Status CheckFitsStateVector(const anneal::Qubo& qubo,
+                            const anneal::SolverOptions& options,
+                            int default_max_qubits, const char* what) {
+  const int max_qubits =
+      std::min(options.max_qubits > 0 ? options.max_qubits : default_max_qubits,
+               kDiagonalQubitCap);
+  if (qubo.num_variables() > max_qubits) {
+    return Status::InvalidArgument(
+        StrFormat("%s simulates a 2^n state vector; %d variables exceed the "
+                  "%d-qubit limit",
+                  what, qubo.num_variables(), max_qubits));
+  }
+  return Status::Ok();
 }
 
 Qaoa::Qaoa(const anneal::Qubo& qubo, int layers)
@@ -115,42 +132,32 @@ OptimizationResult Qaoa::Optimize(Optimizer* optimizer, int restarts,
   return best;
 }
 
-anneal::SampleSet QaoaSampler::SampleQubo(const anneal::Qubo& qubo,
-                                          int num_reads, Rng* rng) {
-  QDM_CHECK_LE(qubo.num_variables(), options_.max_qubits)
-      << "QAOA statevector backend limited to " << options_.max_qubits
-      << " qubits";
-  Qaoa qaoa(qubo, options_.layers);
-  CoordinateDescent optimizer;
-  OptimizationResult opt = qaoa.Optimize(&optimizer, options_.restarts, rng);
-  sim::Statevector sv = qaoa.StateForParameters(opt.parameters);
-
-  anneal::SampleSet set;
-  const std::vector<double>& diag = qaoa.diagonal();
-  for (int read = 0; read < num_reads; ++read) {
-    const uint64_t z = sv.SampleBasisState(rng);
-    anneal::Assignment x(qubo.num_variables());
-    for (int i = 0; i < qubo.num_variables(); ++i) x[i] = (z >> i) & 1;
-    set.Add(anneal::Sample{std::move(x), diag[z], 0.0});
-  }
-  return set;
-}
-
-anneal::SampleSet QaoaSampler::SampleQuboNoisy(
-    const anneal::Qubo& qubo, int num_reads, const sim::NoiseModel& model,
-    const anneal::SolverOptions& options) {
-  QDM_CHECK_LE(qubo.num_variables(), options_.max_qubits)
-      << "QAOA statevector backend limited to " << options_.max_qubits
-      << " qubits";
-  Qaoa qaoa(qubo, options_.layers);
-  CoordinateDescent optimizer;
+Result<anneal::SampleSet> QaoaSampler::Solve(
+    const anneal::Qubo& qubo, const anneal::SolverOptions& options) {
+  QDM_RETURN_IF_ERROR(anneal::ValidateSolverOptions(options));
+  QDM_RETURN_IF_ERROR(
+      CheckFitsStateVector(qubo, options, kDefaultMaxQubits, "QAOA"));
   std::optional<Rng> local;
   Rng* rng = anneal::ResolveSolverRng(options, &local);
-  OptimizationResult opt = qaoa.Optimize(&optimizer, options_.restarts, rng);
-  // The gate-level circuit produces the same state as the fast diagonal
-  // path up to global phase, which the fidelity metric is invariant to.
-  return SampleCircuitNoisy(qaoa.BuildCircuit(opt.parameters),
-                            qaoa.diagonal(), model, num_reads, options);
+  Qaoa qaoa(qubo, options.layers > 0 ? options.layers : kDefaultLayers);
+  CoordinateDescent optimizer;
+  const OptimizationResult opt = qaoa.Optimize(
+      &optimizer, options.restarts > 0 ? options.restarts : kDefaultRestarts,
+      rng);
+  if (!options.noise.IsNoiseless()) {
+    // The gate-level circuit produces the same state as the fast diagonal
+    // path up to global phase, which the fidelity metric is invariant to.
+    return SampleCircuitNoisy(qaoa.BuildCircuit(opt.parameters),
+                              qaoa.diagonal(), ToNoiseModel(options.noise),
+                              options.num_reads, options);
+  }
+  const sim::Statevector sv = qaoa.StateForParameters(opt.parameters);
+  anneal::SampleSet set;
+  for (int read = 0; read < options.num_reads; ++read) {
+    AddBasisSample(&set, qaoa.diagonal(), qubo.num_variables(),
+                   sv.SampleBasisState(rng));
+  }
+  return set;
 }
 
 }  // namespace algo

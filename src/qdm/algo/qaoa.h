@@ -1,22 +1,33 @@
 #ifndef QDM_ALGO_QAOA_H_
 #define QDM_ALGO_QAOA_H_
 
+#include <string>
 #include <vector>
 
 #include "qdm/algo/optimizers.h"
 #include "qdm/anneal/qubo.h"
-#include "qdm/anneal/sampler.h"
 #include "qdm/anneal/solver.h"
 #include "qdm/circuit/circuit.h"
-#include "qdm/sim/noise.h"
+#include "qdm/common/status.h"
 #include "qdm/sim/statevector.h"
 
 namespace qdm {
 namespace algo {
 
+/// BuildDiagonal materializes 2^n doubles and stops at this many qubits, so
+/// no gate-based backend goes past it whatever options.max_qubits says.
+constexpr int kDiagonalQubitCap = 26;
+
 /// Full 2^n energy diagonal of a QUBO (E(z) for every basis state z, with
 /// variable i read from bit i). The cost Hamiltonian of QAOA/VQE/Grover-min.
 std::vector<double> BuildDiagonal(const anneal::Qubo& qubo);
+
+/// The state-vector guard of the gate-based backends: options.max_qubits
+/// (0 = `default_max_qubits`), clamped to kDiagonalQubitCap. A problem with
+/// more variables is InvalidArgument naming `what`.
+Status CheckFitsStateVector(const anneal::Qubo& qubo,
+                            const anneal::SolverOptions& options,
+                            int default_max_qubits, const char* what);
 
 /// Quantum Approximate Optimization Algorithm over a QUBO cost Hamiltonian
 /// (Farhi et al.; the gate-based path of the paper's Figure 2, used for MQO
@@ -58,35 +69,20 @@ class Qaoa {
   std::vector<double> diagonal_;
 };
 
-/// QAOA packaged behind the annealing Sampler interface so benches can swap
-/// annealer and gate-based backends freely (Figure 2's two arms).
-class QaoaSampler : public anneal::Sampler {
+/// QAOA as the "qaoa" registry backend, interchangeable with the annealing
+/// backends (Figure 2's two arms). Reads layers, restarts and max_qubits
+/// (see CheckFitsStateVector). The variational loop always optimizes
+/// noiselessly; with options.noise set, the optimal gate-level circuit is
+/// sampled under it via SampleCircuitNoisy (docs/noise.md).
+class QaoaSampler : public anneal::QuboSolver {
  public:
-  struct Options {
-    int layers = 2;
-    int restarts = 3;
-    /// Maximum problem size in qubits (state-vector guard).
-    int max_qubits = 20;
-  };
+  static constexpr int kDefaultLayers = 2;
+  static constexpr int kDefaultRestarts = 3;
+  static constexpr int kDefaultMaxQubits = 20;
 
-  QaoaSampler() : options_() {}
-  explicit QaoaSampler(Options options) : options_(options) {}
-
-  anneal::SampleSet SampleQubo(const anneal::Qubo& qubo, int num_reads,
-                               Rng* rng) override;
-
-  /// Noisy sibling of SampleQubo (docs/noise.md): the variational loop
-  /// optimizes noiselessly as usual, then the optimal gate-level circuit is
-  /// sampled under `model` via SampleCircuitNoisy (per-shot seed derivation
-  /// from `options`; the returned set carries noise_fidelity).
-  anneal::SampleSet SampleQuboNoisy(const anneal::Qubo& qubo, int num_reads,
-                                    const sim::NoiseModel& model,
-                                    const anneal::SolverOptions& options);
-
+  Result<anneal::SampleSet> Solve(
+      const anneal::Qubo& qubo, const anneal::SolverOptions& options) override;
   std::string name() const override { return "qaoa"; }
-
- private:
-  Options options_;
 };
 
 }  // namespace algo

@@ -4,7 +4,7 @@
 namespace qdm {
 namespace algo {
 
-/// Registers the gate-based QuboSolver bridges (qaoa, vqe, grover_min) with
+/// Registers the gate-based QuboSolver backends (qaoa, vqe, grover_min) with
 /// anneal::SolverRegistry::Global(). Idempotent; returns true. A static
 /// registrar in solver_registration.cc already invokes this at load time (the
 /// build links qdm as an object library so the registrar is never dropped),

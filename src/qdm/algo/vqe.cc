@@ -65,40 +65,30 @@ OptimizationResult Vqe::Optimize(Optimizer* optimizer, int restarts,
   return best;
 }
 
-anneal::SampleSet VqeSampler::SampleQubo(const anneal::Qubo& qubo,
-                                         int num_reads, Rng* rng) {
-  QDM_CHECK_LE(qubo.num_variables(), options_.max_qubits)
-      << "VQE statevector backend limited to " << options_.max_qubits
-      << " qubits";
-  Vqe vqe(qubo, options_.layers);
-  NelderMead optimizer;
-  OptimizationResult opt = vqe.Optimize(&optimizer, options_.restarts, rng);
-  sim::Statevector sv = vqe.StateForParameters(opt.parameters);
-
-  anneal::SampleSet set;
-  const std::vector<double>& diag = vqe.diagonal();
-  for (int read = 0; read < num_reads; ++read) {
-    const uint64_t z = sv.SampleBasisState(rng);
-    anneal::Assignment x(qubo.num_variables());
-    for (int i = 0; i < qubo.num_variables(); ++i) x[i] = (z >> i) & 1;
-    set.Add(anneal::Sample{std::move(x), diag[z], 0.0});
-  }
-  return set;
-}
-
-anneal::SampleSet VqeSampler::SampleQuboNoisy(
-    const anneal::Qubo& qubo, int num_reads, const sim::NoiseModel& model,
-    const anneal::SolverOptions& options) {
-  QDM_CHECK_LE(qubo.num_variables(), options_.max_qubits)
-      << "VQE statevector backend limited to " << options_.max_qubits
-      << " qubits";
-  Vqe vqe(qubo, options_.layers);
-  NelderMead optimizer;
+Result<anneal::SampleSet> VqeSampler::Solve(
+    const anneal::Qubo& qubo, const anneal::SolverOptions& options) {
+  QDM_RETURN_IF_ERROR(anneal::ValidateSolverOptions(options));
+  QDM_RETURN_IF_ERROR(
+      CheckFitsStateVector(qubo, options, kDefaultMaxQubits, "VQE"));
   std::optional<Rng> local;
   Rng* rng = anneal::ResolveSolverRng(options, &local);
-  OptimizationResult opt = vqe.Optimize(&optimizer, options_.restarts, rng);
-  return SampleCircuitNoisy(vqe.ansatz().BindParameters(opt.parameters),
-                            vqe.diagonal(), model, num_reads, options);
+  Vqe vqe(qubo, options.layers > 0 ? options.layers : kDefaultLayers);
+  NelderMead optimizer;
+  const OptimizationResult opt = vqe.Optimize(
+      &optimizer, options.restarts > 0 ? options.restarts : kDefaultRestarts,
+      rng);
+  if (!options.noise.IsNoiseless()) {
+    return SampleCircuitNoisy(vqe.ansatz().BindParameters(opt.parameters),
+                              vqe.diagonal(), ToNoiseModel(options.noise),
+                              options.num_reads, options);
+  }
+  const sim::Statevector sv = vqe.StateForParameters(opt.parameters);
+  anneal::SampleSet set;
+  for (int read = 0; read < options.num_reads; ++read) {
+    AddBasisSample(&set, vqe.diagonal(), qubo.num_variables(),
+                   sv.SampleBasisState(rng));
+  }
+  return set;
 }
 
 }  // namespace algo

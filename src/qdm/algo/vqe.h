@@ -1,14 +1,13 @@
 #ifndef QDM_ALGO_VQE_H_
 #define QDM_ALGO_VQE_H_
 
+#include <string>
 #include <vector>
 
 #include "qdm/algo/optimizers.h"
 #include "qdm/anneal/qubo.h"
-#include "qdm/anneal/sampler.h"
 #include "qdm/anneal/solver.h"
 #include "qdm/circuit/circuit.h"
-#include "qdm/sim/noise.h"
 #include "qdm/sim/statevector.h"
 
 namespace qdm {
@@ -46,32 +45,19 @@ class Vqe {
   circuit::Circuit ansatz_;
 };
 
-/// VQE behind the Sampler interface (Figure 2's second gate-based arm).
-class VqeSampler : public anneal::Sampler {
+/// VQE as the "vqe" registry backend (Figure 2's second gate-based arm).
+/// Reads layers, restarts and max_qubits (see CheckFitsStateVector). It
+/// optimizes noiselessly; with options.noise set, the bound ansatz circuit
+/// is sampled under it via SampleCircuitNoisy (docs/noise.md).
+class VqeSampler : public anneal::QuboSolver {
  public:
-  struct Options {
-    int layers = 2;
-    int restarts = 3;
-    int max_qubits = 18;
-  };
+  static constexpr int kDefaultLayers = 2;
+  static constexpr int kDefaultRestarts = 3;
+  static constexpr int kDefaultMaxQubits = 18;
 
-  VqeSampler() : options_() {}
-  explicit VqeSampler(Options options) : options_(options) {}
-
-  anneal::SampleSet SampleQubo(const anneal::Qubo& qubo, int num_reads,
-                               Rng* rng) override;
-
-  /// Noisy sibling of SampleQubo (docs/noise.md): optimizes noiselessly,
-  /// then samples the bound ansatz circuit under `model` via
-  /// SampleCircuitNoisy (the returned set carries noise_fidelity).
-  anneal::SampleSet SampleQuboNoisy(const anneal::Qubo& qubo, int num_reads,
-                                    const sim::NoiseModel& model,
-                                    const anneal::SolverOptions& options);
-
+  Result<anneal::SampleSet> Solve(
+      const anneal::Qubo& qubo, const anneal::SolverOptions& options) override;
   std::string name() const override { return "vqe"; }
-
- private:
-  Options options_;
 };
 
 }  // namespace algo

@@ -1,8 +1,6 @@
 #ifndef QDM_ANNEAL_EMBEDDING_H_
 #define QDM_ANNEAL_EMBEDDING_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "qdm/anneal/sampler.h"
@@ -94,36 +92,6 @@ Sample Unembed(const Qubo& logical, const EmbeddedQubo& embedded,
 SampleSet UnembedAll(const Qubo& logical, const EmbeddedQubo& embedded,
                      const SampleSet& physical,
                      ChainBreakPolicy policy = ChainBreakPolicy::kMajorityVote);
-
-/// Sampler decorator implementing the full logical->physical->logical loop of
-/// Sec III-B against any HardwareTopology: clique-embed, sample on the
-/// (simulated) hardware topology, unembed with the configured chain-break
-/// policy. Prefer the registry's "embedded:<base>:<topology>" backends (see
-/// embedded_solver.h) unless you already hold a Sampler.
-class EmbeddedSampler : public Sampler {
- public:
-  /// Does not take ownership of `base`; `base` must outlive this.
-  /// `chain_strength` 0.0 auto-scales per EmbedQubo.
-  EmbeddedSampler(Sampler* base,
-                  std::shared_ptr<const HardwareTopology> topology,
-                  double chain_strength,
-                  ChainBreakPolicy policy = ChainBreakPolicy::kMajorityVote)
-      : base_(base),
-        topology_(std::move(topology)),
-        chain_strength_(chain_strength),
-        policy_(policy) {}
-
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override;
-  std::string name() const override {
-    return "embedded(" + base_->name() + " on " + topology_->name() + ")";
-  }
-
- private:
-  Sampler* base_;
-  std::shared_ptr<const HardwareTopology> topology_;
-  double chain_strength_;
-  ChainBreakPolicy policy_;
-};
 
 }  // namespace anneal
 }  // namespace qdm

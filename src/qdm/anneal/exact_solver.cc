@@ -2,13 +2,14 @@
 
 #include "qdm/anneal/simulated_annealing.h"
 #include "qdm/common/check.h"
+#include "qdm/common/strings.h"
 
 namespace qdm {
 namespace anneal {
 
 Sample ExactSolver::Solve(const Qubo& qubo) {
   const int n = qubo.num_variables();
-  QDM_CHECK_LE(n, 30) << "ExactSolver enumerates 2^n assignments";
+  QDM_CHECK_LE(n, kMaxVariables) << "ExactSolver enumerates 2^n assignments";
   const QuboAdjacency adj(qubo);
 
   double energy = adj.Energy(Assignment(n, 0));
@@ -30,8 +31,15 @@ Sample ExactSolver::Solve(const Qubo& qubo) {
   return Sample{ToAssignment(best), best_energy, 0.0};
 }
 
-SampleSet ExactSolver::SampleQubo(const Qubo& qubo, int /*num_reads*/,
-                              Rng* /*rng*/) {
+Result<SampleSet> ExactSolver::Solve(const Qubo& qubo,
+                                     const SolverOptions& options) {
+  QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
+  if (qubo.num_variables() > kMaxVariables) {
+    return Status::InvalidArgument(StrFormat(
+        "exact solver enumerates 2^n assignments; %d variables exceed the "
+        "%d-variable limit",
+        qubo.num_variables(), kMaxVariables));
+  }
   SampleSet set;
   set.Add(Solve(qubo));
   return set;

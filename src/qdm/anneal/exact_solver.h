@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "qdm/anneal/sampler.h"
+#include "qdm/anneal/solver.h"
 
 namespace qdm {
 namespace anneal {
@@ -12,14 +12,18 @@ namespace anneal {
 /// order (O(deg) incremental energy updates), so it is practical up to ~28
 /// variables. Every solver-quality experiment uses this as the optimum
 /// reference on small instances.
-class ExactSolver : public Sampler {
+class ExactSolver : public QuboSolver {
  public:
-  /// `num_reads` is ignored; the returned set holds the global optimum (and
-  /// only it).
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override;
+  static constexpr int kMaxVariables = 30;
+
+  /// Returns the global optimum (and only it): num_reads and the rng are
+  /// ignored. More than kMaxVariables variables is InvalidArgument.
+  Result<SampleSet> Solve(const Qubo& qubo,
+                          const SolverOptions& options) override;
   std::string name() const override { return "exact"; }
 
-  /// Convenience: ground-state energy and an optimal assignment.
+  /// Convenience: ground-state energy and an optimal assignment. Aborts
+  /// above kMaxVariables.
   static Sample Solve(const Qubo& qubo);
 };
 

@@ -1,29 +1,35 @@
 #include "qdm/anneal/parallel_tempering.h"
 
 #include <cmath>
+#include <optional>
 
 #include "qdm/anneal/simulated_annealing.h"
-#include "qdm/common/check.h"
+#include "qdm/common/strings.h"
 
 namespace qdm {
 namespace anneal {
 
-SampleSet ParallelTempering::SampleQubo(const Qubo& qubo, int num_reads,
-                                        Rng* rng) {
-  QDM_CHECK_GT(num_reads, 0);
-  QDM_CHECK_GE(options_.num_replicas, 2);
+Result<SampleSet> ParallelTempering::Solve(const Qubo& qubo,
+                                           const SolverOptions& options) {
+  QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
+  if (options.num_replicas == 1) {
+    return Status::InvalidArgument(StrFormat(
+        "parallel_tempering needs num_replicas >= 2 to exchange replicas "
+        "(0 = the default %d), got 1",
+        kDefaultReplicas));
+  }
+  std::optional<Rng> local;
+  Rng* rng = ResolveSolverRng(options, &local);
   const QuboAdjacency adj(qubo);
   const int n = adj.num_variables();
 
-  double beta_min = options_.beta_min;
-  double beta_max = options_.beta_max;
-  if (beta_max <= 0.0) {
-    const double hottest = std::max(adj.max_abs_coefficient(), 1e-9);
-    const double coldest = std::max(adj.min_abs_coefficient(), 1e-9);
-    beta_min = 0.1 / hottest;
-    beta_max = 10.0 / coldest;
-  }
-  const int r = options_.num_replicas;
+  const auto [beta_min, beta_max] = BetaRange(adj, options);
+  const int r =
+      options.num_replicas > 0 ? options.num_replicas : kDefaultReplicas;
+  const int sweeps =
+      options.num_sweeps > 0 ? options.num_sweeps : kDefaultSweeps;
+  const int swap_interval =
+      options.swap_interval > 0 ? options.swap_interval : kDefaultSwapInterval;
   std::vector<double> betas(r);
   for (int k = 0; k < r; ++k) {
     betas[k] = beta_min * std::pow(beta_max / beta_min,
@@ -31,7 +37,7 @@ SampleSet ParallelTempering::SampleQubo(const Qubo& qubo, int num_reads,
   }
 
   SampleSet result;
-  for (int read = 0; read < num_reads; ++read) {
+  for (int read = 0; read < options.num_reads; ++read) {
     std::vector<SpinMasks> replicas(r);
     std::vector<double> energies(r);
     for (int k = 0; k < r; ++k) {
@@ -41,7 +47,7 @@ SampleSet ParallelTempering::SampleQubo(const Qubo& qubo, int num_reads,
     SpinMasks best = replicas[0];
     double best_energy = energies[0];
 
-    for (int sweep = 0; sweep < options_.num_sweeps; ++sweep) {
+    for (int sweep = 0; sweep < sweeps; ++sweep) {
       for (int k = 0; k < r; ++k) {
         uint64_t* spins = replicas[k].data();
         for (int i = 0; i < n; ++i) {
@@ -56,7 +62,7 @@ SampleSet ParallelTempering::SampleQubo(const Qubo& qubo, int num_reads,
           best = replicas[k];
         }
       }
-      if (options_.swap_interval > 0 && sweep % options_.swap_interval == 0) {
+      if (sweep % swap_interval == 0) {
         for (int k = 0; k + 1 < r; ++k) {
           const double arg = (betas[k + 1] - betas[k]) *
                              (energies[k + 1] - energies[k]);

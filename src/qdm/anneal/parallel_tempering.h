@@ -3,36 +3,27 @@
 
 #include <string>
 
-#include "qdm/anneal/sampler.h"
+#include "qdm/anneal/solver.h"
 
 namespace qdm {
 namespace anneal {
 
 /// Replica-exchange Monte Carlo (parallel tempering). Runs `num_replicas`
-/// Metropolis chains at a geometric ladder of temperatures and periodically
-/// proposes replica swaps. Stronger than plain SA on rugged QUBO landscapes
-/// (frustrated penalties), at higher cost; serves as the "well-tuned
-/// classical heuristic" baseline in the solver-quality benches.
-class ParallelTempering : public Sampler {
+/// Metropolis chains at a geometric ladder of temperatures and proposes
+/// replica swaps every `swap_interval` sweeps. Stronger than plain SA on
+/// rugged QUBO landscapes (frustrated penalties), at higher cost; serves as
+/// the "well-tuned classical heuristic" baseline in the solver-quality
+/// benches. The ladder's ends are BetaRange's; num_replicas 1 leaves no
+/// replica to exchange with and is InvalidArgument.
+class ParallelTempering : public QuboSolver {
  public:
-  struct Options {
-    int num_replicas = 8;
-    int num_sweeps = 200;
-    /// Inverse temperatures ladder endpoints; auto-scaled when <= 0.
-    double beta_min = 0.0;
-    double beta_max = 0.0;
-    /// Attempt replica swaps every this many sweeps.
-    int swap_interval = 5;
-  };
+  static constexpr int kDefaultReplicas = 8;
+  static constexpr int kDefaultSweeps = 200;
+  static constexpr int kDefaultSwapInterval = 5;
 
-  ParallelTempering() : options_() {}
-  explicit ParallelTempering(Options options) : options_(options) {}
-
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override;
+  Result<SampleSet> Solve(const Qubo& qubo,
+                          const SolverOptions& options) override;
   std::string name() const override { return "parallel_tempering"; }
-
- private:
-  Options options_;
 };
 
 }  // namespace anneal

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "qdm/anneal/qubo.h"
-#include "qdm/common/rng.h"
 
 namespace qdm {
 namespace anneal {
@@ -58,22 +57,12 @@ class SampleSet {
   std::string decision_;
 };
 
-/// Abstract QUBO sampler — the "quantum computer" interface of the annealing
-/// path in Figure 2. Implementations: SimulatedAnnealer (stand-in for the
-/// D-Wave physical anneal), ParallelTempering, TabuSearch (classical
-/// baselines), ExactSolver (ground truth), EmbeddedSampler (adds the
-/// logical->physical Chimera mapping), and algo::QaoaSampler /
-/// algo::GroverSampler on the gate-based side.
-class Sampler {
- public:
-  virtual ~Sampler() = default;
-
-  /// Draws `num_reads` solutions for `qubo`.
-  virtual SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) = 0;
-
-  /// Human-readable name for report tables.
-  virtual std::string name() const = 0;
-};
+/// True when `a` and `b` are the same SampleSet bit for bit: every sample's
+/// assignment, energy and chain_break_fraction, plus the noise fidelity and
+/// the decision. Doubles compare by representation, so -0.0 differs from
+/// 0.0 and a NaN equals itself. The one equality every determinism check
+/// (thread count, SIMD tier, batch, service, remote) uses.
+bool BitIdentical(const SampleSet& a, const SampleSet& b);
 
 }  // namespace anneal
 }  // namespace qdm

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "qdm/common/check.h"
+#include <optional>
 
 namespace qdm {
 namespace anneal {
@@ -84,28 +83,32 @@ double QuboAdjacency::FlipDelta(const Assignment& x, int i) const {
   return x[i] ? -field : field;
 }
 
-SampleSet SimulatedAnnealer::SampleQubo(const Qubo& qubo, int num_reads,
-                                        Rng* rng) {
-  QDM_CHECK_GT(num_reads, 0);
+std::pair<double, double> BetaRange(const QuboAdjacency& adj,
+                                    const SolverOptions& options) {
+  if (options.beta_max <= 0.0) {
+    const double hottest = std::max(adj.max_abs_coefficient(), 1e-9);
+    const double coldest = std::max(adj.min_abs_coefficient(), 1e-9);
+    return {0.1 / hottest, 10.0 / coldest};
+  }
+  return {options.beta_min, options.beta_max};
+}
+
+Result<SampleSet> SimulatedAnnealer::Solve(const Qubo& qubo,
+                                           const SolverOptions& options) {
+  QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
+  std::optional<Rng> local;
+  Rng* rng = ResolveSolverRng(options, &local);
   const QuboAdjacency adj(qubo);
   const int n = adj.num_variables();
 
-  double beta_min = schedule_.beta_min;
-  double beta_max = schedule_.beta_max;
-  if (beta_max <= 0.0) {
-    const double hottest = std::max(adj.max_abs_coefficient(), 1e-9);
-    const double coldest = std::max(adj.min_abs_coefficient(), 1e-9);
-    beta_min = 0.1 / hottest;   // Hot: accepts nearly everything.
-    beta_max = 10.0 / coldest;  // Cold: freezes the smallest excitation.
-  }
-  QDM_CHECK_GT(beta_min, 0.0);
-  QDM_CHECK_GE(beta_max, beta_min);
-  const int sweeps = schedule_.num_sweeps;
+  const auto [beta_min, beta_max] = BetaRange(adj, options);
+  const int sweeps =
+      options.num_sweeps > 0 ? options.num_sweeps : kDefaultSweeps;
   const double ratio =
       sweeps > 1 ? std::pow(beta_max / beta_min, 1.0 / (sweeps - 1)) : 1.0;
 
   SampleSet result;
-  for (int read = 0; read < num_reads; ++read) {
+  for (int read = 0; read < options.num_reads; ++read) {
     SpinMasks spins;
     double energy = adj.RandomSpins(rng, &spins);
 

@@ -4,41 +4,27 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "qdm/anneal/sampler.h"
+#include "qdm/anneal/solver.h"
 
 namespace qdm {
 namespace anneal {
-
-/// Configuration for the Metropolis anneal.
-struct AnnealSchedule {
-  /// Number of full sweeps (each sweep proposes one flip per variable).
-  int num_sweeps = 200;
-  /// Inverse temperature at the start / end of the geometric schedule.
-  /// When beta_max <= 0 both endpoints are auto-scaled from the problem's
-  /// coefficient range (hot start that accepts ~most moves, cold end that
-  /// freezes single-coefficient excitations).
-  double beta_min = 0.0;
-  double beta_max = 0.0;
-};
 
 /// Metropolis simulated annealing over QUBO variables. This is the toolkit's
 /// stand-in for the D-Wave quantum annealer: the *interface* (QUBO in,
 /// low-energy samples out, quality improving with anneal length / num_reads)
 /// matches the physical device; the dynamics are classical Metropolis.
-class SimulatedAnnealer : public Sampler {
+/// Reads num_sweeps (each sweep proposes one flip per variable) and the
+/// beta_min/beta_max ends of its geometric schedule (see BetaRange).
+class SimulatedAnnealer : public QuboSolver {
  public:
-  explicit SimulatedAnnealer(AnnealSchedule schedule = AnnealSchedule{})
-      : schedule_(schedule) {}
+  static constexpr int kDefaultSweeps = 200;
 
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override;
+  Result<SampleSet> Solve(const Qubo& qubo,
+                          const SolverOptions& options) override;
   std::string name() const override { return "simulated_annealing"; }
-
-  const AnnealSchedule& schedule() const { return schedule_; }
-
- private:
-  AnnealSchedule schedule_;
 };
 
 /// Spins as the annealing-family samplers keep them: spins[i] is 0 for
@@ -113,6 +99,13 @@ class QuboAdjacency {
   std::vector<int> neighbor_;
   std::vector<double> weight_;
 };
+
+/// The (beta_min, beta_max) inverse-temperature ends of the annealing
+/// family: the options' pair when set, otherwise auto-scaled from the
+/// problem's coefficient range, with a hot start that accepts nearly every
+/// move and a cold end that freezes the smallest excitation.
+std::pair<double, double> BetaRange(const QuboAdjacency& adj,
+                                    const SolverOptions& options);
 
 }  // namespace anneal
 }  // namespace qdm

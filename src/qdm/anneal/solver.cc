@@ -161,109 +161,6 @@ Status ValidateSolverOptions(const SolverOptions& options) {
   return Status::Ok();
 }
 
-namespace {
-
-class SimulatedAnnealingSolver : public QuboSolver {
- public:
-  Result<SampleSet> Solve(const Qubo& qubo,
-                          const SolverOptions& options) override {
-    QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
-    AnnealSchedule schedule;
-    if (options.num_sweeps > 0) schedule.num_sweeps = options.num_sweeps;
-    schedule.beta_min = options.beta_min;
-    schedule.beta_max = options.beta_max;
-    SimulatedAnnealer annealer(schedule);
-    std::optional<Rng> local;
-    return annealer.SampleQubo(qubo, options.num_reads,
-                               ResolveSolverRng(options, &local));
-  }
-  std::string name() const override { return "simulated_annealing"; }
-};
-
-class ParallelTemperingSolver : public QuboSolver {
- public:
-  Result<SampleSet> Solve(const Qubo& qubo,
-                          const SolverOptions& options) override {
-    QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
-    ParallelTempering::Options pt;
-    if (options.num_replicas > 0) pt.num_replicas = options.num_replicas;
-    if (options.num_sweeps > 0) pt.num_sweeps = options.num_sweeps;
-    if (options.swap_interval > 0) pt.swap_interval = options.swap_interval;
-    pt.beta_min = options.beta_min;
-    pt.beta_max = options.beta_max;
-    ParallelTempering sampler(pt);
-    std::optional<Rng> local;
-    return sampler.SampleQubo(qubo, options.num_reads,
-                              ResolveSolverRng(options, &local));
-  }
-  std::string name() const override { return "parallel_tempering"; }
-};
-
-class TabuSearchSolver : public QuboSolver {
- public:
-  Result<SampleSet> Solve(const Qubo& qubo,
-                          const SolverOptions& options) override {
-    QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
-    TabuSearch::Options tabu;
-    if (options.max_iterations > 0) {
-      tabu.max_iterations = options.max_iterations;
-    }
-    if (options.tenure > 0) tabu.tenure = options.tenure;
-    TabuSearch sampler(tabu);
-    std::optional<Rng> local;
-    return sampler.SampleQubo(qubo, options.num_reads,
-                              ResolveSolverRng(options, &local));
-  }
-  std::string name() const override { return "tabu_search"; }
-};
-
-class ExactQuboSolver : public QuboSolver {
- public:
-  static constexpr int kMaxVariables = 30;
-
-  Result<SampleSet> Solve(const Qubo& qubo,
-                          const SolverOptions& options) override {
-    QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
-    if (qubo.num_variables() > kMaxVariables) {
-      return Status::InvalidArgument(StrFormat(
-          "exact solver enumerates 2^n assignments; %d variables exceed the "
-          "%d-variable limit",
-          qubo.num_variables(), kMaxVariables));
-    }
-    ExactSolver solver;
-    std::optional<Rng> local;
-    return solver.SampleQubo(qubo, options.num_reads,
-                             ResolveSolverRng(options, &local));
-  }
-  std::string name() const override { return "exact"; }
-};
-
-/// Presents a QuboSolver as a Sampler (see WrapAsSampler).
-class SolverSampler : public Sampler {
- public:
-  SolverSampler(std::unique_ptr<QuboSolver> solver, SolverOptions options)
-      : solver_(std::move(solver)), options_(options) {}
-
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override {
-    SolverOptions options = options_;
-    options.num_reads = num_reads;
-    options.rng = rng;
-    Result<SampleSet> result = solver_->Solve(qubo, options);
-    QDM_CHECK(result.ok()) << solver_->name()
-                           << " failed inside a Sampler context: "
-                           << result.status();
-    return std::move(result).value();
-  }
-
-  std::string name() const override { return solver_->name(); }
-
- private:
-  std::unique_ptr<QuboSolver> solver_;
-  SolverOptions options_;
-};
-
-}  // namespace
-
 SolverRegistry& SolverRegistry::Global() {
   static SolverRegistry* registry = new SolverRegistry();
   return *registry;
@@ -271,15 +168,13 @@ SolverRegistry& SolverRegistry::Global() {
 
 SolverRegistry::SolverRegistry() {
   factories_["simulated_annealing"] = [] {
-    return std::make_unique<SimulatedAnnealingSolver>();
+    return std::make_unique<SimulatedAnnealer>();
   };
   factories_["parallel_tempering"] = [] {
-    return std::make_unique<ParallelTemperingSolver>();
+    return std::make_unique<ParallelTempering>();
   };
-  factories_["tabu_search"] = [] {
-    return std::make_unique<TabuSearchSolver>();
-  };
-  factories_["exact"] = [] { return std::make_unique<ExactQuboSolver>(); };
+  factories_["tabu_search"] = [] { return std::make_unique<TabuSearch>(); };
+  factories_["exact"] = [] { return std::make_unique<ExactSolver>(); };
 }
 
 Status SolverRegistry::Register(const std::string& name, Factory factory) {
@@ -369,12 +264,6 @@ Result<Sample> SolveForBest(const std::string& solver_name, const Qubo& qubo,
         "solver '%s' returned an empty sample set", solver_name.c_str()));
   }
   return samples.best();
-}
-
-std::unique_ptr<Sampler> WrapAsSampler(std::unique_ptr<QuboSolver> solver,
-                                       SolverOptions options) {
-  QDM_CHECK(solver != nullptr);
-  return std::make_unique<SolverSampler>(std::move(solver), options);
 }
 
 }  // namespace anneal

@@ -35,10 +35,14 @@ namespace anneal {
 ///                    from the problem; setting only one of the pair, or a
 ///                    negative value, or beta_min > beta_max is
 ///                    InvalidArgument (never an abort).
-///   num_replicas     0 = parallel_tempering's default replica count.
+///   num_replicas     0 = parallel_tempering's default replica count; 1
+///                    leaves no replica to exchange with and is
+///                    InvalidArgument.
 ///   swap_interval    0 = parallel_tempering's default swap cadence.
 ///   max_iterations   0 = tabu_search's default iteration budget.
-///   tenure           0 = tabu_search's default tabu tenure.
+///   tenure           0 = tabu_search's default tabu tenure; any tenure
+///                    of at least the iteration budget (up to INT_MAX)
+///                    keeps a flipped variable tabu for the rest of the run.
 ///   layers           0 = default circuit depth (qaoa/vqe).
 ///   restarts         0 = default optimizer restarts (qaoa/vqe).
 ///   max_qubits       0 = backend default state-vector guard; a positive
@@ -52,7 +56,7 @@ namespace anneal {
 ///                    read only by embedded:* backends.
 ///   noise            default-constructed NoiseSpec (channel kNone) = exact
 ///                    noiseless simulation. Read only by the gate-based
-///                    bridges (qaoa/vqe/grover_min), which then sample
+///                    backends (qaoa/vqe/grover_min), which then sample
 ///                    through the sim/ noise machinery and surface a
 ///                    noise_fidelity on the SampleSet; classical backends
 ///                    ignore it like any other unknown knob. Normally set
@@ -100,8 +104,14 @@ struct SolverOptions {
 /// applications reformulate their problem as a Qubo and dispatch it — via
 /// the shared qopt::QuboPipeline encode→dispatch→decode helper — to an
 /// interchangeable backend obtained *by name* from the SolverRegistry; they
-/// never instantiate a concrete solver class. Backends report misuse (e.g. a
-/// problem too large for the method) as an error Status rather than dying.
+/// never instantiate a concrete solver class. This is the one solver
+/// interface: the samplers implement it directly (SimulatedAnnealer,
+/// ParallelTempering, TabuSearch, ExactSolver, and algo::QaoaSampler,
+/// VqeSampler and GroverMinSampler), each validating and reading
+/// SolverOptions itself, and the embedded:/noisy:/race:/adaptive: families
+/// wrap other registry backends. Backends report misuse (e.g. a problem too
+/// large for the method, or a knob out of range) as an error Status rather
+/// than dying.
 class QuboSolver {
  public:
   virtual ~QuboSolver() = default;
@@ -150,7 +160,7 @@ class QuboSolver {
 /// backends (simulated_annealing, parallel_tempering, tabu_search, exact)
 /// register themselves on first access; higher layers add more via static
 /// registrars, which is why the build links qdm as an object library (the
-/// gate-based bridges in qdm/algo register qaoa, vqe, and grover_min; the
+/// gate-based backends in qdm/algo register qaoa, vqe, and grover_min; the
 /// embedded hardware-topology backends in qdm/anneal/embedded_solver.cc
 /// register a default "embedded:<base>:<topology>" set plus the "embedded:"
 /// prefix resolver; the portfolio backends in qdm/anneal/portfolio_solver.cc
@@ -266,13 +276,6 @@ Rng* ResolveSolverRng(const SolverOptions& options,
 /// or a non-negative pair with beta_min <= beta_max — half-set or inverted
 /// ladders are rejected.
 Status ValidateSolverOptions(const SolverOptions& options);
-
-/// Adapts a QuboSolver (with fixed options) back to the Sampler interface so
-/// that sampler combinators (e.g. EmbeddedSampler) can compose registry
-/// backends. The wrapper owns the solver; Solve errors abort, so validate
-/// inputs beforehand when using this path.
-std::unique_ptr<Sampler> WrapAsSampler(std::unique_ptr<QuboSolver> solver,
-                                       SolverOptions options);
 
 }  // namespace anneal
 }  // namespace qdm

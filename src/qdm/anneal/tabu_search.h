@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "qdm/anneal/sampler.h"
+#include "qdm/anneal/solver.h"
 
 namespace qdm {
 namespace anneal {
@@ -12,22 +12,16 @@ namespace anneal {
 /// best non-tabu flip, allowing uphill moves to escape local minima; a flip
 /// is tabu for `tenure` iterations unless it improves the incumbent
 /// (aspiration). Classic strong classical QUBO heuristic (cf. qbsolv).
-class TabuSearch : public Sampler {
+/// Reads max_iterations and tenure; tenure 0 means min(20, n/4 + 1), and a
+/// tenure that outlasts the iteration budget keeps a flip tabu for the rest
+/// of the run.
+class TabuSearch : public QuboSolver {
  public:
-  struct Options {
-    int max_iterations = 500;
-    /// Tabu tenure; when <= 0, uses min(20, n/4 + 1).
-    int tenure = 0;
-  };
+  static constexpr int kDefaultMaxIterations = 500;
 
-  TabuSearch() : options_() {}
-  explicit TabuSearch(Options options) : options_(options) {}
-
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override;
+  Result<SampleSet> Solve(const Qubo& qubo,
+                          const SolverOptions& options) override;
   std::string name() const override { return "tabu_search"; }
-
- private:
-  Options options_;
 };
 
 }  // namespace anneal

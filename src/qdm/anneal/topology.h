@@ -17,7 +17,7 @@ namespace anneal {
 /// Implementations model the working graphs of real quantum annealers:
 /// ChimeraGraph (D-Wave 2X), PegasusGraph (Advantage), ZephyrGraph
 /// (Advantage2). The embedding layer (CliqueEmbedding / EmbedQubo /
-/// EmbeddedSampler) and the registry-level "embedded:<base>:<topology>"
+/// UnembedAll) and the registry-level "embedded:<base>:<topology>"
 /// backends are written against this interface only, so a topology sweep is
 /// a loop over spec strings, never a code change.
 ///

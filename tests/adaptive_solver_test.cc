@@ -56,21 +56,6 @@ SolverOptions FastOptions(uint64_t seed) {
   return options;
 }
 
-/// Bit-identity including the recorded decision — the adaptive contract is
-/// that the SAME member ran with the SAME seed, not just equal energies.
-void ExpectBitIdentical(const SampleSet& a, const SampleSet& b,
-                        const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  EXPECT_EQ(a.noise_fidelity(), b.noise_fidelity()) << context;
-  EXPECT_EQ(a.decision(), b.decision()) << context;
-  for (size_t s = 0; s < a.size(); ++s) {
-    EXPECT_EQ(a.samples()[s].assignment, b.samples()[s].assignment)
-        << context << " sample " << s;
-    EXPECT_EQ(a.samples()[s].energy, b.samples()[s].energy)
-        << context << " sample " << s;
-  }
-}
-
 // -- Registration and resolution ---------------------------------------------
 
 TEST(AdaptiveSolverTest, DefaultBackendIsRegistered) {
@@ -147,9 +132,8 @@ TEST(AdaptiveSolverTest, BatchIsBitIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(many.ok()) << name << ": " << many.status();
       ASSERT_EQ(many->size(), one->size()) << name;
       for (size_t i = 0; i < one->size(); ++i) {
-        ExpectBitIdentical((*one)[i], (*many)[i],
-                           name + " threads=" + std::to_string(threads) +
-                               " instance " + std::to_string(i));
+        EXPECT_TRUE(BitIdentical((*one)[i], (*many)[i]))
+            << name << " threads=" << threads << " instance " << i;
       }
     }
     // The batch == per-instance solves on ONE fresh instance (the
@@ -160,9 +144,9 @@ TEST(AdaptiveSolverTest, BatchIsBitIdenticalAcrossThreadCounts) {
       auto single =
           (*fresh)->Solve(qubos[i], DeriveBatchOptions(options, i));
       ASSERT_TRUE(single.ok()) << name << ": " << single.status();
-      ExpectBitIdentical((*one)[i], *single,
-                         name + " instance " + std::to_string(i) +
-                             " vs sequential per-instance reference");
+      EXPECT_TRUE(BitIdentical((*one)[i], *single))
+          << name << " instance " << i
+          << " vs sequential per-instance reference";
     }
   }
 }
@@ -212,9 +196,8 @@ TEST(AdaptiveSolverTest, RecordedDecisionsReplayBitIdentically) {
     auto replayed = ReplayAdaptiveDecision(decision, qubos[i],
                                            DeriveBatchOptions(options, i));
     ASSERT_TRUE(replayed.ok()) << decision << ": " << replayed.status();
-    ExpectBitIdentical((*batch)[i], *replayed,
-                       "replay of instance " + std::to_string(i) + " ('" +
-                           decision + "')");
+    EXPECT_TRUE(BitIdentical((*batch)[i], *replayed))
+        << "replay of instance " << i << " ('" << decision << "')";
   }
 }
 
@@ -319,9 +302,8 @@ TEST(AdaptiveSolverTest, ComposesWithEmbeddedAndNoisyMembers) {
     auto many = SolveBatchParallel(name, qubos, options, threads);
     ASSERT_TRUE(many.ok()) << many.status();
     for (size_t i = 0; i < one->size(); ++i) {
-      ExpectBitIdentical((*one)[i], (*many)[i],
-                         name + " threads=" + std::to_string(threads) +
-                             " instance " + std::to_string(i));
+      EXPECT_TRUE(BitIdentical((*one)[i], (*many)[i]))
+          << name << " threads=" << threads << " instance " << i;
     }
   }
 }
@@ -340,9 +322,8 @@ TEST(AdaptiveSolverTest, NoisyWrappedSelectorKeepsItsScheduleInBatches) {
     auto many = SolveBatchParallel(name, qubos, options, threads);
     ASSERT_TRUE(many.ok()) << many.status();
     for (size_t i = 0; i < one->size(); ++i) {
-      ExpectBitIdentical((*one)[i], (*many)[i],
-                         name + " threads=" + std::to_string(threads) +
-                             " instance " + std::to_string(i));
+      EXPECT_TRUE(BitIdentical((*one)[i], (*many)[i]))
+          << name << " threads=" << threads << " instance " << i;
     }
   }
   // The commit-phase decisions really crossed the boundary.

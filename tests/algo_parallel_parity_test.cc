@@ -40,16 +40,6 @@ class ScopedDefaultExecutionConfig {
   sim::ExecutionConfig previous_;
 };
 
-void ExpectIdenticalSampleSets(const anneal::SampleSet& a,
-                               const anneal::SampleSet& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t s = 0; s < a.size(); ++s) {
-    EXPECT_EQ(a.samples()[s].energy, b.samples()[s].energy) << "sample " << s;
-    EXPECT_EQ(a.samples()[s].assignment, b.samples()[s].assignment)
-        << "sample " << s;
-  }
-}
-
 anneal::Qubo SmallQubo(int num_variables, uint64_t seed) {
   Rng rng(seed);
   anneal::Qubo qubo(num_variables);
@@ -110,7 +100,7 @@ TEST(AlgoParallelParityTest, QaoaSolverSampleSetsIdenticalAt1And8Threads) {
     ASSERT_TRUE(result.ok()) << result.status();
     parallel = *result;
   }
-  ExpectIdenticalSampleSets(serial, parallel);
+  EXPECT_TRUE(anneal::BitIdentical(serial, parallel));
 }
 
 // The SIMD axis of the same guarantee: a full QAOA solve (cost layers via
@@ -139,7 +129,7 @@ TEST(AlgoParallelParityTest, QaoaSampleSetsIdenticalWithSimdOnAndOff) {
     ASSERT_TRUE(result.ok()) << result.status();
     simd = *result;
   }
-  ExpectIdenticalSampleSets(scalar, simd);
+  EXPECT_TRUE(anneal::BitIdentical(scalar, simd));
 }
 
 TEST(AlgoParallelParityTest, GroverMinSampleSetsIdenticalAt1And8Threads) {
@@ -161,7 +151,7 @@ TEST(AlgoParallelParityTest, GroverMinSampleSetsIdenticalAt1And8Threads) {
     ASSERT_TRUE(result.ok()) << result.status();
     parallel = *result;
   }
-  ExpectIdenticalSampleSets(serial, parallel);
+  EXPECT_TRUE(anneal::BitIdentical(serial, parallel));
 }
 
 TEST(AlgoParallelParityTest, QpeEstimateIdenticalAt1And8Threads) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "qdm/anneal/chimera.h"
-#include "qdm/anneal/embedding.h"
 #include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 #include "qdm/db/executor.h"
@@ -29,19 +27,18 @@ TEST(IntegrationTest, WorkloadToChimeraToExecutedPlan) {
   qopt::JoinOrderQubo encoding(workload.graph);
   ASSERT_EQ(encoding.num_variables(), 16);
 
-  // 16 logical variables embed into Chimera C(4,4,4). The base annealer is
-  // fetched from the solver registry and adapted to the Sampler interface
-  // for the embedding combinator.
-  auto base_solver =
-      anneal::SolverRegistry::Global().Create("simulated_annealing");
-  ASSERT_TRUE(base_solver.ok()) << base_solver.status();
-  std::unique_ptr<anneal::Sampler> base =
-      anneal::WrapAsSampler(std::move(*base_solver), {.num_sweeps = 1500});
-  anneal::EmbeddedSampler sampler(
-      base.get(), std::make_shared<anneal::ChimeraGraph>(4, 4, 4),
-      /*chain_strength=*/60.0);
-  anneal::SampleSet samples = sampler.SampleQubo(encoding.qubo(), 30, &rng);
-  std::vector<int> order = encoding.DecodeWithRepair(samples.best().assignment);
+  // 16 logical variables embed into Chimera C(4,4,4), through the
+  // registry's embedded annealer.
+  anneal::SolverOptions options;
+  options.num_reads = 30;
+  options.rng = &rng;
+  options.num_sweeps = 1500;
+  options.chain_strength = 60.0;
+  const auto samples = anneal::SolveWith(
+      "embedded:simulated_annealing:chimera:4x4x4", encoding.qubo(), options);
+  ASSERT_TRUE(samples.ok()) << samples.status();
+  std::vector<int> order =
+      encoding.DecodeWithRepair(samples->best().assignment);
 
   auto quantum_result = db::ExecuteJoinTree(db::LeftDeepFromPermutation(order),
                                             workload.graph, workload.catalog);

@@ -2,11 +2,11 @@
 // QdmServer driven through QdmClient. Proves the two halves of the
 // tentpole contract: (1) determinism ACROSS the wire — a remote solve at
 // seed s is bit-identical to the in-process synchronous path at seed s,
-// for every registered backend family (plain, embedded:*, race:*) and for
-// batches; (2) the HTTP/Status taxonomy — NotFound->404,
-// InvalidArgument->400, ResourceExhausted->429, DeadlineExceeded->504,
-// Cancelled->409, with every error body carrying the exact sync-path
-// Status message.
+// for races, batches and concurrent clients (backend_conformance_test.cc
+// crosses every registered backend with the remote path); (2) the
+// HTTP/Status taxonomy — NotFound->404, InvalidArgument->400,
+// ResourceExhausted->429, DeadlineExceeded->504, Cancelled->409, with every
+// error body carrying the exact sync-path Status message.
 
 #include <dirent.h>
 #include <gtest/gtest.h>
@@ -43,6 +43,7 @@ namespace qdm {
 namespace net {
 namespace {
 
+using anneal::BitIdentical;
 using anneal::Qubo;
 using anneal::SampleSet;
 using anneal::SolverOptions;
@@ -59,21 +60,6 @@ Qubo MakeQubo(int num_variables, uint64_t seed) {
     }
   }
   return qubo;
-}
-
-bool SampleSetsEqual(const SampleSet& a, const SampleSet& b) {
-  if (a.size() != b.size()) return false;
-  if (a.noise_fidelity() != b.noise_fidelity()) return false;
-  if (a.decision() != b.decision()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.samples()[i].energy != b.samples()[i].energy ||
-        a.samples()[i].assignment != b.samples()[i].assignment ||
-        a.samples()[i].chain_break_fraction !=
-            b.samples()[i].chain_break_fraction) {
-      return false;
-    }
-  }
-  return true;
 }
 
 SolverOptions FastOptions(uint64_t seed) {
@@ -173,29 +159,6 @@ std::unique_ptr<QdmServer> StartServer(int num_workers,
 // Determinism across the wire.
 // ---------------------------------------------------------------------------
 
-TEST(NetParityTest, RemoteSolveBitIdenticalToSyncOnEveryBackend) {
-  // Every registered family: the plain anneal + gate-bridge backends plus
-  // the eagerly registered "embedded:*" / "race:*" defaults. Test-only
-  // backends are skipped (this binary registers a gated one).
-  const Qubo qubo = MakeQubo(4, 21);
-  const SolverOptions options = FastOptions(123);
-  std::unique_ptr<QdmServer> server = StartServer(/*num_workers=*/2);
-  QdmClient client(server->port());
-
-  for (const std::string& name :
-       anneal::SolverRegistry::Global().RegisteredNames()) {
-    if (name.rfind("test_", 0) == 0) continue;
-    SCOPED_TRACE(name);
-    auto sync = anneal::SolveWith(name, qubo, options);
-    ASSERT_TRUE(sync.ok()) << sync.status();
-
-    auto remote = client.Solve(name, qubo, options);
-    ASSERT_TRUE(remote.ok()) << remote.status();
-    EXPECT_TRUE(SampleSetsEqual(*remote, *sync));
-  }
-  server->Stop();
-}
-
 TEST(NetParityTest, RemoteBatchBitIdenticalToSolveBatchParallel) {
   std::vector<Qubo> qubos;
   for (uint64_t i = 0; i < 5; ++i) qubos.push_back(MakeQubo(4, 100 + i));
@@ -211,8 +174,7 @@ TEST(NetParityTest, RemoteBatchBitIdenticalToSolveBatchParallel) {
   ASSERT_TRUE(remote.ok()) << remote.status();
   ASSERT_EQ(remote->size(), sync->size());
   for (size_t i = 0; i < sync->size(); ++i) {
-    EXPECT_TRUE(SampleSetsEqual((*remote)[i], (*sync)[i]))
-        << "instance " << i;
+    EXPECT_TRUE(BitIdentical((*remote)[i], (*sync)[i])) << "instance " << i;
   }
 }
 
@@ -231,7 +193,7 @@ TEST(NetParityTest, RemoteRaceBitIdenticalToSyncRace) {
   auto remote = client.Wait(*id);
   ASSERT_TRUE(remote.ok()) << remote.status();
   ASSERT_EQ(remote->size(), 1u);
-  EXPECT_TRUE(SampleSetsEqual((*remote)[0], *sync));
+  EXPECT_TRUE(BitIdentical((*remote)[0], *sync));
 
   // The terminal snapshot is visible remotely with the sync-path Status.
   auto snapshot = client.Poll(*id);
@@ -294,7 +256,7 @@ TEST(NetParityTest, ConcurrentClientsEachGetTheirOwnDeterministicResult) {
       auto remote = client.Solve("simulated_annealing", qubo, options);
       if (!remote.ok()) {
         failures[c] = remote.status();
-      } else if (!sync.ok() || !SampleSetsEqual(*remote, *sync)) {
+      } else if (!sync.ok() || !BitIdentical(*remote, *sync)) {
         failures[c] = Status::Internal("remote result != sync result");
       }
     });
@@ -412,6 +374,31 @@ TEST(NetTaxonomyTest, MalformedBodyIs400NamingTheProblem) {
       RawExpectHttp(server->port(), "GET", "/v2/jobs", "", 404);
   EXPECT_EQ(no_route.code(), StatusCode::kNotFound);
   EXPECT_NE(no_route.message().find("/v2/jobs"), std::string::npos);
+}
+
+TEST(NetTaxonomyTest, SingleReplicaTemperingIs400AndTheDaemonKeepsServing) {
+  // "num_replicas":1 is the backend's to reject, so the job is accepted,
+  // its wait answers 400 with the sync-path message, and the daemon keeps
+  // serving.
+  std::unique_ptr<QdmServer> server = StartServer(1);
+  QdmClient client(server->port());
+  const Qubo qubo = MakeQubo(3, 1);
+  SolverOptions options = FastOptions(1);
+  options.num_replicas = 1;
+  for (const std::string name :
+       {"parallel_tempering", "embedded:parallel_tempering:chimera:2x2x4"}) {
+    SCOPED_TRACE(name);
+    const auto sync = anneal::SolveWith(name, qubo, options);
+    ASSERT_EQ(sync.status().code(), StatusCode::kInvalidArgument);
+
+    auto id = client.Submit(name, qubo, options);
+    ASSERT_TRUE(id.ok()) << id.status();
+    EXPECT_EQ(
+        RawExpectHttp(server->port(), "POST",
+                      "/v1/jobs/" + std::to_string(*id) + "/wait", "", 400),
+        sync.status());
+    EXPECT_TRUE(client.Healthz().ok());
+  }
 }
 
 TEST(NetTaxonomyTest, QueueFullIs429AndCancelledIs409) {
@@ -773,7 +760,7 @@ TEST(NetClientConnectionTest, OneClientSharedByEightThreads) {
         auto remote = client.Solve("simulated_annealing", qubo, options);
         if (!remote.ok()) {
           failures[t] = remote.status();
-        } else if (!sync.ok() || !SampleSetsEqual(*remote, *sync)) {
+        } else if (!sync.ok() || !BitIdentical(*remote, *sync)) {
           failures[t] = Status::Internal("remote result != sync result");
         }
       }

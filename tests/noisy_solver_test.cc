@@ -64,18 +64,6 @@ SolverOptions FastOptions(uint64_t seed) {
   return options;
 }
 
-void ExpectBitIdentical(const SampleSet& a, const SampleSet& b,
-                        const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  EXPECT_EQ(a.noise_fidelity(), b.noise_fidelity()) << context;
-  for (size_t s = 0; s < a.size(); ++s) {
-    EXPECT_EQ(a.samples()[s].assignment, b.samples()[s].assignment)
-        << context << " sample " << s;
-    EXPECT_EQ(a.samples()[s].energy, b.samples()[s].energy)
-        << context << " sample " << s;
-  }
-}
-
 // -- Registration and resolution ---------------------------------------------
 
 TEST(NoisySolverTest, DefaultBackendIsRegistered) {
@@ -223,7 +211,7 @@ TEST(NoisySolverTest, ZeroRateWrapperIsBitIdenticalToEveryBareBackend) {
     ASSERT_TRUE(bare.ok()) << name << ": " << bare.status();
     auto wrapped = SolveWith("noisy:depol@0.0:" + name, q, options);
     ASSERT_TRUE(wrapped.ok()) << name << ": " << wrapped.status();
-    ExpectBitIdentical(*bare, *wrapped, "noisy:depol@0.0:" + name);
+    EXPECT_TRUE(BitIdentical(*bare, *wrapped)) << "noisy:depol@0.0:" << name;
     EXPECT_EQ(wrapped->noise_fidelity(), 1.0) << name;
   }
 }
@@ -248,10 +236,8 @@ TEST(NoisySolverTest, BatchIsBitIdenticalAcrossThreadCountsForEveryChannel) {
         ASSERT_TRUE(many.ok()) << name << ": " << many.status();
         ASSERT_EQ(many->size(), one->size()) << name;
         for (size_t i = 0; i < one->size(); ++i) {
-          ExpectBitIdentical(
-              (*one)[i], (*many)[i],
-              name + " threads=" + std::to_string(threads) + " instance " +
-                  std::to_string(i));
+          EXPECT_TRUE(BitIdentical((*one)[i], (*many)[i]))
+              << name << " threads=" << threads << " instance " << i;
         }
       }
       // Batch instance i == a standalone solve at seed + i.
@@ -259,9 +245,8 @@ TEST(NoisySolverTest, BatchIsBitIdenticalAcrossThreadCountsForEveryChannel) {
         auto single =
             SolveWith(name, qubos[i], DeriveBatchOptions(options, i));
         ASSERT_TRUE(single.ok()) << name << ": " << single.status();
-        ExpectBitIdentical((*one)[i], *single,
-                           name + " instance " + std::to_string(i) +
-                               " vs derived single solve");
+        EXPECT_TRUE(BitIdentical((*one)[i], *single))
+            << name << " instance " << i << " vs derived single solve";
       }
     }
   }
@@ -286,8 +271,8 @@ TEST(NoisySolverTest, TrajectoryPathIsIdenticalAcrossSimdTiers) {
     per_tier.emplace(mode == sim::SimdMode::kScalar ? "scalar" : "simd",
                      std::move(result).value());
   }
-  ExpectBitIdentical(per_tier.at("scalar"), per_tier.at("simd"),
-                     "scalar vs simd trajectory path");
+  EXPECT_TRUE(BitIdentical(per_tier.at("scalar"), per_tier.at("simd")))
+      << "scalar vs simd trajectory path";
 }
 
 // -- Fidelity metric ---------------------------------------------------------

@@ -47,17 +47,6 @@ SolverOptions FastOptions(uint64_t seed) {
   return options;
 }
 
-void ExpectSameSampleSet(const SampleSet& a, const SampleSet& b,
-                         const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  for (size_t s = 0; s < a.size(); ++s) {
-    EXPECT_EQ(a.samples()[s].assignment, b.samples()[s].assignment)
-        << context << " sample " << s;
-    EXPECT_EQ(a.samples()[s].energy, b.samples()[s].energy)
-        << context << " sample " << s;
-  }
-}
-
 TEST(PortfolioSolverTest, DefaultPortfolioIsRegisteredAndRoundTrips) {
   const std::string kDefault = "race:simulated_annealing+tabu_search";
   const std::vector<std::string> names =
@@ -128,8 +117,8 @@ TEST(PortfolioSolverTest, WinnerIsBitIdenticalAcrossThreadCounts) {
   for (int threads : {0, 2, 8}) {
     auto raced = SolveRaceParallel(members, qubo, options, threads);
     ASSERT_TRUE(raced.ok()) << threads << " threads: " << raced.status();
-    ExpectSameSampleSet(*sequential, *raced,
-                        "race at " + std::to_string(threads) + " threads");
+    EXPECT_TRUE(BitIdentical(*sequential, *raced))
+        << "race at " << threads << " threads";
   }
 }
 
@@ -152,8 +141,8 @@ TEST(PortfolioSolverTest, WinnerMatchesBestMemberUnderDerivedSeeds) {
   }
   auto raced = SolveRaceParallel(members, qubo, options, 8);
   ASSERT_TRUE(raced.ok()) << raced.status();
-  ExpectSameSampleSet(solo[expected], *raced,
-                      "winner should be member " + members[expected]);
+  EXPECT_TRUE(BitIdentical(solo[expected], *raced))
+      << "winner should be member " << members[expected];
 }
 
 TEST(PortfolioSolverTest, EqualBestEnergiesKeepTheEarlierMember) {
@@ -174,13 +163,14 @@ TEST(PortfolioSolverTest, EqualBestEnergiesKeepTheEarlierMember) {
   auto sa_first =
       SolveRaceParallel({"simulated_annealing", "exact"}, qubo, options, 2);
   ASSERT_TRUE(sa_first.ok()) << sa_first.status();
-  ExpectSameSampleSet(sa, *sa_first, "tie must keep member 0 (annealer)");
+  EXPECT_TRUE(BitIdentical(sa, *sa_first))
+      << "tie must keep member 0 (annealer)";
 
   auto exact_leads =
       SolveRaceParallel({"exact", "simulated_annealing"}, qubo, options, 2);
   ASSERT_TRUE(exact_leads.ok()) << exact_leads.status();
-  ExpectSameSampleSet(exact_first, *exact_leads,
-                      "tie must keep member 0 (exact)");
+  EXPECT_TRUE(BitIdentical(exact_first, *exact_leads))
+      << "tie must keep member 0 (exact)";
 }
 
 TEST(PortfolioSolverTest, FailingMembersAreDroppedWhileAnySurvives) {
@@ -193,7 +183,7 @@ TEST(PortfolioSolverTest, FailingMembersAreDroppedWhileAnySurvives) {
   ASSERT_TRUE(raced.ok()) << raced.status();
   SampleSet tabu =
       *SolveWith("tabu_search", qubo, DeriveBatchOptions(options, 1));
-  ExpectSameSampleSet(tabu, *raced, "surviving member wins");
+  EXPECT_TRUE(BitIdentical(tabu, *raced)) << "surviving member wins";
 }
 
 TEST(PortfolioSolverTest, AllMembersFailingPropagatesLowestIndexAnnotated) {
@@ -262,10 +252,8 @@ TEST(PortfolioSolverTest, RaceComposesWithSolveBatchParallel) {
     auto many = SolveBatchParallel(name, qubos, options, threads);
     ASSERT_TRUE(many.ok()) << many.status();
     for (size_t i = 0; i < qubos.size(); ++i) {
-      ExpectSameSampleSet(
-          (*one)[i], (*many)[i],
-          "batched race instance " + std::to_string(i) + " at " +
-              std::to_string(threads) + " threads");
+      EXPECT_TRUE(BitIdentical((*one)[i], (*many)[i]))
+          << "batched race instance " << i << " at " << threads << " threads";
     }
   }
   // Instance i of the batch equals a standalone race with seed + i.
@@ -274,9 +262,8 @@ TEST(PortfolioSolverTest, RaceComposesWithSolveBatchParallel) {
         SolveRaceParallel({"simulated_annealing", "tabu_search"}, qubos[i],
                           DeriveBatchOptions(options, i), 0);
     ASSERT_TRUE(standalone.ok()) << standalone.status();
-    ExpectSameSampleSet((*one)[i], *standalone,
-                        "batch instance " + std::to_string(i) +
-                            " vs standalone race");
+    EXPECT_TRUE(BitIdentical((*one)[i], *standalone))
+        << "batch instance " << i << " vs standalone race";
   }
 }
 

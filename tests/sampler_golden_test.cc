@@ -1,9 +1,9 @@
-// Pins the annealing-family samplers (simulated annealing, parallel
-// tempering, tabu search) bit for bit. The golden samples below were
-// recorded before the samplers moved to a CSR adjacency with spin-mask
-// flip deltas and before qdm::Rng moved to the in-tree MT19937-64: a moved
-// RNG draw, a reordered sum or a changed tie-break shows up here as a
-// different assignment or energy bit pattern.
+// Pins the annealing-family backends (simulated annealing, parallel
+// tempering, tabu search) bit for bit, through their registry names. The
+// golden samples below were recorded before the samplers moved to a CSR
+// adjacency with spin-mask flip deltas and before qdm::Rng moved to the
+// in-tree MT19937-64: a moved RNG draw, a reordered sum or a changed
+// tie-break shows up here as a different assignment or energy bit pattern.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +11,14 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <memory>
 #include <string>
 
-#include "qdm/anneal/parallel_tempering.h"
 #include "qdm/anneal/qubo.h"
 #include "qdm/anneal/sampler.h"
 #include "qdm/anneal/simulated_annealing.h"
-#include "qdm/anneal/tabu_search.h"
+#include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
+#include "qdm/common/status.h"
 #include "qdm/qopt/mqo.h"
 #include "qdm/qopt/txn_scheduling.h"
 
@@ -51,22 +50,30 @@ Qubo MqoInstance() {
   return qopt::MqoToQubo(qopt::GenerateMqoProblem(5, 3, 0.4, &rng));
 }
 
-std::unique_ptr<Sampler> MakeSampler(const std::string& name) {
-  if (name == "sa") {
-    AnnealSchedule schedule;
-    schedule.num_sweeps = 60;
-    return std::make_unique<SimulatedAnnealer>(schedule);
+/// The registry name and knobs each recorded run used: sa 3 reads, pt 2
+/// reads, tabu 3 reads, all drawing from `rng`.
+struct GoldenRun {
+  const char* solver;
+  SolverOptions options;
+};
+
+GoldenRun RunFor(const std::string& sampler, Rng* rng) {
+  GoldenRun run{"tabu_search", {}};
+  run.options.num_reads = 3;
+  run.options.rng = rng;
+  if (sampler == "sa") {
+    run.solver = "simulated_annealing";
+    run.options.num_sweeps = 60;
+  } else if (sampler == "pt") {
+    run.solver = "parallel_tempering";
+    run.options.num_reads = 2;
+    run.options.num_sweeps = 25;
+    run.options.num_replicas = 4;
+    run.options.swap_interval = 3;
+  } else {
+    run.options.max_iterations = 80;
   }
-  if (name == "pt") {
-    ParallelTempering::Options options;
-    options.num_replicas = 4;
-    options.num_sweeps = 25;
-    options.swap_interval = 3;
-    return std::make_unique<ParallelTempering>(options);
-  }
-  TabuSearch::Options options;
-  options.max_iterations = 80;
-  return std::make_unique<TabuSearch>(options);
+  return run;
 }
 
 struct GoldenSample {
@@ -120,11 +127,12 @@ TEST(SamplerGoldenTest, SampleSetsMatchTheRecordedBits) {
       const std::string suffix = " " + instance + " " + std::to_string(seed);
       for (const std::string sampler : {"sa", "pt", "tabu"}) {
         const std::string run = sampler + suffix;
-        const int reads = sampler == "pt" ? 2 : 3;
-        const std::unique_ptr<Sampler> solver = MakeSampler(sampler);
         Rng rng(seed);
-        const SampleSet set = solver->SampleQubo(qubo, reads, &rng);
-        for (const Sample& sample : set.samples()) {
+        const GoldenRun golden_run = RunFor(sampler, &rng);
+        const Result<SampleSet> set =
+            SolveWith(golden_run.solver, qubo, golden_run.options);
+        ASSERT_TRUE(set.ok()) << run << ": " << set.status();
+        for (const Sample& sample : set->samples()) {
           ASSERT_LT(next, std::size(kGolden)) << run;
           const GoldenSample& golden = kGolden[next++];
           EXPECT_EQ(run, golden.run);

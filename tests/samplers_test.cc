@@ -8,6 +8,7 @@
 #include "qdm/anneal/simulated_annealing.h"
 #include "qdm/anneal/tabu_search.h"
 #include "qdm/common/rng.h"
+#include "qdm/common/status.h"
 
 namespace qdm {
 namespace anneal {
@@ -53,9 +54,17 @@ TEST(ExactSolverTest, GrayCodeMatchesBruteForce) {
   }
 }
 
+/// `num_reads` samples drawn from `rng`, every other knob at its default.
+SolverOptions Reads(int num_reads, Rng* rng) {
+  SolverOptions options;
+  options.num_reads = num_reads;
+  options.rng = rng;
+  return options;
+}
+
 class HeuristicSamplerTest : public ::testing::TestWithParam<int> {
  protected:
-  std::unique_ptr<Sampler> MakeSampler() {
+  std::unique_ptr<QuboSolver> MakeSampler() {
     switch (GetParam()) {
       case 0:
         return std::make_unique<SimulatedAnnealer>();
@@ -75,10 +84,11 @@ TEST_P(HeuristicSamplerTest, ReachesExactOptimumOnSmallProblems) {
   for (int trial = 0; trial < kTrials; ++trial) {
     Qubo q = RandomQubo(12, 0.4, &rng);
     const double optimum = ExactSolver::Solve(q).energy;
-    SampleSet set = sampler->SampleQubo(q, 10, &rng);
-    if (set.best().energy <= optimum + 1e-9) ++solved;
+    const Result<SampleSet> set = sampler->Solve(q, Reads(10, &rng));
+    ASSERT_TRUE(set.ok()) << set.status();
+    if (set->best().energy <= optimum + 1e-9) ++solved;
     // Reported energies must be self-consistent.
-    EXPECT_NEAR(q.Energy(set.best().assignment), set.best().energy, 1e-9);
+    EXPECT_NEAR(q.Energy(set->best().assignment), set->best().energy, 1e-9);
   }
   EXPECT_GE(solved, 9) << sampler->name()
                        << " should solve nearly all 12-var instances";
@@ -88,10 +98,11 @@ TEST_P(HeuristicSamplerTest, SampleSetSortedByEnergy) {
   Rng rng(23);
   auto sampler = MakeSampler();
   Qubo q = RandomQubo(10, 0.5, &rng);
-  SampleSet set = sampler->SampleQubo(q, 8, &rng);
-  ASSERT_EQ(set.size(), 8u);
-  for (size_t i = 1; i < set.size(); ++i) {
-    EXPECT_LE(set.samples()[i - 1].energy, set.samples()[i].energy);
+  const Result<SampleSet> set = sampler->Solve(q, Reads(8, &rng));
+  ASSERT_TRUE(set.ok()) << set.status();
+  ASSERT_EQ(set->size(), 8u);
+  for (size_t i = 1; i < set->size(); ++i) {
+    EXPECT_LE(set->samples()[i - 1].energy, set->samples()[i].energy);
   }
 }
 
@@ -105,12 +116,12 @@ TEST(SimulatedAnnealerTest, MoreSweepsImproveSuccessRate) {
   const double optimum = ExactSolver::Solve(q).energy;
 
   auto success_rate = [&](int sweeps) {
-    AnnealSchedule schedule;
-    schedule.num_sweeps = sweeps;
-    SimulatedAnnealer annealer(schedule);
     Rng rng(7);
-    SampleSet set = annealer.SampleQubo(q, 50, &rng);
-    return set.SuccessRate(optimum);
+    SolverOptions options = Reads(50, &rng);
+    options.num_sweeps = sweeps;
+    const Result<SampleSet> set = SimulatedAnnealer().Solve(q, options);
+    EXPECT_TRUE(set.ok()) << set.status();
+    return set->SuccessRate(optimum);
   };
 
   const double quick = success_rate(2);

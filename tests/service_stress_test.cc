@@ -29,6 +29,7 @@ namespace qdm {
 namespace service {
 namespace {
 
+using anneal::BitIdentical;
 using anneal::Qubo;
 using anneal::SampleSet;
 using anneal::SolverOptions;
@@ -44,17 +45,6 @@ Qubo MakeQubo(int num_variables, uint64_t seed) {
     }
   }
   return qubo;
-}
-
-bool SampleSetsEqual(const SampleSet& a, const SampleSet& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.samples()[i].energy != b.samples()[i].energy ||
-        a.samples()[i].assignment != b.samples()[i].assignment) {
-      return false;
-    }
-  }
-  return true;
 }
 
 SolverOptions FastOptions(uint64_t seed) {
@@ -264,7 +254,7 @@ TEST(ServiceStressTest, ProducersTimesJobsAllMatchSync) {
     auto result = service.Wait(pending.id);
     ASSERT_TRUE(result.ok()) << result.status();
     ASSERT_EQ(result->size(), 1u);
-    EXPECT_TRUE(SampleSetsEqual((*result)[0], pending.expected))
+    EXPECT_TRUE(BitIdentical((*result)[0], pending.expected))
         << "job " << pending.id << " diverged from its sync twin";
   }
   for (const auto& pending : batches) {
@@ -272,7 +262,7 @@ TEST(ServiceStressTest, ProducersTimesJobsAllMatchSync) {
     ASSERT_TRUE(result.ok()) << result.status();
     ASSERT_EQ(result->size(), pending.expected.size());
     for (size_t i = 0; i < pending.expected.size(); ++i) {
-      EXPECT_TRUE(SampleSetsEqual((*result)[i], pending.expected[i]))
+      EXPECT_TRUE(BitIdentical((*result)[i], pending.expected[i]))
           << "batch job " << pending.id << " instance " << i;
     }
   }
@@ -353,12 +343,12 @@ TEST(ServiceStressTest, ManyServicesShareOnePoolWithoutInterference) {
   for (const auto& [id, sync] : expected_a) {
     auto result = a.Wait(id);
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(SampleSetsEqual((*result)[0], sync));
+    EXPECT_TRUE(BitIdentical((*result)[0], sync));
   }
   for (const auto& [id, sync] : expected_b) {
     auto result = b.Wait(id);
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(SampleSetsEqual((*result)[0], sync));
+    EXPECT_TRUE(BitIdentical((*result)[0], sync));
   }
 }
 

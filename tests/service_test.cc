@@ -30,6 +30,7 @@ namespace qdm {
 namespace service {
 namespace {
 
+using anneal::BitIdentical;
 using anneal::Qubo;
 using anneal::SampleSet;
 using anneal::SolverOptions;
@@ -45,21 +46,6 @@ Qubo MakeQubo(int num_variables, uint64_t seed) {
     }
   }
   return qubo;
-}
-
-bool SampleSetsEqual(const SampleSet& a, const SampleSet& b) {
-  if (a.size() != b.size()) return false;
-  if (a.noise_fidelity() != b.noise_fidelity()) return false;
-  if (a.decision() != b.decision()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.samples()[i].energy != b.samples()[i].energy ||
-        a.samples()[i].assignment != b.samples()[i].assignment ||
-        a.samples()[i].chain_break_fraction !=
-            b.samples()[i].chain_break_fraction) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // Gate the test-only backends block on: CloseGate() makes every
@@ -291,9 +277,10 @@ TEST(CancellationTest, DefaultTokenNeverCancelled) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceRoundTripTest, SubmitPollWaitOnEveryRegisteredBackend) {
-  // Covers the plain anneal + gate-bridge backends AND the eagerly
+  // Covers the plain anneal + gate-based backends AND the eagerly
   // registered "embedded:*" / "race:*" family defaults (RegisteredNames
-  // lists them); test-only backends are skipped.
+  // lists them); test-only backends are skipped. That the results equal
+  // the synchronous Solve is checked in backend_conformance_test.cc.
   const Qubo qubo = MakeQubo(4, 21);
   const SolverOptions options = FastOptions(123);
   SolverService service(ServiceConfig{2, 0, 0});
@@ -301,28 +288,24 @@ TEST(ServiceRoundTripTest, SubmitPollWaitOnEveryRegisteredBackend) {
        anneal::SolverRegistry::Global().RegisteredNames()) {
     if (name.rfind("test_", 0) == 0) continue;
     SCOPED_TRACE(name);
-    auto sync = anneal::SolveWith(name, qubo, options);
-    ASSERT_TRUE(sync.ok()) << sync.status();
-
     auto submitted = service.Submit(name, qubo, options);
     ASSERT_TRUE(submitted.ok()) << submitted.status();
     ASSERT_GT(submitted->id, 0u);
 
-    // Poll is always answerable (any state), and the typed future, the
-    // id-based Wait, and the sync result all agree bit for bit.
+    // Poll is always answerable (any state), and the typed future and the
+    // id-based Wait agree bit for bit.
     auto early_poll = service.Poll(submitted->id);
     ASSERT_TRUE(early_poll.ok()) << early_poll.status();
 
     auto waited = service.Wait(submitted->id);
     ASSERT_TRUE(waited.ok()) << waited.status();
     ASSERT_EQ(waited->size(), 1u);
-    EXPECT_TRUE(SampleSetsEqual((*waited)[0], *sync));
 
     // The typed future's continuation runs on the resolving thread a hair
     // after the base promise publishes (which is what Wait(id) observes),
     // so block on the future rather than asserting ready().
     ASSERT_TRUE(submitted->future.Get().ok());
-    EXPECT_TRUE(SampleSetsEqual(*submitted->future.Get(), *sync));
+    EXPECT_TRUE(BitIdentical(*submitted->future.Get(), (*waited)[0]));
 
     auto poll = service.Poll(submitted->id);
     ASSERT_TRUE(poll.ok()) << poll.status();
@@ -365,15 +348,14 @@ TEST(ServiceRoundTripTest, AsyncMatchesSyncAtOneTwoAndEightWorkers) {
       auto result = service.Wait(ids[i]);
       ASSERT_TRUE(result.ok()) << result.status();
       ASSERT_EQ(result->size(), 1u);
-      EXPECT_TRUE(SampleSetsEqual((*result)[0], sync[i]))
-          << "job " << i << " diverged from sync at " << workers
-          << " workers";
+      EXPECT_TRUE(BitIdentical((*result)[0], sync[i]))
+          << "job " << i << " diverged from sync at " << workers << " workers";
     }
     const auto& batch_result = batch->future.Get();
     ASSERT_TRUE(batch_result.ok()) << batch_result.status();
     ASSERT_EQ(batch_result->size(), qubos.size());
     for (size_t i = 0; i < qubos.size(); ++i) {
-      EXPECT_TRUE(SampleSetsEqual((*batch_result)[i], (*batch_sync)[i]))
+      EXPECT_TRUE(BitIdentical((*batch_result)[i], (*batch_sync)[i]))
           << "batch instance " << i;
     }
   }
@@ -392,7 +374,7 @@ TEST(ServiceRoundTripTest, SubmitRaceMatchesSyncRace) {
   ASSERT_TRUE(submitted.ok()) << submitted.status();
   const auto& result = submitted->future.Get();
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(SampleSetsEqual(*result, *sync));
+  EXPECT_TRUE(BitIdentical(*result, *sync));
 }
 
 TEST(ServiceRoundTripTest, CompletionIsKeyedByIdNotSubmissionOrder) {
@@ -419,8 +401,7 @@ TEST(ServiceRoundTripTest, CompletionIsKeyedByIdNotSubmissionOrder) {
     auto result = service.Wait(it->id);
     ASSERT_TRUE(result.ok()) << result.status();
     ASSERT_EQ(result->size(), 1u);
-    EXPECT_TRUE(SampleSetsEqual((*result)[0], it->sync))
-        << "job id " << it->id;
+    EXPECT_TRUE(BitIdentical((*result)[0], it->sync)) << "job id " << it->id;
   }
 }
 
@@ -439,7 +420,7 @@ TEST(ServiceWaitTest, DoubleWaitReturnsTheSameResult) {
   ASSERT_TRUE(second.ok()) << second.status();
   ASSERT_EQ(first->size(), 1u);
   ASSERT_EQ(second->size(), 1u);
-  EXPECT_TRUE(SampleSetsEqual((*first)[0], (*second)[0]));
+  EXPECT_TRUE(BitIdentical((*first)[0], (*second)[0]));
 }
 
 TEST(ServiceWaitTest, WaitAfterCancelOfQueuedJobReturnsCancelled) {

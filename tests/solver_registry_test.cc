@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
+#include "qdm/common/status.h"
+#include "qdm/qopt/mqo.h"
 
 namespace qdm {
 namespace anneal {
@@ -36,7 +39,7 @@ TEST(SolverRegistryTest, BuiltinAndBridgedSolversAreRegistered) {
        {"simulated_annealing", "parallel_tempering", "tabu_search", "exact"}) {
     EXPECT_TRUE(registry.Contains(name)) << name;
   }
-  // Gate-based bridges registered from qdm/algo via static registrar.
+  // Gate-based backends registered from qdm/algo via static registrar.
   for (const std::string name : {"qaoa", "vqe", "grover_min"}) {
     EXPECT_TRUE(registry.Contains(name)) << name;
   }
@@ -187,19 +190,55 @@ TEST(SolverRegistryTest, OversizedProblemsFailWithStatusNotDeath) {
   }
 }
 
-TEST(SolverRegistryTest, WrapAsSamplerBridgesBackToSamplerInterface) {
-  auto solver = SolverRegistry::Global().Create("tabu_search");
-  ASSERT_TRUE(solver.ok());
-  SolverOptions fixed;
-  fixed.max_iterations = 300;
-  std::unique_ptr<Sampler> sampler =
-      WrapAsSampler(std::move(*solver), fixed);
-  EXPECT_EQ(sampler->name(), "tabu_search");
-  Rng rng(3);
+TEST(SolverRegistryTest, SingleReplicaTemperingIsAnErrorNotAnAbort) {
+  // One replica has no neighbour to exchange with: a Status, never an
+  // abort, also inside the embedded: and race: families (an abort here
+  // would take qdmd down with it).
   const Qubo q = KnownGroundStateQubo();
-  SampleSet set = sampler->SampleQubo(q, 8, &rng);
-  ASSERT_FALSE(set.empty());
-  EXPECT_NEAR(set.best().energy, kGroundEnergy, 1e-9);
+  SolverOptions options;
+  options.num_replicas = 1;
+  const std::string kMessage =
+      "parallel_tempering needs num_replicas >= 2 to exchange replicas (0 = "
+      "the default 8), got 1";
+  const auto plain = SolveWith("parallel_tempering", q, options);
+  EXPECT_EQ(plain.status(), Status::InvalidArgument(kMessage));
+
+  const auto embedded =
+      SolveWith("embedded:parallel_tempering:chimera:2x2x4", q, options);
+  EXPECT_EQ(embedded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(embedded.status().message().find(kMessage), std::string::npos)
+      << embedded.status();
+
+  // A race survives a failing member: the other one (member 1, at seed + 1)
+  // wins.
+  const auto raced =
+      SolveWith("race:parallel_tempering+tabu_search", q, options);
+  ASSERT_TRUE(raced.ok()) << raced.status();
+  const auto survivor =
+      SolveWith("tabu_search", q, DeriveBatchOptions(options, 1));
+  ASSERT_TRUE(survivor.ok()) << survivor.status();
+  EXPECT_TRUE(BitIdentical(*raced, *survivor));
+}
+
+TEST(SolverRegistryTest, TabuTenurePastTheBudgetIsTabuForTheRestOfTheRun) {
+  // Every tenure of at least max_iterations keeps a flip tabu to the end of
+  // the run, so all of them give the same samples, INT_MAX included (where
+  // an uncapped iter + tenure would overflow).
+  Rng rng(6);
+  const Qubo q = qopt::MqoToQubo(qopt::GenerateMqoProblem(5, 3, 0.4, &rng));
+  SolverOptions options;
+  options.num_reads = 3;
+  options.seed = 5;
+  options.max_iterations = 80;
+  options.tenure = 80;
+  const auto at_budget = SolveWith("tabu_search", q, options);
+  ASSERT_TRUE(at_budget.ok()) << at_budget.status();
+  for (int tenure : {1000, std::numeric_limits<int>::max()}) {
+    options.tenure = tenure;
+    const auto longer = SolveWith("tabu_search", q, options);
+    ASSERT_TRUE(longer.ok()) << longer.status();
+    EXPECT_TRUE(BitIdentical(*longer, *at_budget)) << "tenure " << tenure;
+  }
 }
 
 }  // namespace

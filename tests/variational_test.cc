@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "qdm/algo/grover_min_sampler.h"
 #include "qdm/algo/optimizers.h"
@@ -8,6 +10,7 @@
 #include "qdm/algo/vqe.h"
 #include "qdm/anneal/exact_solver.h"
 #include "qdm/common/rng.h"
+#include "qdm/common/status.h"
 
 namespace qdm {
 namespace algo {
@@ -111,15 +114,28 @@ TEST(QaoaTest, OptimizationBeatsRandomGuessing) {
       << "optimized QAOA energy should be well below the uniform average";
 }
 
+/// `num_reads` samples drawn from `rng`; `layers` and `restarts` 0 keep the
+/// backend's defaults.
+anneal::SolverOptions Reads(int num_reads, Rng* rng, int layers = 0,
+                            int restarts = 0) {
+  anneal::SolverOptions options;
+  options.num_reads = num_reads;
+  options.rng = rng;
+  options.layers = layers;
+  options.restarts = restarts;
+  return options;
+}
+
 TEST(QaoaSamplerTest, ReachesOptimumOnSmallInstances) {
   anneal::Qubo q = SmallFrustratedQubo();
   const double optimum = anneal::ExactSolver::Solve(q).energy;
-  QaoaSampler sampler(QaoaSampler::Options{.layers = 3, .restarts = 4});
   Rng rng(6);
-  anneal::SampleSet set = sampler.SampleQubo(q, 100, &rng);
-  EXPECT_NEAR(set.best().energy, optimum, 1e-9);
+  const Result<anneal::SampleSet> set =
+      QaoaSampler().Solve(q, Reads(100, &rng, /*layers=*/3, /*restarts=*/4));
+  ASSERT_TRUE(set.ok()) << set.status();
+  EXPECT_NEAR(set->best().energy, optimum, 1e-9);
   // A meaningfully amplified fraction of reads should hit the optimum.
-  EXPECT_GT(set.SuccessRate(optimum), 0.2);
+  EXPECT_GT(set->SuccessRate(optimum), 0.2);
 }
 
 TEST(VqeTest, AnsatzHasExpectedParameterCount) {
@@ -152,10 +168,11 @@ TEST(VqeTest, OptimizationFindsGroundState) {
 TEST(VqeSamplerTest, BestSampleIsOptimal) {
   anneal::Qubo q = SmallFrustratedQubo();
   const double optimum = anneal::ExactSolver::Solve(q).energy;
-  VqeSampler sampler(VqeSampler::Options{.layers = 2, .restarts = 4});
   Rng rng(8);
-  anneal::SampleSet set = sampler.SampleQubo(q, 60, &rng);
-  EXPECT_NEAR(set.best().energy, optimum, 1e-9);
+  const Result<anneal::SampleSet> set =
+      VqeSampler().Solve(q, Reads(60, &rng, /*layers=*/2, /*restarts=*/4));
+  ASSERT_TRUE(set.ok()) << set.status();
+  EXPECT_NEAR(set->best().energy, optimum, 1e-9);
 }
 
 TEST(GroverMinSamplerTest, FindsQuboOptimum) {
@@ -163,8 +180,9 @@ TEST(GroverMinSamplerTest, FindsQuboOptimum) {
   const double optimum = anneal::ExactSolver::Solve(q).energy;
   GroverMinSampler sampler;
   Rng rng(9);
-  anneal::SampleSet set = sampler.SampleQubo(q, 5, &rng);
-  EXPECT_NEAR(set.best().energy, optimum, 1e-9);
+  const Result<anneal::SampleSet> set = sampler.Solve(q, Reads(5, &rng));
+  ASSERT_TRUE(set.ok()) << set.status();
+  EXPECT_NEAR(set->best().energy, optimum, 1e-9);
   EXPECT_GT(sampler.last_oracle_queries(), 0);
 }
 
@@ -172,14 +190,18 @@ TEST(SamplerPolymorphismTest, AllBackendsShareTheInterface) {
   // The Figure-2 promise: one QUBO, interchangeable quantum backends.
   anneal::Qubo q = SmallFrustratedQubo();
   const double optimum = anneal::ExactSolver::Solve(q).energy;
-  QaoaSampler qaoa(QaoaSampler::Options{.layers = 3, .restarts = 3});
-  VqeSampler vqe(VqeSampler::Options{.layers = 2, .restarts = 3});
+  QaoaSampler qaoa;
+  VqeSampler vqe;
   GroverMinSampler grover;
-  std::vector<anneal::Sampler*> backends{&qaoa, &vqe, &grover};
   Rng rng(10);
-  for (anneal::Sampler* backend : backends) {
-    anneal::SampleSet set = backend->SampleQubo(q, 40, &rng);
-    EXPECT_NEAR(set.best().energy, optimum, 1e-9) << backend->name();
+  const std::vector<std::pair<anneal::QuboSolver*, anneal::SolverOptions>>
+      backends = {{&qaoa, Reads(40, &rng, /*layers=*/3, /*restarts=*/3)},
+                  {&vqe, Reads(40, &rng, /*layers=*/2, /*restarts=*/3)},
+                  {&grover, Reads(40, &rng)}};
+  for (const auto& [backend, options] : backends) {
+    const Result<anneal::SampleSet> set = backend->Solve(q, options);
+    ASSERT_TRUE(set.ok()) << backend->name() << ": " << set.status();
+    EXPECT_NEAR(set->best().energy, optimum, 1e-9) << backend->name();
   }
 }
 

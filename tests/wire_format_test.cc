@@ -31,6 +31,7 @@ namespace qdm {
 namespace net {
 namespace {
 
+using anneal::BitIdentical;
 using anneal::ChainBreakPolicy;
 using anneal::Qubo;
 using anneal::Sample;
@@ -74,21 +75,6 @@ bool QubosBitEqual(const Qubo& a, const Qubo& b) {
   for (; it_a != a.quadratic_terms().end(); ++it_a, ++it_b) {
     if (it_a->first != it_b->first) return false;
     if (!BitEqual(it_a->second, it_b->second)) return false;
-  }
-  return true;
-}
-
-bool SampleSetsBitEqual(const SampleSet& a, const SampleSet& b) {
-  if (a.size() != b.size()) return false;
-  if (a.decision() != b.decision()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const Sample& sa = a.samples()[i];
-    const Sample& sb = b.samples()[i];
-    if (sa.assignment != sb.assignment) return false;
-    if (!BitEqual(sa.energy, sb.energy)) return false;
-    if (!BitEqual(sa.chain_break_fraction, sb.chain_break_fraction)) {
-      return false;
-    }
   }
   return true;
 }
@@ -313,7 +299,7 @@ TEST(WireSampleSetTest, SolverOutputRoundTripsBitExactly) {
   Result<SampleSet> solved =
       anneal::SolveWith("simulated_annealing", MakeQubo(8, 5), options);
   ASSERT_TRUE(solved.ok()) << solved.status();
-  EXPECT_TRUE(SampleSetsBitEqual(*solved, RoundTripSampleSet(*solved)));
+  EXPECT_TRUE(BitIdentical(*solved, RoundTripSampleSet(*solved)));
 }
 
 TEST(WireSampleSetTest, EqualEnergyTiesKeepTheirOrder) {
@@ -328,7 +314,7 @@ TEST(WireSampleSetTest, EqualEnergyTiesKeepTheirOrder) {
     ties.Add(sample);
   }
   SampleSet decoded = RoundTripSampleSet(ties);
-  ASSERT_TRUE(SampleSetsBitEqual(ties, decoded));
+  ASSERT_TRUE(BitIdentical(ties, decoded));
   // Belt and braces: re-encode and compare the JSON byte for byte.
   std::string first;
   std::string second;
@@ -358,18 +344,18 @@ TEST(WireSampleSetTest, DecisionFieldIsConditionalAndRoundTrips) {
             std::string::npos);
   SampleSet decoded = RoundTripSampleSet(decided);
   EXPECT_EQ(decoded.decision(), "commit:1:tabu_search");
-  EXPECT_TRUE(SampleSetsBitEqual(decided, decoded));
+  EXPECT_TRUE(BitIdentical(decided, decoded));
 }
 
 TEST(WireSampleSetTest, EmptyAndDegenerateSetsRoundTrip) {
-  EXPECT_TRUE(SampleSetsBitEqual(SampleSet(), RoundTripSampleSet({})));
+  EXPECT_TRUE(BitIdentical(SampleSet(), RoundTripSampleSet({})));
 
   SampleSet empty_assignment;
   Sample sample;
   sample.energy = -0.0;
   empty_assignment.Add(sample);
-  EXPECT_TRUE(SampleSetsBitEqual(empty_assignment,
-                                 RoundTripSampleSet(empty_assignment)));
+  EXPECT_TRUE(
+      BitIdentical(empty_assignment, RoundTripSampleSet(empty_assignment)));
 }
 
 // ---------------------------------------------------------------------------
@@ -523,8 +509,8 @@ TEST(WireResponseTest, SubmitSolversStatsHealthRoundTrip) {
       DecodeResultsResponse(EncodeResultsResponse({set, set}));
   ASSERT_TRUE(results.ok()) << results.status();
   ASSERT_EQ(results->size(), 2u);
-  EXPECT_TRUE(SampleSetsBitEqual((*results)[0], set));
-  EXPECT_TRUE(SampleSetsBitEqual((*results)[1], set));
+  EXPECT_TRUE(BitIdentical((*results)[0], set));
+  EXPECT_TRUE(BitIdentical((*results)[1], set));
 }
 
 TEST(WireStringTest, EscapesAndUnicodeRoundTrip) {
