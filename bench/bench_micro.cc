@@ -4,11 +4,13 @@
 // not paper experiments; they track the substrate's raw speed.
 
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -385,13 +387,19 @@ void BM_CnotLadder(benchmark::State& state) {
 BENCHMARK(BM_CnotLadder)->Arg(12)->Arg(18);
 
 // The sampler benches' QUBO: a band of width 8 (degree <= 14) with
-// uniform real coefficients, drawn from `rng`.
-qdm::anneal::Qubo BandQubo(int n, qdm::Rng* rng) {
+// coefficients drawn from `rng`: uniform reals in [-1, 1), or nonzero
+// integers in [-4, 4], which take the samplers' exact-field path.
+qdm::anneal::Qubo BandQubo(int n, bool integer, qdm::Rng* rng) {
+  const auto coefficient = [&] {
+    if (!integer) return rng->Uniform(-1, 1);
+    const double magnitude = static_cast<double>(rng->UniformInt(1, 4));
+    return rng->Bernoulli(0.5) ? magnitude : -magnitude;
+  };
   qdm::anneal::Qubo qubo(n);
-  for (int i = 0; i < n; ++i) qubo.AddLinear(i, rng->Uniform(-1, 1));
+  for (int i = 0; i < n; ++i) qubo.AddLinear(i, coefficient());
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n && j < i + 8; ++j) {
-      qubo.AddQuadratic(i, j, rng->Uniform(-1, 1));
+      qubo.AddQuadratic(i, j, coefficient());
     }
   }
   return qubo;
@@ -401,10 +409,10 @@ qdm::anneal::Qubo BandQubo(int n, qdm::Rng* rng) {
 // `options`; items are the flip deltas the read evaluates.
 void RunSamplerBench(benchmark::State& state, const char* solver,
                      qdm::anneal::SolverOptions options,
-                     int64_t deltas_per_variable) {
+                     int64_t deltas_per_variable, bool integer = false) {
   const int n = static_cast<int>(state.range(0));
   qdm::Rng rng(1);
-  const qdm::anneal::Qubo qubo = BandQubo(n, &rng);
+  const qdm::anneal::Qubo qubo = BandQubo(n, integer, &rng);
   auto sampler = qdm::anneal::SolverRegistry::Global().Create(solver);
   QDM_CHECK(sampler.ok()) << sampler.status();
   options.num_reads = 1;
@@ -422,6 +430,15 @@ void BM_AnnealSweeps(benchmark::State& state) {
   RunSamplerBench(state, "simulated_annealing", options, 100);
 }
 BENCHMARK(BM_AnnealSweeps)->Arg(64)->Arg(256)->Arg(1024);
+
+// BM_AnnealSweeps on an integer band, where the sweeps keep exact local
+// fields instead of summing each CSR row.
+void BM_AnnealSweepsInteger(benchmark::State& state) {
+  qdm::anneal::SolverOptions options;
+  options.num_sweeps = 100;
+  RunSamplerBench(state, "simulated_annealing", options, 100, true);
+}
+BENCHMARK(BM_AnnealSweepsInteger)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_TemperingSweeps(benchmark::State& state) {
   qdm::anneal::SolverOptions options;
@@ -538,13 +555,26 @@ BENCHMARK(BM_HashJoinExecution);
 }  // namespace
 
 // Custom main so the report carries the SIMD tier the binary actually
-// selected (CMake option + CPUID + QDM_SIMD env): the perf-gate CI step logs
-// context.qdm_simd_tier next to the numbers, so a regression caused by a
-// dispatch change (e.g. the runner losing AVX2) is visible at a glance.
+// selected (CMake option + CPUID + QDM_SIMD env), the compiler and the number
+// of CPUs the process may run on (1 when pinned): the perf-gate CI step logs
+// context.qdm_simd_tier next to the numbers, and perf_gate.py records the
+// context with a baseline and prints it beside a regressed row, so a
+// regression caused by a dispatch, toolchain or pinning change (e.g. the
+// runner losing AVX2) is visible at a glance.
 int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "qdm_simd_tier",
       qdm::sim::simd::TierName(qdm::sim::simd::DetectedTier()));
+#if defined(__clang__)
+  benchmark::AddCustomContext("compiler", "clang " __clang_version__);
+#elif defined(__GNUC__)
+  benchmark::AddCustomContext("compiler", "gcc " __VERSION__);
+#endif
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    benchmark::AddCustomContext("cpus_allowed",
+                                std::to_string(CPU_COUNT(&allowed)));
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

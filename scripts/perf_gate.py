@@ -25,6 +25,12 @@ gate into a no-op (exit 0 with a notice) — for machines whose absolute
 throughput is not comparable to the recorded baseline. To refresh the
 baseline after an intentional change, re-run with --update.
 
+Run context: --update also stores a "context" object describing where the
+rows came from — num_cpus and mhz_per_cpu from google-benchmark, and the
+qdm_simd_tier, compiler and cpus_allowed (1 when pinned) that bench_micro
+adds. A gate run prints the baseline's and the current context beside any
+REGRESSED row, so a machine, toolchain or pinning change is visible there.
+
 Usage:
   python3 scripts/perf_gate.py --baseline bench/baselines/perf_baseline.json \
       --current bench_micro.json mqo_batch.json txn_batch.json hw_embed.json \
@@ -37,14 +43,20 @@ import os
 import sys
 
 EXACT_TOLERANCE = 1e-9
+# The google-benchmark context fields a baseline records.
+CONTEXT_KEYS = ("num_cpus", "mhz_per_cpu", "qdm_simd_tier", "compiler",
+                "cpus_allowed")
 
 
 def load_metrics(path):
-    """Returns ({name: items/s}, {name: exact_value}) from either format."""
+    """Returns ({name: items/s}, {name: exact_value}, context) from either
+    format; context holds the CONTEXT_KEYS the file reports."""
     with open(path) as f:
         data = json.load(f)
     metrics = {}
     exact = {}
+    context = {key: value for key, value in data.get("context", {}).items()
+               if key in CONTEXT_KEYS}
     if "benchmarks" in data:  # google-benchmark format.
         for entry in data["benchmarks"]:
             if "items_per_second" in entry:
@@ -57,17 +69,26 @@ def load_metrics(path):
             exact[name] = float(value)
     if not metrics and not exact:
         sys.exit(f"perf_gate: no metrics found in {path}")
-    return metrics, exact
+    return metrics, exact, context
 
 
 def load_all(paths):
     metrics = {}
     exact = {}
+    context = {}
     for path in paths:
-        m, e = load_metrics(path)
+        m, e, c = load_metrics(path)
         metrics.update(m)
         exact.update(e)
-    return metrics, exact
+        context.update(c)
+    return metrics, exact, context
+
+
+def format_context(context):
+    if not context:
+        return "(none recorded)"
+    return ", ".join(f"{key}={context[key]}" for key in CONTEXT_KEYS
+                     if key in context)
 
 
 def main():
@@ -86,11 +107,11 @@ def main():
     # --update must work even where the gate itself is switched off (the
     # knob disables the comparison, not baseline maintenance).
     if args.update:
-        current, current_exact = load_all(args.current)
+        current, current_exact, current_context = load_all(args.current)
         with open(args.baseline, "w") as f:
-            json.dump({"schema": 2, "metrics": current,
-                       "exact_metrics": current_exact}, f, indent=2,
-                      sort_keys=True)
+            json.dump({"schema": 2, "context": current_context,
+                       "metrics": current, "exact_metrics": current_exact},
+                      f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"perf_gate: baseline updated with {len(current)} metrics + "
               f"{len(current_exact)} exact metrics -> {args.baseline}")
@@ -100,12 +121,13 @@ def main():
         print("perf_gate: QDM_PERF_GATE=off, skipping (override knob)")
         return 0
 
-    current, current_exact = load_all(args.current)
+    current, current_exact, current_context = load_all(args.current)
 
     with open(args.baseline) as f:
         baseline_doc = json.load(f)
     baseline = baseline_doc["metrics"]
     baseline_exact = baseline_doc.get("exact_metrics", {})
+    baseline_context = baseline_doc.get("context", {})
 
     failures = []
     for name in sorted(baseline):
@@ -119,6 +141,10 @@ def main():
         print(f"perf_gate: {name}: baseline {base:.1f} -> current {now:.1f} "
               f"items/s ({ratio:.2f}x) {status}")
         if status == "REGRESSED":
+            print(f"perf_gate:   baseline context: "
+                  f"{format_context(baseline_context)}")
+            print(f"perf_gate:   current context:  "
+                  f"{format_context(current_context)}")
             failures.append(
                 f"{name}: {now:.1f} vs baseline {base:.1f} items/s "
                 f"({ratio:.2f}x < 1/{args.max_regression:g})")

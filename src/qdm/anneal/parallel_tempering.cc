@@ -21,7 +21,6 @@ Result<SampleSet> ParallelTempering::Solve(const Qubo& qubo,
   std::optional<Rng> local;
   Rng* rng = ResolveSolverRng(options, &local);
   const QuboAdjacency adj(qubo);
-  const int n = adj.num_variables();
 
   const auto [beta_min, beta_max] = BetaRange(adj, options);
   const int r =
@@ -38,37 +37,27 @@ Result<SampleSet> ParallelTempering::Solve(const Qubo& qubo,
 
   SampleSet result;
   for (int read = 0; read < options.num_reads; ++read) {
-    std::vector<SpinMasks> replicas(r);
-    std::vector<double> energies(r);
-    for (int k = 0; k < r; ++k) {
-      energies[k] = adj.RandomSpins(rng, &replicas[k]);
-    }
+    std::vector<MetropolisChain> replicas(r);
+    for (MetropolisChain& replica : replicas) adj.StartChain(rng, &replica);
 
-    SpinMasks best = replicas[0];
-    double best_energy = energies[0];
+    SpinMasks best = replicas[0].spins;
+    double best_energy = replicas[0].energy;
 
     for (int sweep = 0; sweep < sweeps; ++sweep) {
       for (int k = 0; k < r; ++k) {
-        uint64_t* spins = replicas[k].data();
-        for (int i = 0; i < n; ++i) {
-          const double delta = adj.FlipDelta(spins, i);
-          if (delta <= 0.0 || rng->Uniform() < std::exp(-betas[k] * delta)) {
-            spins[i] = ~spins[i];
-            energies[k] += delta;
-          }
-        }
-        if (energies[k] < best_energy) {
-          best_energy = energies[k];
-          best = replicas[k];
+        adj.MetropolisSweep(betas[k], rng, &replicas[k]);
+        if (replicas[k].energy < best_energy) {
+          best_energy = replicas[k].energy;
+          best = replicas[k].spins;
         }
       }
       if (sweep % swap_interval == 0) {
         for (int k = 0; k + 1 < r; ++k) {
           const double arg = (betas[k + 1] - betas[k]) *
-                             (energies[k + 1] - energies[k]);
-          if (arg >= 0.0 || rng->Uniform() < std::exp(arg)) {
+                             (replicas[k + 1].energy - replicas[k].energy);
+          // exp(arg) is exp(-(-arg)) bit for bit: negation is exact.
+          if (arg >= 0.0 || MetropolisAccept(rng->Uniform(), -arg)) {
             std::swap(replicas[k], replicas[k + 1]);
-            std::swap(energies[k], energies[k + 1]);
           }
         }
       }

@@ -13,6 +13,21 @@ Assignment ToAssignment(const SpinMasks& spins) {
   return x;
 }
 
+namespace {
+
+// Adds |c| to a row's bound, kept in integers so that a total just past
+// 2^53 cannot round back down to it. False once c is not a finite integer
+// (NaN fails the first test) or the total passes 2^53. Every term is at
+// most 2^53, so the total never overflows.
+bool AddToExactRow(double c, uint64_t* row) {
+  constexpr double kLimit = 0x1p53;
+  if (!(std::abs(c) <= kLimit) || std::floor(c) != c) return false;
+  *row += static_cast<uint64_t>(std::abs(c));
+  return *row <= static_cast<uint64_t>(kLimit);
+}
+
+}  // namespace
+
 QuboAdjacency::QuboAdjacency(const Qubo& qubo)
     : num_variables_(qubo.num_variables()),
       offset_(qubo.offset()),
@@ -53,6 +68,14 @@ QuboAdjacency::QuboAdjacency(const Qubo& qubo)
     neighbor_[fill[key.second]] = key.first;
     weight_[fill[key.second]++] = w;
   }
+
+  for (int i = 0; i < num_variables_ && exact_fields_; ++i) {
+    uint64_t row = 0;
+    exact_fields_ = AddToExactRow(linear_[i], &row);
+    for (int k = start_[i]; k < start_[i + 1] && exact_fields_; ++k) {
+      exact_fields_ = AddToExactRow(weight_[k], &row);
+    }
+  }
 }
 
 double QuboAdjacency::Energy(const Assignment& x) const {
@@ -83,6 +106,53 @@ double QuboAdjacency::FlipDelta(const Assignment& x, int i) const {
   return x[i] ? -field : field;
 }
 
+void QuboAdjacency::StartChain(Rng* rng, MetropolisChain* chain) const {
+  chain->energy = RandomSpins(rng, &chain->spins);
+  chain->fields.clear();
+  if (!exact_fields_) return;
+  chain->fields.resize(num_variables_);
+  for (int i = 0; i < num_variables_; ++i) {
+    // FlipDelta's sum, with the sign of x_i taken back off.
+    chain->fields[i] =
+        Signed(FlipDelta(chain->spins.data(), i), chain->spins[i]);
+  }
+}
+
+void QuboAdjacency::MetropolisSweep(double beta, Rng* rng,
+                                    MetropolisChain* chain) const {
+  uint64_t* spins = chain->spins.data();
+  double energy = chain->energy;
+  if (chain->fields.empty()) {
+    for (int i = 0; i < num_variables_; ++i) {
+      const double delta = FlipDelta(spins, i);
+      if (delta <= 0.0 || MetropolisAccept(rng->Uniform(), beta * delta)) {
+        spins[i] = ~spins[i];
+        energy += delta;
+      }
+    }
+  } else {
+    // Locals, not members: the Rng call cannot make them stale.
+    double* fields = chain->fields.data();
+    const int* start = start_.data();
+    const int* neighbor = neighbor_.data();
+    const double* weight = weight_.data();
+    for (int i = 0; i < num_variables_; ++i) {
+      const uint64_t spin = spins[i];
+      const double delta = Signed(fields[i], spin);
+      if (delta <= 0.0 || MetropolisAccept(rng->Uniform(), beta * delta)) {
+        // x_i goes 0 -> 1 (spin 0) or 1 -> 0 (spin all ones), so each
+        // neighbour's field gains or loses the coupling.
+        for (int k = start[i]; k < start[i + 1]; ++k) {
+          fields[neighbor[k]] += Signed(weight[k], spin);
+        }
+        spins[i] = ~spin;
+        energy += delta;
+      }
+    }
+  }
+  chain->energy = energy;
+}
+
 std::pair<double, double> BetaRange(const QuboAdjacency& adj,
                                     const SolverOptions& options) {
   if (options.beta_max <= 0.0) {
@@ -99,7 +169,6 @@ Result<SampleSet> SimulatedAnnealer::Solve(const Qubo& qubo,
   std::optional<Rng> local;
   Rng* rng = ResolveSolverRng(options, &local);
   const QuboAdjacency adj(qubo);
-  const int n = adj.num_variables();
 
   const auto [beta_min, beta_max] = BetaRange(adj, options);
   const int sweeps =
@@ -108,21 +177,14 @@ Result<SampleSet> SimulatedAnnealer::Solve(const Qubo& qubo,
       sweeps > 1 ? std::pow(beta_max / beta_min, 1.0 / (sweeps - 1)) : 1.0;
 
   SampleSet result;
+  MetropolisChain chain;
   for (int read = 0; read < options.num_reads; ++read) {
-    SpinMasks spins;
-    double energy = adj.RandomSpins(rng, &spins);
-
+    adj.StartChain(rng, &chain);
     double beta = beta_min;
     for (int sweep = 0; sweep < sweeps; ++sweep, beta *= ratio) {
-      for (int i = 0; i < n; ++i) {
-        const double delta = adj.FlipDelta(spins.data(), i);
-        if (delta <= 0.0 || rng->Uniform() < std::exp(-beta * delta)) {
-          spins[i] = ~spins[i];
-          energy += delta;
-        }
-      }
+      adj.MetropolisSweep(beta, rng, &chain);
     }
-    result.Add(Sample{ToAssignment(spins), energy, 0.0});
+    result.Add(Sample{ToAssignment(chain.spins), chain.energy, 0.0});
   }
   return result;
 }

@@ -1,6 +1,7 @@
 #ifndef QDM_ANNEAL_SIMULATED_ANNEALING_H_
 #define QDM_ANNEAL_SIMULATED_ANNEALING_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -39,6 +40,37 @@ inline uint64_t SpinMask(int bit) {
 /// The 0/1 assignment of a mask vector.
 Assignment ToAssignment(const SpinMasks& spins);
 
+/// The Metropolis test for a move that costs y = beta * delta: exactly
+/// `u < std::exp(-y)`, for every double y (±0, ±inf and NaN included) and
+/// every u >= 0, but calling exp only when two cheap bounds leave the
+/// answer open:
+///  - reject when u * T5(y) >= 1 + 1e-9, where T5 is the degree-5 Taylor
+///    sum of e^y. An odd-degree Taylor sum never exceeds e^y, for any real
+///    y, so then u > e^-y;
+///  - accept when u < 1 - y - 1e-9, because 1 - y <= e^-y.
+/// The 1e-9 margin is far wider than the rounding of either test and exp's
+/// own error, so every decision is the one exp would make.
+inline bool MetropolisAccept(double u, double y) {
+  constexpr double kMargin = 1e-9;
+  const double t5 =
+      1.0 +
+      y * (1.0 + y * (0.5 + y * (1.0 / 6 + y * (1.0 / 24 + y * (1.0 / 120)))));
+  if (u * t5 >= 1.0 + kMargin) return false;
+  if (u < 1.0 - y - kMargin) return true;
+  return u < std::exp(-y);
+}
+
+/// One Metropolis chain of the annealing-family samplers: its spins, its
+/// energy and, when the adjacency has exact_fields(), every variable's
+/// local field.
+struct MetropolisChain {
+  SpinMasks spins;
+  /// fields[i] is the sum FlipDelta forms for variable i before it takes
+  /// the sign of x_i; empty when the fields are not kept.
+  std::vector<double> fields;
+  double energy = 0.0;
+};
+
 /// Internal workhorse shared by the annealing-family samplers: the Qubo's
 /// interaction graph in CSR form with O(deg) flip deltas. Variable i's
 /// neighbours are neighbor_[start_[i]] .. neighbor_[start_[i + 1] - 1] in
@@ -57,6 +89,25 @@ class QuboAdjacency {
   /// Energy delta of flipping x[i].
   double FlipDelta(const Assignment& x, int i) const;
 
+  /// True when every coefficient is a finite integer and every variable's
+  /// |linear| + sum of |weight| is at most 2^53. Every partial sum
+  /// FlipDelta forms is then an integer of at most 2^53 in magnitude, so
+  /// exact: a local field kept per variable and moved by +-weight when a
+  /// neighbour flips is the same double as the CSR sum.
+  bool exact_fields() const { return exact_fields_; }
+
+  /// Starts `chain` at RandomSpins' state and energy (the same draws), with
+  /// its local fields when exact_fields().
+  void StartChain(Rng* rng, MetropolisChain* chain) const;
+
+  /// One Metropolis sweep of `chain` at inverse temperature `beta`: a flip
+  /// of each variable in index order, accepted when its delta is <= 0 or
+  /// MetropolisAccept(rng->Uniform(), beta * delta) holds. Only uphill and
+  /// NaN deltas draw. A chain with fields takes each delta from its field
+  /// in O(1) and updates the neighbours' fields on accept; one without
+  /// sums the CSR row. Both give the same deltas bit for bit.
+  void MetropolisSweep(double beta, Rng* rng, MetropolisChain* chain) const;
+
   /// The same delta over spin masks, with no data-dependent branch: each
   /// neighbour adds bits(weight) & mask, i.e. its weight or +0.0, in the
   /// same order as the overload above. A Qubo's linear coefficients are
@@ -68,8 +119,7 @@ class QuboAdjacency {
     for (int k = start_[i]; k < start_[i + 1]; ++k) {
       field += FromBits(Bits(weight_[k]) & spins[neighbor_[k]]);
     }
-    // Negated when x_i = 1, as -field is: the sign bit flips.
-    return FromBits(Bits(field) ^ (spins[i] & kSignBit));
+    return Signed(field, spins[i]);
   }
 
   double max_abs_coefficient() const { return max_abs_coefficient_; }
@@ -89,8 +139,13 @@ class QuboAdjacency {
     std::memcpy(&value, &bits, sizeof(value));
     return value;
   }
+  /// `field` negated when `spin` is x = 1, as -field is: the sign bit flips.
+  static double Signed(double field, uint64_t spin) {
+    return FromBits(Bits(field) ^ (spin & kSignBit));
+  }
 
   int num_variables_;
+  bool exact_fields_ = true;
   double offset_;
   double max_abs_coefficient_ = 0.0;
   double min_abs_coefficient_ = 0.0;

@@ -64,6 +64,9 @@ Result<std::vector<SampleSet>> QuboSolver::SolveBatch(
     const std::vector<Qubo>& qubos, const SolverOptions& options,
     int num_threads) {
   QDM_RETURN_IF_ERROR(CheckBatchRng(options, num_threads));
+  // Before the fan-out, so an options error is reported bare, as
+  // SolveBatchParallel reports it, not framed as instance 0's.
+  QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
   if (num_threads <= 0) num_threads = ThreadPool::DefaultNumThreads();
   const size_t n = qubos.size();
   // One backend per WORKER, not per instance: construction is not assumed

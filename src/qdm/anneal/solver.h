@@ -138,6 +138,8 @@ class QuboSolver {
   ///    bare underlying error, so the single-shot batch-of-one wrappers
   ///    keep their original messages), and no partial results are exposed.
   ///    Instances after a failure may or may not have been attempted.
+  ///    Options that ValidateSolverOptions rejects fail the whole batch
+  ///    before any instance runs, with the bare error.
   ///
   /// The default runs Solve per instance on ThreadPool::Shared() across
   /// min(num_threads, qubos.size()) workers with dynamic index scheduling:

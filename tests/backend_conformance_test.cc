@@ -250,6 +250,10 @@ TEST_P(BackendConformanceTest, FailingInputReportsOneStatusOnEveryPath) {
         anneal::SolveBatchParallel(name, qubos, options, threads).status(),
         expected)
         << "SolveBatchParallel at " << threads << " threads";
+    auto solver = anneal::SolverRegistry::Global().Create(name);
+    ASSERT_TRUE(solver.ok()) << solver.status();
+    EXPECT_EQ((*solver)->SolveBatch(qubos, options, threads).status(), expected)
+        << "direct SolveBatch at " << threads << " threads";
   }
   EXPECT_EQ(service_->Submit(name, qubo, options).status(), expected)
       << "service Submit";
