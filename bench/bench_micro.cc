@@ -89,6 +89,22 @@ void BM_DiagonalPhasePrecomputed(benchmark::State& state) {
 }
 BENCHMARK(BM_DiagonalPhasePrecomputed)->Arg(16)->Arg(20);
 
+// Sets the process-wide statevector kernel config for one scope, restoring
+// the previous one on destruction.
+class ScopedExecutionConfig {
+ public:
+  explicit ScopedExecutionConfig(const qdm::sim::ExecutionConfig& config)
+      : previous_(qdm::sim::Statevector::DefaultExecutionConfig()) {
+    qdm::sim::Statevector::SetDefaultExecutionConfig(config);
+  }
+  ~ScopedExecutionConfig() {
+    qdm::sim::Statevector::SetDefaultExecutionConfig(previous_);
+  }
+
+ private:
+  qdm::sim::ExecutionConfig previous_;
+};
+
 // Thread sweep over the parallel gate kernels on a 20-qubit state (the
 // regime the QAOA/Grover workloads bottleneck in). Serial cutoff is forced
 // low so every row times the same dispatch path; threads=1 is the serial
@@ -103,16 +119,20 @@ void BM_Hadamard1QThreads(benchmark::State& state) {
       qdm::circuit::SingleQubitMatrix(qdm::circuit::GateKind::kH, {});
   {
     qdm::sim::Statevector serial(n);
-    serial.set_execution_config({1, 2});
     qdm::sim::Statevector parallel(n);
-    parallel.set_execution_config(config);
-    for (int q = 0; q < n; ++q) serial.Apply1Q(h, q);
-    for (int q = 0; q < n; ++q) parallel.Apply1Q(h, q);
+    {
+      ScopedExecutionConfig scoped({1, 2});
+      for (int q = 0; q < n; ++q) serial.Apply1Q(h, q);
+    }
+    {
+      ScopedExecutionConfig scoped(config);
+      for (int q = 0; q < n; ++q) parallel.Apply1Q(h, q);
+    }
     QDM_CHECK(serial.amplitudes() == parallel.amplitudes())
         << "parallel Apply1Q diverged from the serial kernel";
   }
+  ScopedExecutionConfig scoped(config);
   qdm::sim::Statevector sv(n);
-  sv.set_execution_config(config);
   for (auto _ : state) {
     for (int q = 0; q < n; ++q) sv.Apply1Q(h, q);
     benchmark::DoNotOptimize(sv.amplitudes().data());
@@ -132,16 +152,20 @@ void BM_DiagonalPhaseThreads(benchmark::State& state) {
   const qdm::sim::ExecutionConfig config{threads, /*serial_cutoff=*/2};
   {
     qdm::sim::Statevector serial(n);
-    serial.set_execution_config({1, 2});
     qdm::sim::Statevector parallel(n);
-    parallel.set_execution_config(config);
-    serial.ApplyDiagonalPhase(diagonal, -0.5);
-    parallel.ApplyDiagonalPhase(diagonal, -0.5);
+    {
+      ScopedExecutionConfig scoped({1, 2});
+      serial.ApplyDiagonalPhase(diagonal, -0.5);
+    }
+    {
+      ScopedExecutionConfig scoped(config);
+      parallel.ApplyDiagonalPhase(diagonal, -0.5);
+    }
     QDM_CHECK(serial.amplitudes() == parallel.amplitudes())
         << "parallel ApplyDiagonalPhase diverged from the serial kernel";
   }
+  ScopedExecutionConfig scoped(config);
   qdm::sim::Statevector sv(n);
-  sv.set_execution_config(config);
   for (auto _ : state) {
     sv.ApplyDiagonalPhase(diagonal, -0.5);
     benchmark::DoNotOptimize(sv.amplitudes().data());
@@ -156,7 +180,7 @@ BENCHMARK(BM_DiagonalPhaseThreads)
     ->UseRealTime();
 
 // Thread x SIMD sweeps over the controlled-phase and swap kernels ("t" is
-// the thread count, "simd" 0/1 forces SimdMode::kScalar / kSimd). These are
+// the thread count, "simd" 0/1 selects SimdMode::kScalar / kAuto). These are
 // the remaining two hot-kernel families (the QAOA cost layers of compiled
 // circuits use controlled phases; qubit routing uses swaps); the sweep rows
 // let the perf gate see both the thread scaling and the vector speedup of
@@ -173,13 +197,16 @@ qdm::sim::Statevector RandomBenchState(int n, uint64_t seed) {
                                                /*normalize=*/true);
 }
 
+qdm::sim::ExecutionConfig SweepConfig(const benchmark::State& state) {
+  return qdm::sim::ExecutionConfig{
+      static_cast<int>(state.range(0)), /*serial_cutoff=*/2,
+      state.range(1) != 0 ? qdm::sim::SimdMode::kAuto
+                          : qdm::sim::SimdMode::kScalar};
+}
+
 void BM_ControlledPhaseThreads(benchmark::State& state) {
   const int n = 20;
-  const int threads = static_cast<int>(state.range(0));
-  const qdm::sim::SimdMode simd = state.range(1) != 0
-                                      ? qdm::sim::SimdMode::kSimd
-                                      : qdm::sim::SimdMode::kScalar;
-  const qdm::sim::ExecutionConfig config{threads, /*serial_cutoff=*/2, simd};
+  const qdm::sim::ExecutionConfig config = SweepConfig(state);
   const qdm::linalg::Matrix rz =
       qdm::circuit::SingleQubitMatrix(qdm::circuit::GateKind::kRZ, {0.37});
   const std::vector<int> controls = {3, 17};
@@ -187,15 +214,19 @@ void BM_ControlledPhaseThreads(benchmark::State& state) {
   {
     qdm::sim::Statevector serial = RandomBenchState(n, 0xCAFE);
     qdm::sim::Statevector swept = serial;
-    serial.set_execution_config({1, 2, qdm::sim::SimdMode::kScalar});
-    swept.set_execution_config(config);
-    serial.ApplyControlled1Q(controls, target, rz);
-    swept.ApplyControlled1Q(controls, target, rz);
+    {
+      ScopedExecutionConfig scoped({1, 2, qdm::sim::SimdMode::kScalar});
+      serial.ApplyControlled1Q(controls, target, rz);
+    }
+    {
+      ScopedExecutionConfig scoped(config);
+      swept.ApplyControlled1Q(controls, target, rz);
+    }
     QDM_CHECK(serial.amplitudes() == swept.amplitudes())
         << "ApplyControlled1Q diverged from the serial scalar kernel";
   }
+  ScopedExecutionConfig scoped(config);
   qdm::sim::Statevector sv = RandomBenchState(n, 0xCAFE);
-  sv.set_execution_config(config);
   for (auto _ : state) {
     sv.ApplyControlled1Q(controls, target, rz);
     benchmark::DoNotOptimize(sv.amplitudes().data());
@@ -210,23 +241,23 @@ BENCHMARK(BM_ControlledPhaseThreads)
 
 void BM_SwapThreads(benchmark::State& state) {
   const int n = 20;
-  const int threads = static_cast<int>(state.range(0));
-  const qdm::sim::SimdMode simd = state.range(1) != 0
-                                      ? qdm::sim::SimdMode::kSimd
-                                      : qdm::sim::SimdMode::kScalar;
-  const qdm::sim::ExecutionConfig config{threads, /*serial_cutoff=*/2, simd};
+  const qdm::sim::ExecutionConfig config = SweepConfig(state);
   {
     qdm::sim::Statevector serial = RandomBenchState(n, 0xBEEF);
     qdm::sim::Statevector swept = serial;
-    serial.set_execution_config({1, 2, qdm::sim::SimdMode::kScalar});
-    swept.set_execution_config(config);
-    serial.ApplySwap(2, 18);
-    swept.ApplySwap(2, 18);
+    {
+      ScopedExecutionConfig scoped({1, 2, qdm::sim::SimdMode::kScalar});
+      serial.ApplySwap(2, 18);
+    }
+    {
+      ScopedExecutionConfig scoped(config);
+      swept.ApplySwap(2, 18);
+    }
     QDM_CHECK(serial.amplitudes() == swept.amplitudes())
         << "ApplySwap diverged from the serial scalar kernel";
   }
+  ScopedExecutionConfig scoped(config);
   qdm::sim::Statevector sv = RandomBenchState(n, 0xBEEF);
-  sv.set_execution_config(config);
   for (auto _ : state) {
     sv.ApplySwap(2, 18);
     benchmark::DoNotOptimize(sv.amplitudes().data());
@@ -555,8 +586,8 @@ BENCHMARK(BM_HashJoinExecution);
 }  // namespace
 
 // Custom main so the report carries the SIMD tier the binary actually
-// selected (CMake option + CPUID + QDM_SIMD env), the compiler and the number
-// of CPUs the process may run on (1 when pinned): the perf-gate CI step logs
+// selected (CMake option + CPUID), the compiler and the number of CPUs the
+// process may run on (1 when pinned): the perf-gate CI step logs
 // context.qdm_simd_tier next to the numbers, and perf_gate.py records the
 // context with a baseline and prints it beside a regressed row, so a
 // regression caused by a dispatch, toolchain or pinning change (e.g. the

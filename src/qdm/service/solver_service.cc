@@ -180,8 +180,13 @@ Result<std::shared_ptr<SolverService::Impl::Job>> SolverService::Impl::Enqueue(
   job->qubos = std::move(qubos);
   job->options = options;
   if (submit.deadline.count() > 0) {
+    // Saturates: the wire accepts deadlines up to INT64_MAX ns, and now +
+    // deadline past the clock's range would overflow into the past.
+    const Clock::time_point now = Clock::now();
     job->has_deadline = true;
-    job->deadline = Clock::now() + submit.deadline;
+    job->deadline = submit.deadline < Clock::time_point::max() - now
+                        ? now + submit.deadline
+                        : Clock::time_point::max();
   }
   job->backend = std::move(backend);
   {

@@ -1,10 +1,8 @@
 #include "qdm/sim/density_matrix.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "qdm/common/check.h"
-#include "qdm/common/thread_pool.h"
 
 namespace qdm {
 namespace sim {
@@ -22,30 +20,16 @@ DensityMatrix::DensityMatrix(int num_qubits)
 DensityMatrix DensityMatrix::FromStatevector(const Statevector& sv) {
   const size_t dim = sv.dimension();
   Matrix rho(dim, dim);
-  // The O(dim^2) outer product honors the state's execution config (rows are
-  // independent, so the parallel fill is bit-identical to the serial one);
-  // dim^2 is the work-item count compared against the serial cutoff, and the
-  // row range is chunked so concurrency never exceeds the resolved thread
-  // count (mirroring the gate kernels, not the full shared-pool width).
-  const auto fill_rows = [&](size_t row_begin, size_t row_end) {
+  // The O(dim^2) outer product fans its rows out through the statevector
+  // kernels' seam (rows are independent, so every thread count fills the
+  // same bits); dim^2 is the work compared against the serial cutoff.
+  Statevector::ForChunks(dim, dim * dim, [&](size_t row_begin, size_t row_end) {
     for (size_t i = row_begin; i < row_end; ++i) {
       for (size_t j = 0; j < dim; ++j) {
         rho(i, j) = sv.amplitude(i) * std::conj(sv.amplitude(j));
       }
     }
-  };
-  const size_t threads = static_cast<size_t>(sv.ResolvedNumThreads());
-  if (threads > 1 && dim * dim >= sv.ResolvedSerialCutoff()) {
-    const size_t chunks = std::min(threads, dim);
-    const size_t chunk_size = (dim + chunks - 1) / chunks;
-    ThreadPool::Shared().ForEach(
-        static_cast<int>(chunks), /*max_workers=*/0, [&](int, int c) {
-          const size_t begin = chunk_size * static_cast<size_t>(c);
-          fill_rows(begin, std::min(begin + chunk_size, dim));
-        });
-  } else {
-    fill_rows(0, dim);
-  }
+  });
   return DensityMatrix(sv.num_qubits(), std::move(rho));
 }
 

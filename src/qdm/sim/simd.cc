@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <complex>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 // The AVX2 tier is compiled via per-function target attributes (no global
@@ -22,17 +20,9 @@ namespace simd {
 
 namespace {
 
-bool EnvDisablesSimd() {
-  const char* env = std::getenv("QDM_SIMD");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-         std::strcmp(env, "false") == 0;
-}
-
 Tier DetectTier() {
 #if QDM_SIMD_HAVE_AVX2
-  if (!EnvDisablesSimd() && __builtin_cpu_supports("avx2") &&
-      __builtin_cpu_supports("fma")) {
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return Tier::kAvx2;
   }
 #endif
@@ -62,37 +52,6 @@ const char* TierName(Tier tier) {
       return "avx2";
   }
   return "unknown";
-}
-
-void Apply1QRunScalar(Complex* lo, Complex* hi, uint64_t n, Complex u00,
-                      Complex u01, Complex u10, Complex u11) {
-  for (uint64_t k = 0; k < n; ++k) {
-    const Complex a0 = lo[k];
-    const Complex a1 = hi[k];
-    lo[k] = u00 * a0 + u01 * a1;
-    hi[k] = u10 * a0 + u11 * a1;
-  }
-}
-
-void Apply1QPairsRunScalar(Complex* amp, uint64_t n, Complex u00, Complex u01,
-                           Complex u10, Complex u11) {
-  for (uint64_t k = 0; k < n; ++k) {
-    const Complex a0 = amp[2 * k];
-    const Complex a1 = amp[2 * k + 1];
-    amp[2 * k] = u00 * a0 + u01 * a1;
-    amp[2 * k + 1] = u10 * a0 + u11 * a1;
-  }
-}
-
-void DiagonalPhaseRunScalar(Complex* amp, const double* phases, double scale,
-                            uint64_t n) {
-  for (uint64_t z = 0; z < n; ++z) {
-    amp[z] *= std::polar(1.0, scale * phases[z]);
-  }
-}
-
-void SwapRunScalar(Complex* x, Complex* y, uint64_t n) {
-  for (uint64_t k = 0; k < n; ++k) std::swap(x[k], y[k]);
 }
 
 #if QDM_SIMD_HAVE_AVX2

@@ -21,7 +21,7 @@ int Log2(size_t n) {
   return k;
 }
 
-// Process-wide default ExecutionConfig, stored as independent atomics so the
+// Process-wide ExecutionConfig, stored as independent atomics so the
 // per-gate resolution path is lock-free (a mutex here would serialize every
 // gate call of every thread in the process). The knobs are set/read
 // independently, so a reader racing a concurrent SetDefaultExecutionConfig
@@ -31,45 +31,57 @@ std::atomic<int> g_default_num_threads{0};
 std::atomic<uint64_t> g_default_serial_cutoff{0};
 std::atomic<int> g_default_simd_mode{0};
 
-// Re-inserts a zero bit at position `pos` into the compact index `p`: bits
-// [0, pos) map through unchanged, bits >= pos shift up by one. Composing
-// ascending positions maps a compact pair index onto the basis index with
-// those bits held at zero — the swap kernels enumerate each amplitude pair
-// exactly once this way, in runs of 2^lowest_position contiguous indices.
-inline uint64_t InsertZeroBit(uint64_t p, int pos) {
-  const uint64_t low = p & ((uint64_t{1} << pos) - 1);
-  return ((p >> pos) << (pos + 1)) | low;
+// Maps the compact index `p` onto the basis index with a zero re-inserted at
+// every set bit of `mask`, lowest position first: bits below a position pass
+// through, bits at or above it shift up by one. Counting p up therefore
+// enumerates, once each, the basis indices whose `mask` bits are all clear.
+inline uint64_t InsertZeroBits(uint64_t p, uint64_t mask) {
+  for (; mask != 0; mask &= mask - 1) {
+    const uint64_t below = (mask & (~mask + 1)) - 1;
+    p = ((p & ~below) << 1) | (p & below);
+  }
+  return p;
 }
 
-// Serial halves of the pair kernels, hoisted into standalone functions so
-// their codegen stays isolated from the lambda-bearing parallel branches:
-// this member/reference-indexed two-level group loop is the form the
-// compiler SLP-vectorizes (pointer or lambda rewrites of the same loop
-// measure ~1.6x slower), and it is the pre-parallel kernel verbatim.
-void SerialApply1Q(std::vector<Complex>& amplitudes, size_t step, Complex u00,
-                   Complex u01, Complex u10, Complex u11) {
-  for (size_t group = 0; group < amplitudes.size(); group += 2 * step) {
-    for (size_t i = group; i < group + step; ++i) {
-      const Complex a0 = amplitudes[i];
-      const Complex a1 = amplitudes[i + step];
-      amplitudes[i] = u00 * a0 + u01 * a1;
-      amplitudes[i + step] = u10 * a0 + u11 * a1;
-    }
+// The number of indices below `n` whose `mask` bits are all clear: the size
+// of the compact range InsertZeroBits expands. (A loop, not
+// __builtin_popcountll, which is a libgcc call without -mpopcnt.)
+inline uint64_t CompactSize(uint64_t n, uint64_t mask) {
+  for (; mask != 0; mask &= mask - 1) n >>= 1;
+  return n;
+}
+
+// The one run walker of every gate kernel. Walks the compact range
+// [begin, end) (see InsertZeroBits) and calls run(base, len) for each
+// stretch that expands to the len consecutive indices base, base + 1, ...:
+// runs end where p crosses a multiple of 2^(lowest set bit of `mask`), so a
+// chunk boundary yields a leading and a trailing partial run. An empty mask
+// is one run.
+template <typename Run>
+inline void ForEachRun(uint64_t begin, uint64_t end, uint64_t mask,
+                       const Run& run) {
+  if (mask == 0) {
+    run(begin, end - begin);
+    return;
+  }
+  const uint64_t width = mask & (~mask + 1);
+  uint64_t base = InsertZeroBits(begin, mask);
+  for (uint64_t p = begin; p < end;) {
+    const uint64_t len = std::min(width - (p & (width - 1)), end - p);
+    run(base, len);
+    p += len;
+    // The next index with every `mask` bit clear after the run's last one.
+    base = (((base + len - 1) | mask) + 1) & ~mask;
   }
 }
 
-void SerialApplyControlled1Q(std::vector<Complex>& amplitudes, size_t step,
-                             uint64_t control_mask, Complex u00, Complex u01,
-                             Complex u10, Complex u11) {
-  for (size_t group = 0; group < amplitudes.size(); group += 2 * step) {
-    for (size_t i = group; i < group + step; ++i) {
-      if ((i & control_mask) != control_mask) continue;
-      const Complex a0 = amplitudes[i];
-      const Complex a1 = amplitudes[i + step];
-      amplitudes[i] = u00 * a0 + u01 * a1;
-      amplitudes[i + step] = u10 * a0 + u11 * a1;
-    }
-  }
+// True when a kernel hands its runs to the simd::*Avx2 primitives: the
+// resolved tier is avx2 and every run holds two or more elements (bit 0 is
+// not in `mask`). A shorter run has no vector work, so it inlines the
+// *Scalar primitive, which computes the same bits without a call.
+bool VectorRuns(uint64_t mask) {
+  return (mask & 1) == 0 &&
+         Statevector::ResolvedSimdTier() == simd::Tier::kAvx2;
 }
 
 }  // namespace
@@ -90,56 +102,37 @@ ExecutionConfig Statevector::DefaultExecutionConfig() {
           g_default_simd_mode.load(std::memory_order_relaxed))};
 }
 
-int Statevector::ResolvedNumThreads() const {
-  int threads = execution_config_.num_threads;
-  if (threads <= 0) {
-    threads = g_default_num_threads.load(std::memory_order_relaxed);
-  }
-  if (threads <= 0) threads = ThreadPool::DefaultNumThreads();
-  return threads;
+int Statevector::ResolvedNumThreads() {
+  const int threads = g_default_num_threads.load(std::memory_order_relaxed);
+  return threads > 0 ? threads : ThreadPool::DefaultNumThreads();
 }
 
-uint64_t Statevector::ResolvedSerialCutoff() const {
-  uint64_t cutoff = execution_config_.serial_cutoff;
-  if (cutoff == 0) {
-    cutoff = g_default_serial_cutoff.load(std::memory_order_relaxed);
-  }
-  if (cutoff == 0) cutoff = kDefaultSerialCutoff;
-  return cutoff;
+uint64_t Statevector::ResolvedSerialCutoff() {
+  const uint64_t cutoff =
+      g_default_serial_cutoff.load(std::memory_order_relaxed);
+  return cutoff != 0 ? cutoff : kDefaultSerialCutoff;
 }
 
-simd::Tier Statevector::ResolvedSimdTier() const {
-  SimdMode mode = execution_config_.simd;
-  if (mode == SimdMode::kAuto) {
-    mode = static_cast<SimdMode>(
-        g_default_simd_mode.load(std::memory_order_relaxed));
+simd::Tier Statevector::ResolvedSimdTier() {
+  if (static_cast<SimdMode>(g_default_simd_mode.load(
+          std::memory_order_relaxed)) == SimdMode::kScalar) {
+    return simd::Tier::kScalar;
   }
-  if (mode == SimdMode::kScalar) return simd::Tier::kScalar;
-  // kAuto and kSimd both mean "best available": kSimd is the explicit
-  // request form (tests, benches), and it still degrades to scalar when the
-  // build, the CPU, or QDM_SIMD=off rules the vector tier out.
   return simd::DetectedTier();
 }
 
-bool Statevector::UseSimdKernels() const {
-  return ResolvedSimdTier() != simd::Tier::kScalar;
+int Statevector::NumChunks(uint64_t n, uint64_t work) {
+  if (work < ResolvedSerialCutoff()) return 1;
+  return static_cast<int>(
+      std::min<uint64_t>(static_cast<uint64_t>(ResolvedNumThreads()), n));
 }
 
-bool Statevector::UseSerialKernel() const {
-  return ResolvedNumThreads() <= 1 ||
-         amplitudes_.size() < ResolvedSerialCutoff();
-}
-
-void Statevector::RunChunksParallel(
-    uint64_t n, const std::function<void(uint64_t, uint64_t)>& body) const {
-  // One contiguous chunk per participating thread, dispatched over the
-  // process-wide shared pool (ThreadPool::Shared — no thread spawn per gate;
-  // the caller participates, so nested use inside pool workers cannot
-  // deadlock). The chunk boundaries depend only on (n, resolved threads) —
-  // never on which worker picks which chunk — so any scheduling order
-  // writes the exact same values.
-  const int chunks =
-      static_cast<int>(std::min<uint64_t>(ResolvedNumThreads(), n));
+void Statevector::RunChunks(
+    uint64_t n, int chunks,
+    const std::function<void(uint64_t, uint64_t)>& body) {
+  // The caller participates in ThreadPool::ForEach, and the chunk boundaries
+  // depend only on (n, chunks) — never on which worker picks which chunk —
+  // so any scheduling order writes the exact same values.
   const uint64_t chunk_size = (n + chunks - 1) / chunks;
   ThreadPool::Shared().ForEach(chunks, /*max_workers=*/0, [&](int, int c) {
     const uint64_t begin = chunk_size * static_cast<uint64_t>(c);
@@ -167,331 +160,127 @@ Statevector Statevector::FromAmplitudes(std::vector<Complex> amplitudes,
   return sv;
 }
 
+uint64_t Statevector::QubitBit(int q) const {
+  QDM_CHECK(q >= 0 && q < num_qubits_)
+      << ": qubit " << q << " is out of range for a " << num_qubits_
+      << "-qubit state";
+  return uint64_t{1} << q;
+}
+
 void Statevector::Apply1Q(const linalg::Matrix& u, int q) {
-  QDM_CHECK(u.rows() == 2 && u.cols() == 2);
-  QDM_CHECK(q >= 0 && q < num_qubits_);
-  const size_t step = size_t{1} << q;
-  const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-  const bool use_simd = UseSimdKernels();
-  Complex* amp = amplitudes_.data();
-  if (UseSerialKernel()) {
-    if (!use_simd) {
-      SerialApply1Q(amplitudes_, step, u00, u01, u10, u11);
-      return;
-    }
-    // Serial + SIMD. q = 0 pairs are adjacent in memory (length-1 runs
-    // would waste the vector width), so they take the interleaved-pair
-    // kernel; every other target walks one aligned full run per group.
-    if (step == 1) {
-      simd::Apply1QPairsRunAvx2(amp, amplitudes_.size() >> 1, u00, u01, u10,
-                                u11);
-      return;
-    }
-    for (size_t group = 0; group < amplitudes_.size(); group += 2 * step) {
-      simd::Apply1QRunAvx2(amp + group, amp + group + step, step, u00, u01,
-                           u10, u11);
-    }
-    return;
-  }
-  // Parallel branch: pair p enumerates the amplitude pairs (i, i + step)
-  // with the target bit clear/set; pairs are disjoint, so chunks of the
-  // pair range never share an element. Each chunk is walked as leading
-  // partial group / full groups / trailing partial group to keep the inner
-  // loops contiguous. Identical arithmetic per pair -> bit-identical to the
-  // serial branch (pinned by statevector_parallel_test). For q = 0 a chunk
-  // of the pair range IS a contiguous amplitude range, so the SIMD path
-  // hands whole chunks to the interleaved-pair kernel.
-  if (use_simd && step == 1) {
-    RunChunksParallel(amplitudes_.size() >> 1,
-                      [&](uint64_t begin, uint64_t end) {
-                        simd::Apply1QPairsRunAvx2(amp + 2 * begin, end - begin,
-                                                  u00, u01, u10, u11);
-                      });
-    return;
-  }
-  const uint64_t low_mask = step - 1;
-  const auto apply_run = [&](uint64_t pair, uint64_t run) {
-    Complex* lo = amp + (((pair & ~low_mask) << 1) | (pair & low_mask));
-    Complex* hi = lo + step;
-    if (use_simd) {
-      simd::Apply1QRunAvx2(lo, hi, run, u00, u01, u10, u11);
-      return;
-    }
-    for (uint64_t k = 0; k < run; ++k) {
-      const Complex a0 = lo[k];
-      const Complex a1 = hi[k];
-      lo[k] = u00 * a0 + u01 * a1;
-      hi[k] = u10 * a0 + u11 * a1;
-    }
-  };
-  RunChunksParallel(amplitudes_.size() >> 1, [&](uint64_t begin, uint64_t end) {
-    uint64_t p = begin;
-    if ((p & low_mask) != 0) {  // Leading partial group.
-      const uint64_t run = std::min(step - (p & low_mask), end - p);
-      apply_run(p, run);
-      p += run;
-    }
-    for (; p + step <= end; p += step) apply_run(p, step);  // Full groups.
-    if (p < end) apply_run(p, end - p);  // Trailing partial group.
-  });
+  ApplyMasked1Q(/*control_mask=*/0, q, u);
 }
 
 void Statevector::ApplyControlled1Q(const std::vector<int>& controls,
                                     int target,
                                     const linalg::Matrix& u) {
-  QDM_CHECK(u.rows() == 2 && u.cols() == 2);
-  QDM_CHECK(target >= 0 && target < num_qubits_);
   uint64_t control_mask = 0;
   for (int c : controls) {
-    QDM_CHECK(c >= 0 && c < num_qubits_ && c != target);
-    control_mask |= uint64_t{1} << c;
+    QDM_CHECK(c != target);
+    control_mask |= QubitBit(c);
   }
-  const size_t step = size_t{1} << target;
+  ApplyMasked1Q(control_mask, target, u);
+}
+
+void Statevector::ApplyMasked1Q(uint64_t control_mask, int target,
+                                const linalg::Matrix& u) {
+  QDM_CHECK(u.rows() == 2 && u.cols() == 2);
+  const uint64_t step = QubitBit(target);
   const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-  const bool use_simd = UseSimdKernels();
-  // Split the control mask at the target: every index in a contiguous run
-  // shares its bits >= target (runs never cross a group boundary), so the
-  // above-target controls are tested ONCE per run — a failing run (the
-  // common case for multi-controlled Grover/QPE gates) retires in one
-  // compare instead of `run` element tests. Only below-target control bits
-  // still vary inside a run; when there are none, the run body is the
-  // unconditional Apply1Q arithmetic (and vectorizable).
-  const uint64_t low_ctrl = control_mask & (step - 1);
-  const uint64_t high_ctrl = control_mask & ~(step - 1);
   Complex* amp = amplitudes_.data();
-  if (UseSerialKernel()) {
-    if (!use_simd) {
-      SerialApplyControlled1Q(amplitudes_, step, control_mask, u00, u01, u10,
-                              u11);
-      return;
-    }
-    // Serial + SIMD: group-skip walk; unconditional groups take the vector
-    // kernel (step 1 has no contiguous runs to vectorize — reference loop).
-    if (step == 1) {
-      SerialApplyControlled1Q(amplitudes_, step, control_mask, u00, u01, u10,
-                              u11);
-      return;
-    }
-    for (size_t group = 0; group < amplitudes_.size(); group += 2 * step) {
-      if ((group & high_ctrl) != high_ctrl) continue;
-      if (low_ctrl == 0) {
-        simd::Apply1QRunAvx2(amp + group, amp + group + step, step, u00, u01,
-                             u10, u11);
-        continue;
-      }
-      for (size_t i = group; i < group + step; ++i) {
-        if ((i & low_ctrl) != low_ctrl) continue;
-        const Complex a0 = amp[i];
-        const Complex a1 = amp[i + step];
-        amp[i] = u00 * a0 + u01 * a1;
-        amp[i + step] = u10 * a0 + u11 * a1;
-      }
-    }
+  if (target == 0) {
+    // Target-0 pairs (amp[2k], amp[2k + 1]) are adjacent in memory, so this
+    // walk runs over pair indices k, where the controls sit one bit lower,
+    // and hands each run of adjacent pairs to the interleaved-pair primitive.
+    const uint64_t mask = control_mask >> 1;
+    const bool vector = VectorRuns(mask);
+    ForChunks(CompactSize(dimension() >> 1, mask), dimension(),
+              [=](uint64_t begin, uint64_t end) {
+                ForEachRun(begin, end, mask, [&](uint64_t k, uint64_t len) {
+                  Complex* pairs = amp + 2 * (k | mask);
+                  if (vector) {
+                    simd::Apply1QPairsRunAvx2(pairs, len, u00, u01, u10, u11);
+                  } else {
+                    simd::Apply1QPairsRunScalar(pairs, len, u00, u01, u10, u11);
+                  }
+                });
+              });
     return;
   }
-  // Parallel branch: same partial/full/partial group walk as Apply1Q with
-  // the per-run control split above; the control mask excludes the target
-  // bit, so testing the run base covers every element of the run.
-  const uint64_t low_mask = step - 1;
-  const auto apply_run = [&](uint64_t pair, uint64_t run) {
-    const uint64_t base = ((pair & ~low_mask) << 1) | (pair & low_mask);
-    if ((base & high_ctrl) != high_ctrl) return;
-    if (low_ctrl == 0) {
-      if (use_simd && step > 1) {
-        simd::Apply1QRunAvx2(amp + base, amp + base + step, run, u00, u01,
-                             u10, u11);
-        return;
-      }
-      for (uint64_t k = 0; k < run; ++k) {
-        const uint64_t i = base + k;
-        const Complex a0 = amp[i];
-        const Complex a1 = amp[i + step];
-        amp[i] = u00 * a0 + u01 * a1;
-        amp[i + step] = u10 * a0 + u11 * a1;
-      }
-      return;
-    }
-    for (uint64_t k = 0; k < run; ++k) {
-      const uint64_t i = base + k;
-      if ((i & low_ctrl) != low_ctrl) continue;
-      const Complex a0 = amp[i];
-      const Complex a1 = amp[i + step];
-      amp[i] = u00 * a0 + u01 * a1;
-      amp[i + step] = u10 * a0 + u11 * a1;
-    }
-  };
-  RunChunksParallel(amplitudes_.size() >> 1, [&](uint64_t begin, uint64_t end) {
-    uint64_t p = begin;
-    if ((p & low_mask) != 0) {  // Leading partial group.
-      const uint64_t run = std::min(step - (p & low_mask), end - p);
-      apply_run(p, run);
-      p += run;
-    }
-    for (; p + step <= end; p += step) apply_run(p, step);  // Full groups.
-    if (p < end) apply_run(p, end - p);  // Trailing partial group.
-  });
+  // Every (lo, lo + step) pair with the target bit clear and all controls
+  // set, in runs of contiguous lo; a failing control is never visited.
+  const uint64_t mask = control_mask | step;
+  const bool vector = VectorRuns(mask);
+  ForChunks(CompactSize(dimension(), mask), dimension(),
+            [=](uint64_t begin, uint64_t end) {
+              ForEachRun(begin, end, mask, [&](uint64_t base, uint64_t len) {
+                Complex* lo = amp + (base | control_mask);
+                if (vector) {
+                  simd::Apply1QRunAvx2(lo, lo + step, len, u00, u01, u10, u11);
+                } else {
+                  simd::Apply1QRunScalar(lo, lo + step, len, u00, u01, u10,
+                                         u11);
+                }
+              });
+            });
 }
 
 void Statevector::ApplySwap(int a, int b) {
-  QDM_CHECK(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_ && a != b);
-  const uint64_t bit_a = uint64_t{1} << a;
-  const uint64_t bit_b = uint64_t{1} << b;
-  // SIMD path: enumerate each mismatched pair once through a compact pair
-  // index (both swap bits deleted), which turns the predicated full scan
-  // into gap-free runs of 2^min(a,b) contiguous indices — the block at
-  // base|bit_a exchanges with the disjoint block at base|bit_b via wide
-  // moves. Pure data movement, so any enumeration that touches each pair
-  // exactly once is bit-identical; chunks partition the pair range, so no
-  // two workers touch the same pair. Runs shorter than the vector width
-  // (min(a, b) = 0) stay on the scalar scan below.
-  if (UseSimdKernels() && std::min(a, b) >= 1) {
-    const int lo_q = std::min(a, b);
-    const int hi_q = std::max(a, b);
-    const uint64_t run = uint64_t{1} << lo_q;
-    const uint64_t pairs = amplitudes_.size() >> 2;
-    Complex* amp = amplitudes_.data();
-    const auto swap_run = [&](uint64_t pair, uint64_t len) {
-      const uint64_t base = InsertZeroBit(InsertZeroBit(pair, lo_q), hi_q);
-      simd::SwapRunAvx2(amp + (base | bit_a), amp + (base | bit_b), len);
-    };
-    if (UseSerialKernel()) {
-      for (uint64_t p = 0; p < pairs; p += run) swap_run(p, run);
-      return;
-    }
-    const uint64_t low_mask = run - 1;
-    RunChunksParallel(pairs, [&](uint64_t begin, uint64_t end) {
-      uint64_t p = begin;
-      if ((p & low_mask) != 0) {  // Leading partial run.
-        const uint64_t len = std::min(run - (p & low_mask), end - p);
-        swap_run(p, len);
-        p += len;
-      }
-      for (; p + run <= end; p += run) swap_run(p, run);  // Full runs.
-      if (p < end) swap_run(p, end - p);  // Trailing partial run.
-    });
-    return;
-  }
-  // Visit each mismatched pair once, keyed by the index with the a-bit set
-  // and the b-bit clear. The partner j fails that predicate, so even when j
-  // falls in another worker's chunk only the chunk owning i touches the
-  // pair — chunks write disjoint element sets.
-  if (UseSerialKernel()) {
-    for (size_t i = 0; i < amplitudes_.size(); ++i) {
-      if ((i & bit_a) != 0 && (i & bit_b) == 0) {
-        size_t j = (i & ~bit_a) | bit_b;
-        std::swap(amplitudes_[i], amplitudes_[j]);
-      }
-    }
-    return;
-  }
-  Complex* amp = amplitudes_.data();
-  RunChunksParallel(amplitudes_.size(), [&](uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      if ((i & bit_a) != 0 && (i & bit_b) == 0) {
-        const uint64_t j = (i & ~bit_a) | bit_b;
-        std::swap(amp[i], amp[j]);
-      }
-    }
-  });
+  QDM_CHECK(a != b);
+  SwapMasked(/*control_mask=*/0, a, b);
 }
 
 void Statevector::ApplyControlledSwap(int control, int a, int b) {
   QDM_CHECK(control != a && control != b);
-  if (a == b) return;  // Degenerate swap: the scan predicate never matches.
-  const uint64_t bit_c = uint64_t{1} << control;
-  const uint64_t bit_a = uint64_t{1} << a;
-  const uint64_t bit_b = uint64_t{1} << b;
-  // SIMD path: same compact-pair-index enumeration as ApplySwap, with the
-  // control bit held at 1 as well (three deleted bits), in runs of
-  // 2^min(control, a, b) contiguous indices.
-  const int min_q = std::min(control, std::min(a, b));
-  if (UseSimdKernels() && min_q >= 1) {
-    int sorted[3] = {control, a, b};
-    std::sort(sorted, sorted + 3);
-    const uint64_t run = uint64_t{1} << min_q;
-    const uint64_t pairs = amplitudes_.size() >> 3;
-    Complex* amp = amplitudes_.data();
-    const auto swap_run = [&](uint64_t pair, uint64_t len) {
-      const uint64_t base = InsertZeroBit(
-          InsertZeroBit(InsertZeroBit(pair, sorted[0]), sorted[1]), sorted[2]);
-      simd::SwapRunAvx2(amp + (base | bit_c | bit_a),
-                        amp + (base | bit_c | bit_b), len);
-    };
-    if (UseSerialKernel()) {
-      for (uint64_t p = 0; p < pairs; p += run) swap_run(p, run);
-      return;
-    }
-    const uint64_t low_mask = run - 1;
-    RunChunksParallel(pairs, [&](uint64_t begin, uint64_t end) {
-      uint64_t p = begin;
-      if ((p & low_mask) != 0) {  // Leading partial run.
-        const uint64_t len = std::min(run - (p & low_mask), end - p);
-        swap_run(p, len);
-        p += len;
-      }
-      for (; p + run <= end; p += run) swap_run(p, run);  // Full runs.
-      if (p < end) swap_run(p, end - p);  // Trailing partial run.
-    });
-    return;
-  }
-  // Same pair-ownership argument as ApplySwap: the partner j shares the
-  // control bit but has the a-bit clear, so no other chunk touches it.
-  if (UseSerialKernel()) {
-    for (size_t i = 0; i < amplitudes_.size(); ++i) {
-      if ((i & bit_c) != 0 && (i & bit_a) != 0 && (i & bit_b) == 0) {
-        size_t j = (i & ~bit_a) | bit_b;
-        std::swap(amplitudes_[i], amplitudes_[j]);
-      }
-    }
-    return;
-  }
+  SwapMasked(QubitBit(control), a, b);
+}
+
+void Statevector::SwapMasked(uint64_t control_mask, int a, int b) {
+  const uint64_t bit_a = QubitBit(a);
+  const uint64_t bit_b = QubitBit(b);
+  if (a == b) return;
+  // Each mismatched pair once: the block at base|bit_a exchanges with the
+  // disjoint block at base|bit_b. Pure data movement, and chunks partition
+  // the pairs, so no two workers touch the same amplitude.
+  const uint64_t mask = control_mask | bit_a | bit_b;
+  const bool vector = VectorRuns(mask);
   Complex* amp = amplitudes_.data();
-  RunChunksParallel(amplitudes_.size(), [&](uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      if ((i & bit_c) != 0 && (i & bit_a) != 0 && (i & bit_b) == 0) {
-        const uint64_t j = (i & ~bit_a) | bit_b;
-        std::swap(amp[i], amp[j]);
-      }
-    }
-  });
+  ForChunks(CompactSize(dimension(), mask), dimension(),
+            [=](uint64_t begin, uint64_t end) {
+              ForEachRun(begin, end, mask, [&](uint64_t base, uint64_t len) {
+                Complex* x = amp + (base | control_mask | bit_a);
+                Complex* y = amp + (base | control_mask | bit_b);
+                if (vector) {
+                  simd::SwapRunAvx2(x, y, len);
+                } else {
+                  simd::SwapRunScalar(x, y, len);
+                }
+              });
+            });
 }
 
 void Statevector::ApplyDiagonalPhase(
     const std::function<double(uint64_t)>& phase) {
-  const bool use_simd = UseSimdKernels();
+  // The std::function stays one scalar call per z; staging its results in a
+  // block buffer lets the run primitive batch the complex multiplies.
+  // scale = 1.0 is exact (1.0 * t == t bitwise), so this matches the direct
+  // polar(1.0, phase(z)) loop bit for bit.
+  const bool vector = VectorRuns(0);
   Complex* amp = amplitudes_.data();
-  if (use_simd) {
-    // The std::function stays a scalar call per z either way; staging its
-    // results through a small block buffer lets the complex multiplies run
-    // on vector lanes. scale = 1.0 is exact (1.0 * t == t bitwise), so this
-    // matches the direct polar(1.0, phase(z)) loop bit-for-bit.
-    constexpr uint64_t kBlock = 128;
-    const auto apply_block = [&](uint64_t begin, uint64_t end) {
-      double staged[kBlock];
-      for (uint64_t z0 = begin; z0 < end; z0 += kBlock) {
-        const uint64_t len = std::min(kBlock, end - z0);
-        for (uint64_t k = 0; k < len; ++k) staged[k] = phase(z0 + k);
-        simd::DiagonalPhaseRunAvx2(amp + z0, staged, 1.0, len);
-      }
-    };
-    if (UseSerialKernel()) {
-      apply_block(0, amplitudes_.size());
-    } else {
-      RunChunksParallel(amplitudes_.size(), apply_block);
-    }
-    return;
-  }
-  if (UseSerialKernel()) {
-    for (size_t z = 0; z < amplitudes_.size(); ++z) {
-      amplitudes_[z] *= std::polar(1.0, phase(z));
-    }
-    return;
-  }
-  RunChunksParallel(amplitudes_.size(), [&](uint64_t begin, uint64_t end) {
-    for (uint64_t z = begin; z < end; ++z) {
-      amp[z] *= std::polar(1.0, phase(z));
-    }
-  });
+  ForChunks(dimension(), dimension(),
+            [&phase, amp, vector](uint64_t begin, uint64_t end) {
+              constexpr uint64_t kBlock = 128;
+              double staged[kBlock];
+              for (uint64_t z0 = begin; z0 < end; z0 += kBlock) {
+                const uint64_t len = std::min(kBlock, end - z0);
+                for (uint64_t k = 0; k < len; ++k) staged[k] = phase(z0 + k);
+                if (vector) {
+                  simd::DiagonalPhaseRunAvx2(amp + z0, staged, 1.0, len);
+                } else {
+                  simd::DiagonalPhaseRunScalar(amp + z0, staged, 1.0, len);
+                }
+              }
+            });
 }
 
 void Statevector::ApplyDiagonalPhase(const std::vector<double>& phases,
@@ -499,29 +288,16 @@ void Statevector::ApplyDiagonalPhase(const std::vector<double>& phases,
   QDM_CHECK_EQ(phases.size(), amplitudes_.size())
       << "ApplyDiagonalPhase: diagonal length " << phases.size()
       << " must equal the state dimension " << amplitudes_.size();
+  const bool vector = VectorRuns(0);
   const double* phase = phases.data();
   Complex* amp = amplitudes_.data();
-  if (UseSimdKernels()) {
-    if (UseSerialKernel()) {
-      simd::DiagonalPhaseRunAvx2(amp, phase, scale, amplitudes_.size());
-      return;
-    }
-    RunChunksParallel(amplitudes_.size(), [&](uint64_t begin, uint64_t end) {
+  ForChunks(dimension(), dimension(), [=](uint64_t begin, uint64_t end) {
+    if (vector) {
       simd::DiagonalPhaseRunAvx2(amp + begin, phase + begin, scale,
                                  end - begin);
-    });
-    return;
-  }
-  if (UseSerialKernel()) {
-    const size_t dim = amplitudes_.size();
-    for (size_t z = 0; z < dim; ++z) {
-      amp[z] *= std::polar(1.0, scale * phase[z]);
-    }
-    return;
-  }
-  RunChunksParallel(amplitudes_.size(), [&](uint64_t begin, uint64_t end) {
-    for (uint64_t z = begin; z < end; ++z) {
-      amp[z] *= std::polar(1.0, scale * phase[z]);
+    } else {
+      simd::DiagonalPhaseRunScalar(amp + begin, phase + begin, scale,
+                                   end - begin);
     }
   });
 }

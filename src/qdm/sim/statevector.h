@@ -16,36 +16,26 @@
 namespace qdm {
 namespace sim {
 
-/// Execution configuration for the Statevector gate kernels.
+/// Execution configuration for the Statevector gate kernels. There is one
+/// level, process-wide (Statevector::SetDefaultExecutionConfig), because
+/// library paths build their state vectors internally (ApplyCircuit, the
+/// trajectory simulator, the QAOA/VQE/Grover bridges in algo/).
 ///
-/// Zero-means-default convention (same as anneal::SolverOptions): each knob
-/// treats 0 as "defer to the next level". Resolution order is instance
-/// config -> process-wide default (Statevector::SetDefaultExecutionConfig)
-/// -> built-in default, so library paths that construct state vectors
-/// internally (ApplyCircuit, the trajectory simulator, the QAOA/VQE/Grover
-/// bridges in algo/) pick up a process-wide setting with no call-site churn.
+/// Zero-means-default convention (same as anneal::SolverOptions):
 ///
-///   num_threads    0 = defer; resolved default is
-///                  ThreadPool::DefaultNumThreads(). 1 = strictly serial.
-///   serial_cutoff  0 = defer; resolved default is
-///                  Statevector::kDefaultSerialCutoff. States whose
-///                  dimension() is below the resolved cutoff always run the
-///                  serial kernels, so small states pay no fan-out overhead.
-///   simd           kAuto (0) = defer; resolved default is the best tier
-///                  the build + CPU support (simd::DetectedTier, which also
-///                  honors the QDM_SIMD=off environment override). kScalar
-///                  forces the reference scalar inner loops; kSimd requests
-///                  vector inner loops and falls back to scalar when no
-///                  tier is available. Orthogonal to num_threads: serial
-///                  and chunk-parallel kernels both dispatch their inner
-///                  runs through the resolved tier.
+///   num_threads    0 = ThreadPool::DefaultNumThreads(); 1 = strictly serial.
+///   serial_cutoff  0 = Statevector::kDefaultSerialCutoff. States whose
+///                  dimension() is below the cutoff run every kernel on the
+///                  calling thread, so small states pay no fan-out overhead.
+///   simd           kAuto = the best tier the build + CPU support
+///                  (simd::DetectedTier); kScalar forces the reference
+///                  scalar run primitives. Orthogonal to num_threads.
 ///
-/// Determinism: the parallel kernels partition the amplitude array into
-/// contiguous chunks of independent elementwise/pairwise updates — no
-/// reductions are reordered — so results are bit-identical to the serial
-/// kernels at every thread count (the kernel-level extension of the batch
-/// layer's `seed + index` guarantee; see docs/batching.md). The SIMD tiers
-/// preserve the same contract: every vector lane performs the exact scalar
+/// Determinism: each kernel splits its index range into contiguous chunks of
+/// independent elementwise/pairwise updates — no reductions are reordered —
+/// so results are bit-identical at every thread count (the kernel-level
+/// extension of the batch layer's `seed + index` guarantee; see
+/// docs/batching.md). Every vector lane performs the exact scalar
 /// multiply/add sequence (unfused, unreassociated), so amplitudes are
 /// bit-identical across {scalar, avx2} x any thread count.
 struct ExecutionConfig {
@@ -75,31 +65,39 @@ class Statevector {
 
   // -- Kernel execution config ------------------------------------------------
 
-  /// Resolved serial_cutoff when neither the instance nor the process-wide
-  /// default sets one: states below 2^16 amplitudes stay serial.
+  /// Resolved serial_cutoff when the process-wide config leaves it at 0:
+  /// states below 2^16 amplitudes stay serial.
   static constexpr uint64_t kDefaultSerialCutoff = uint64_t{1} << 16;
 
-  /// Process-wide default ExecutionConfig, consulted by every Statevector
-  /// whose own config leaves a knob at 0. Thread-safe.
+  /// Process-wide ExecutionConfig, read by every kernel call. Thread-safe;
+  /// set it at startup or around a scope, never mid-kernel.
   static void SetDefaultExecutionConfig(const ExecutionConfig& config);
   static ExecutionConfig DefaultExecutionConfig();
 
-  /// Per-instance override; knobs left at 0 defer to the process default.
-  void set_execution_config(const ExecutionConfig& config) {
-    execution_config_ = config;
+  /// The thread count / cutoff / SIMD tier the kernels actually use: the
+  /// process-wide knobs with each 0 (kAuto) replaced by its built-in default.
+  static int ResolvedNumThreads();
+  static uint64_t ResolvedSerialCutoff();
+  static simd::Tier ResolvedSimdTier();
+
+  /// Kernel fan-out seam: runs body(begin, end) over [0, n). When the
+  /// resolved thread count is 1 or `work` is below the resolved serial
+  /// cutoff, that is one direct body(0, n) call on the caller, with no
+  /// std::function and no allocation. Otherwise [0, n) is split into
+  /// min(threads, n) contiguous chunks dispatched over the process-wide
+  /// ThreadPool::Shared() pool (caller-participating, so nested use cannot
+  /// deadlock). Chunk boundaries depend only on (n, threads), so a body
+  /// whose per-index updates are independent is bit-identical at every
+  /// thread count.
+  template <typename Body>
+  static void ForChunks(uint64_t n, uint64_t work, const Body& body) {
+    const int chunks = NumChunks(n, work);
+    if (chunks <= 1) {
+      body(uint64_t{0}, n);
+      return;
+    }
+    RunChunks(n, chunks, body);
   }
-  const ExecutionConfig& execution_config() const { return execution_config_; }
-
-  /// The thread count / cutoff the kernels will actually use after the
-  /// instance -> process default -> built-in resolution.
-  int ResolvedNumThreads() const;
-  uint64_t ResolvedSerialCutoff() const;
-
-  /// The SIMD tier the kernel inner loops will actually dispatch to after
-  /// the instance -> process default -> detection resolution: Tier::kScalar
-  /// when the resolved mode is SimdMode::kScalar (or nothing better is
-  /// available), simd::DetectedTier() otherwise.
-  simd::Tier ResolvedSimdTier() const;
 
   int num_qubits() const { return num_qubits_; }
   size_t dimension() const { return amplitudes_.size(); }
@@ -184,29 +182,25 @@ class Statevector {
  private:
   Statevector() : num_qubits_(0) {}
 
-  /// True when a kernel should take its serial branch: resolved thread
-  /// count 1, or dimension() below the resolved serial cutoff. Each kernel
-  /// keeps the pre-parallel loop verbatim behind this check (the compiler
-  /// vectorizes that form best) and pairs it with a chunked parallel branch
-  /// proven bit-identical by statevector_parallel_test.
-  bool UseSerialKernel() const;
+  /// 1 << q, after checking that q names a qubit of this state.
+  uint64_t QubitBit(int q) const;
 
-  /// True when the kernel inner loops should dispatch to the vector run
-  /// primitives (sim::simd) instead of the scalar reference loops.
-  bool UseSimdKernels() const;
+  /// Applies `u` to `target` on the basis states whose `control_mask` bits
+  /// are all set (Apply1Q is the empty mask).
+  void ApplyMasked1Q(uint64_t control_mask, int target,
+                     const linalg::Matrix& u);
 
-  /// Kernel fan-out seam: runs body(begin, end) over a partition of [0, n)
-  /// into contiguous chunks dispatched over the process-wide
-  /// ThreadPool::Shared() pool (caller-participating, so nested use cannot
-  /// deadlock). Chunks never overlap and their boundaries depend only on
-  /// (n, resolved threads), so kernels whose per-element updates are
-  /// independent stay bit-identical at every thread count.
-  void RunChunksParallel(
-      uint64_t n, const std::function<void(uint64_t, uint64_t)>& body) const;
+  /// Exchanges qubits a and b on the basis states whose `control_mask` bits
+  /// are all set (ApplySwap is the empty mask).
+  void SwapMasked(uint64_t control_mask, int a, int b);
+
+  /// ForChunks' chunk count (1 = serial) and its pooled dispatch.
+  static int NumChunks(uint64_t n, uint64_t work);
+  static void RunChunks(uint64_t n, int chunks,
+                        const std::function<void(uint64_t, uint64_t)>& body);
 
   int num_qubits_;
   std::vector<Complex> amplitudes_;
-  ExecutionConfig execution_config_;
 };
 
 /// Runs `c` on |0...0> and returns the final state.

@@ -105,8 +105,8 @@ TEST(AlgoParallelParityTest, QaoaSolverSampleSetsIdenticalAt1And8Threads) {
 
 // The SIMD axis of the same guarantee: a full QAOA solve (cost layers via
 // ApplyDiagonalPhase, mixer layers via Apply1Q, then sampling) must produce
-// an identical SampleSet with the vector tier forced on vs forced off. On
-// machines without a vector tier kSimd degrades to scalar and the test is
+// an identical SampleSet with the vector tier on (kAuto) vs forced off. On
+// machines without a vector tier kAuto resolves to scalar and the test is
 // trivially green.
 TEST(AlgoParallelParityTest, QaoaSampleSetsIdenticalWithSimdOnAndOff) {
   const anneal::Qubo qubo = SmallQubo(6, 11);
@@ -124,7 +124,7 @@ TEST(AlgoParallelParityTest, QaoaSampleSetsIdenticalWithSimdOnAndOff) {
     scalar = *result;
   }
   {
-    ScopedDefaultExecutionConfig scoped(8, sim::SimdMode::kSimd);
+    ScopedDefaultExecutionConfig scoped(8, sim::SimdMode::kAuto);
     auto result = anneal::SolveWith("qaoa", qubo, options);
     ASSERT_TRUE(result.ok()) << result.status();
     simd = *result;

@@ -110,7 +110,7 @@ class ScopedSimdTier {
 };
 
 constexpr sim::SimdMode kTiers[] = {sim::SimdMode::kScalar,
-                                    sim::SimdMode::kSimd};
+                                    sim::SimdMode::kAuto};
 
 const char* TierName(sim::SimdMode mode) {
   return mode == sim::SimdMode::kScalar ? "scalar tier" : "SIMD tier";

@@ -499,6 +499,20 @@ TEST(NetTaxonomyTest, ExpiredDeadlineIs504WithTheServiceMessage) {
   server->Stop();
 }
 
+TEST(NetTaxonomyTest, DeadlineAtInt64MaxSucceeds) {
+  std::unique_ptr<QdmServer> server = StartServer(/*num_workers=*/1);
+  QdmClient client(server->port());
+  auto id = client.Submit("simulated_annealing", MakeQubo(3, 7), FastOptions(4),
+                          std::chrono::nanoseconds::max());
+  ASSERT_TRUE(id.ok()) << id.status();
+  auto waited = client.Wait(*id);
+  EXPECT_TRUE(waited.ok()) << waited.status();
+  auto snapshot = client.Poll(*id);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  EXPECT_EQ(snapshot->state, JobState::kSucceeded);
+  server->Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Server lifecycle.
 // ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ TEST(NoisySolverTest, TrajectoryPathIsIdenticalAcrossSimdTiers) {
   options.num_reads = 8;
   const sim::ExecutionConfig saved = sim::Statevector::DefaultExecutionConfig();
   std::map<std::string, SampleSet> per_tier;
-  for (sim::SimdMode mode : {sim::SimdMode::kScalar, sim::SimdMode::kSimd}) {
+  for (sim::SimdMode mode : {sim::SimdMode::kScalar, sim::SimdMode::kAuto}) {
     sim::ExecutionConfig config = saved;
     config.simd = mode;
     config.serial_cutoff = 1;  // Exercise the parallel kernels too.

@@ -579,6 +579,25 @@ TEST(ServiceDeadlineTest, ZeroDeadlineMeansNoDeadline) {
   EXPECT_TRUE(service.Wait(submitted->id).ok());
 }
 
+// Deadlines up to INT64_MAX ns are valid (the wire accepts them); now +
+// deadline saturates instead of overflowing into the past.
+TEST(ServiceDeadlineTest, DeadlineNearInt64MaxNeverExpires) {
+  SolverService service;
+  for (const std::chrono::nanoseconds deadline :
+       {std::chrono::nanoseconds::max(),
+        std::chrono::nanoseconds::max() - std::chrono::nanoseconds(1)}) {
+    SubmitOptions submit;
+    submit.deadline = deadline;
+    auto submitted = service.Submit("simulated_annealing", MakeQubo(4, 12),
+                                    FastOptions(12), submit);
+    ASSERT_TRUE(submitted.ok()) << submitted.status();
+    EXPECT_TRUE(service.Wait(submitted->id).ok()) << deadline.count();
+    auto poll = service.Poll(submitted->id);
+    ASSERT_TRUE(poll.ok()) << poll.status();
+    EXPECT_EQ(poll->state, JobState::kSucceeded) << deadline.count();
+  }
+}
+
 TEST(ServiceDeadlineTest, NegativeDeadlineIsRejectedAtSubmit) {
   SolverService service;
   SubmitOptions submit;
