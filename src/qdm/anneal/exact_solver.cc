@@ -28,7 +28,7 @@ Sample ExactSolver::Solve(const Qubo& qubo) {
       best = x;
     }
   }
-  return Sample{ToAssignment(best), best_energy, 0.0};
+  return SampleOf(qubo, best);
 }
 
 Result<SampleSet> ExactSolver::Solve(const Qubo& qubo,

@@ -35,17 +35,18 @@ Result<SampleSet> ParallelTempering::Solve(const Qubo& qubo,
                                    static_cast<double>(k) / (r - 1));
   }
 
-  SampleSet result;
-  for (int read = 0; read < options.num_reads; ++read) {
+  return SampleReads(options.num_reads, rng, [&](Rng* read_rng) {
     std::vector<MetropolisChain> replicas(r);
-    for (MetropolisChain& replica : replicas) adj.StartChain(rng, &replica);
+    for (MetropolisChain& replica : replicas) {
+      adj.StartChain(read_rng, &replica);
+    }
 
     SpinMasks best = replicas[0].spins;
     double best_energy = replicas[0].energy;
 
     for (int sweep = 0; sweep < sweeps; ++sweep) {
       for (int k = 0; k < r; ++k) {
-        adj.MetropolisSweep(betas[k], rng, &replicas[k]);
+        adj.MetropolisSweep(betas[k], read_rng, &replicas[k]);
         if (replicas[k].energy < best_energy) {
           best_energy = replicas[k].energy;
           best = replicas[k].spins;
@@ -56,15 +57,14 @@ Result<SampleSet> ParallelTempering::Solve(const Qubo& qubo,
           const double arg = (betas[k + 1] - betas[k]) *
                              (replicas[k + 1].energy - replicas[k].energy);
           // exp(arg) is exp(-(-arg)) bit for bit: negation is exact.
-          if (arg >= 0.0 || MetropolisAccept(rng->Uniform(), -arg)) {
+          if (arg >= 0.0 || MetropolisAccept(read_rng->Uniform(), -arg)) {
             std::swap(replicas[k], replicas[k + 1]);
           }
         }
       }
     }
-    result.Add(Sample{ToAssignment(best), best_energy, 0.0});
-  }
-  return result;
+    return SampleOf(qubo, best);
+  });
 }
 
 }  // namespace anneal

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
+
+#include "qdm/common/thread_pool.h"
 
 namespace qdm {
 namespace anneal {
@@ -11,6 +14,26 @@ Assignment ToAssignment(const SpinMasks& spins) {
   Assignment x(spins.size());
   for (size_t i = 0; i < spins.size(); ++i) x[i] = spins[i] & 1;
   return x;
+}
+
+Sample SampleOf(const Qubo& qubo, const SpinMasks& spins) {
+  Sample sample{ToAssignment(spins), 0.0, 0.0};
+  sample.energy = qubo.Energy(sample.assignment);
+  return sample;
+}
+
+SampleSet SampleReads(int num_reads, Rng* rng,
+                      const std::function<Sample(Rng*)>& read) {
+  std::vector<uint64_t> seeds(num_reads);
+  for (uint64_t& seed : seeds) seed = rng->engine()();
+  std::vector<Sample> samples(num_reads);
+  ThreadPool::Shared().ForEach(num_reads, /*max_workers=*/0, [&](int, int r) {
+    Rng read_rng(seeds[r]);
+    samples[r] = read(&read_rng);
+  });
+  SampleSet result;
+  for (Sample& sample : samples) result.Add(std::move(sample));
+  return result;
 }
 
 namespace {
@@ -176,17 +199,15 @@ Result<SampleSet> SimulatedAnnealer::Solve(const Qubo& qubo,
   const double ratio =
       sweeps > 1 ? std::pow(beta_max / beta_min, 1.0 / (sweeps - 1)) : 1.0;
 
-  SampleSet result;
-  MetropolisChain chain;
-  for (int read = 0; read < options.num_reads; ++read) {
-    adj.StartChain(rng, &chain);
+  return SampleReads(options.num_reads, rng, [&](Rng* read_rng) {
+    MetropolisChain chain;
+    adj.StartChain(read_rng, &chain);
     double beta = beta_min;
     for (int sweep = 0; sweep < sweeps; ++sweep, beta *= ratio) {
-      adj.MetropolisSweep(beta, rng, &chain);
+      adj.MetropolisSweep(beta, read_rng, &chain);
     }
-    result.Add(Sample{ToAssignment(chain.spins), chain.energy, 0.0});
-  }
-  return result;
+    return SampleOf(qubo, chain.spins);
+  });
 }
 
 }  // namespace anneal

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +41,11 @@ inline uint64_t SpinMask(int bit) {
 /// The 0/1 assignment of a mask vector.
 Assignment ToAssignment(const SpinMasks& spins);
 
+/// The sample an annealing-family read returns for `spins`: its assignment
+/// and qubo.Energy() of it, so every backend reports one energy for one
+/// assignment, whatever the chain accumulated on the way.
+Sample SampleOf(const Qubo& qubo, const SpinMasks& spins);
+
 /// The Metropolis test for a move that costs y = beta * delta: exactly
 /// `u < std::exp(-y)`, for every double y (±0, ±inf and NaN included) and
 /// every u >= 0, but calling exp only when two cheap bounds leave the
@@ -70,6 +76,18 @@ struct MetropolisChain {
   std::vector<double> fields;
   double energy = 0.0;
 };
+
+/// Runs the `num_reads` reads of one annealing-family solve and returns their
+/// samples, added in read order. Read r draws only from its own Rng, seeded
+/// by the r-th 64-bit draw of `rng`: all num_reads seeds are drawn on the
+/// calling thread before any read starts, so `rng` advances by exactly
+/// num_reads draws. The reads fan out on ThreadPool::Shared() through its
+/// caller-participating ForEach (a saturated pool runs them in turn on the
+/// caller), and no read sees another's state, so the SampleSet is the same
+/// bits at every pool size. `read` is called once per read, concurrently
+/// for different reads.
+SampleSet SampleReads(int num_reads, Rng* rng,
+                      const std::function<Sample(Rng* read_rng)>& read);
 
 /// Internal workhorse shared by the annealing-family samplers: the Qubo's
 /// interaction graph in CSR form with O(deg) flip deltas. Variable i's

@@ -67,7 +67,9 @@ namespace anneal {
 /// ignored); otherwise the solver seeds a local Rng from `seed` (seed 0
 /// meaning the library's fixed default seed). Batch entry points derive a
 /// distinct per-instance seed (see DeriveBatchOptions) and only honor `rng`
-/// on the strictly sequential path.
+/// on the strictly sequential path. simulated_annealing and
+/// parallel_tempering take one draw of that Rng per read, to seed the read's
+/// own stream (SampleReads).
 struct SolverOptions {
   /// Number of solutions drawn (ground-truth solvers may return fewer).
   int num_reads = 10;

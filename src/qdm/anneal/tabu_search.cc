@@ -53,7 +53,7 @@ Result<SampleSet> TabuSearch::Solve(const Qubo& qubo,
         best = spins;
       }
     }
-    result.Add(Sample{ToAssignment(best), best_energy, 0.0});
+    result.Add(SampleOf(qubo, best));
   }
   return result;
 }

@@ -88,7 +88,9 @@ void ThreadPool::ForEach(int n, int max_workers,
       }
     }
   };
-  int helpers = std::min(num_threads(), n);
+  // The caller drains too, so n - 1 helpers cover n indices: one more would
+  // wake a worker that finds nothing.
+  int helpers = std::min(num_threads(), n - 1);
   if (max_workers > 0) helpers = std::min(helpers, max_workers - 1);
   for (int worker = 1; worker <= helpers; ++worker) {
     Submit([state, drain, worker] { drain(state, worker); });

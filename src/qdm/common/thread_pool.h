@@ -11,11 +11,11 @@
 namespace qdm {
 
 /// Fixed-size worker pool for fanning independent tasks out across threads.
-/// Every fan-out in the toolkit — QUBO batches, portfolio races, the
-/// statevector kernels — runs on the process-wide Shared() pool through
-/// ForEach, so none of them spawns threads per call; the pool is
-/// deliberately minimal — submit, wait, reuse — so those seams share it
-/// without inheriting scheduler policy.
+/// Every fan-out in the toolkit — QUBO batches, portfolio races, the reads
+/// of one annealing or tempering solve, the statevector kernels — runs on
+/// the process-wide Shared() pool through ForEach, so none of them spawns
+/// threads per call; the pool is deliberately minimal — submit, wait,
+/// reuse — so those seams share it without inheriting scheduler policy.
 ///
 /// Tasks must not throw (the toolkit is exception-free; failures travel as
 /// Status values captured by the task itself). Submitting from inside a task
@@ -66,8 +66,9 @@ class ThreadPool {
   /// independent of execution order and of which worker runs it.
   ///
   /// `worker` is the stable id of the drain running the iteration: the
-  /// caller is worker 0 and each of the min(num_threads(), n) helper tasks
-  /// gets its own id from 1 up. An id never runs on two threads at once, so
+  /// caller is worker 0 and each of the min(num_threads(), n - 1) helper
+  /// tasks gets its own id from 1 up, so ids stay below n and n == 1 runs
+  /// on the caller alone. An id never runs on two threads at once, so
   /// a caller can reuse one expensive per-worker resource (e.g. a solver
   /// backend) across every index that id picks up. `max_workers` > 0 caps
   /// the ids to [0, max_workers) — max_workers == 1 runs every index in

@@ -8,17 +8,24 @@
 //   - SolveBatchParallel at 1, 2 and 8 threads, where instance i must equal
 //     Solve at DeriveBatchOptions(options, i);
 //   - SolverService Submit and SubmitBatch;
-//   - an in-process QdmServer driven through QdmClient.
+//   - an in-process QdmServer driven through QdmClient;
+//   - Solve on a saturated shared pool, where every fan-out inside the
+//     solve (reads, race members, kernel chunks) runs on its caller.
 //
-// Every success is compared bit for bit with anneal::BitIdentical. One
-// failing input must report the same (code, message) on every path. A
+// Every success is compared bit for bit with anneal::BitIdentical, and each
+// of its samples must carry Qubo::Energy of its assignment, bit for bit.
+// One failing input must report the same (code, message) on every path. A
 // backend registered later joins the matrix with no edit here.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <condition_variable>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,6 +34,7 @@
 #include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 #include "qdm/common/status.h"
+#include "qdm/common/thread_pool.h"
 #include "qdm/net/client.h"
 #include "qdm/net/server.h"
 #include "qdm/service/solver_service.h"
@@ -116,14 +124,69 @@ const char* TierName(sim::SimdMode mode) {
   return mode == sim::SimdMode::kScalar ? "scalar tier" : "SIMD tier";
 }
 
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Each sample of `set` reports qubo.Energy() of its own assignment, bit
+/// for bit.
+void ExpectQuboEnergies(const SampleSet& set, const Qubo& qubo,
+                        const std::string& path) {
+  for (size_t s = 0; s < set.size(); ++s) {
+    const anneal::Sample& sample = set.samples()[s];
+    EXPECT_EQ(Bits(sample.energy), Bits(qubo.Energy(sample.assignment)))
+        << path << ", sample " << s;
+  }
+}
+
+void ExpectSame(const SampleSet& actual, const SampleSet& expected,
+                const Qubo& qubo, const std::string& path) {
+  EXPECT_TRUE(BitIdentical(actual, expected)) << path;
+  ExpectQuboEnergies(actual, qubo, path);
+}
+
 void ExpectSameBatch(const std::vector<SampleSet>& actual,
                      const std::vector<SampleSet>& expected,
-                     const std::string& path) {
+                     const std::vector<Qubo>& qubos, const std::string& path) {
   ASSERT_EQ(actual.size(), expected.size()) << path;
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_TRUE(BitIdentical(actual[i], expected[i]))
-        << path << ", instance " << i;
+    ExpectSame(actual[i], expected[i], qubos[i],
+               path + ", instance " + std::to_string(i));
   }
+}
+
+/// Solves from inside a shared-pool ForEach whose other indices hold every
+/// pool worker until the solve returns: each fan-out inside the solve finds
+/// no free worker and runs all its indices on its caller.
+Result<SampleSet> SolveOnSaturatedPool(const std::string& name,
+                                       const Qubo& qubo,
+                                       const SolverOptions& options) {
+  ThreadPool& pool = ThreadPool::Shared();
+  const int n = pool.num_threads() + 1;
+  std::mutex mutex;
+  std::condition_variable cv;
+  int started = 0;
+  bool solved = false;
+  Result<SampleSet> result = Status::Internal("not solved");
+  pool.ForEach(n, /*max_workers=*/0, [&](int, int i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++started;
+    cv.notify_all();
+    if (i != 0) {
+      cv.wait(lock, [&] { return solved; });
+      return;
+    }
+    // Every index is claimed, so the caller and every worker are held.
+    cv.wait(lock, [&] { return started == n; });
+    lock.unlock();
+    result = anneal::SolveWith(name, qubo, options);
+    lock.lock();
+    solved = true;
+    cv.notify_all();
+  });
+  return result;
 }
 
 class BackendConformanceTest : public ::testing::TestWithParam<std::string> {
@@ -171,27 +234,33 @@ TEST_P(BackendConformanceTest, EveryPathReturnsTheSolveSampleSet) {
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_FALSE(reference->empty());
 
+  ExpectQuboEnergies(*reference, qubo, "Solve");
+
   const auto again = anneal::SolveWith(name, qubo, options);
   ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_TRUE(BitIdentical(*again, *reference)) << "Solve, repeated";
+  ExpectSame(*again, *reference, qubo, "Solve, repeated");
 
   for (sim::SimdMode tier : kTiers) {
     ScopedSimdTier scoped(tier);
     const auto tiered = anneal::SolveWith(name, qubo, options);
     ASSERT_TRUE(tiered.ok()) << TierName(tier) << ": " << tiered.status();
-    EXPECT_TRUE(BitIdentical(*tiered, *reference)) << TierName(tier);
+    ExpectSame(*tiered, *reference, qubo, TierName(tier));
   }
+
+  const auto saturated = SolveOnSaturatedPool(name, qubo, options);
+  ASSERT_TRUE(saturated.ok()) << saturated.status();
+  ExpectSame(*saturated, *reference, qubo, "Solve on a saturated pool");
 
   const auto submitted = service_->Submit(name, qubo, options);
   ASSERT_TRUE(submitted.ok()) << submitted.status();
   const auto waited = service_->Wait(submitted->id);
   ASSERT_TRUE(waited.ok()) << waited.status();
   ASSERT_EQ(waited->size(), 1u);
-  EXPECT_TRUE(BitIdentical((*waited)[0], *reference)) << "service Submit";
+  ExpectSame((*waited)[0], *reference, qubo, "service Submit");
 
   const auto remote = client_->Solve(name, qubo, options);
   ASSERT_TRUE(remote.ok()) << remote.status();
-  EXPECT_TRUE(BitIdentical(*remote, *reference)) << "QdmClient Solve";
+  ExpectSame(*remote, *reference, qubo, "QdmClient Solve");
 }
 
 TEST_P(BackendConformanceTest, EveryBatchPathMatchesPerInstanceSolve) {
@@ -203,6 +272,8 @@ TEST_P(BackendConformanceTest, EveryBatchPathMatchesPerInstanceSolve) {
     const auto single = anneal::SolveWith(
         name, qubos[i], anneal::DeriveBatchOptions(options, i));
     ASSERT_TRUE(single.ok()) << "instance " << i << ": " << single.status();
+    ExpectQuboEnergies(*single, qubos[i],
+                       "Solve, instance " + std::to_string(i));
     expected.push_back(*single);
   }
 
@@ -211,7 +282,7 @@ TEST_P(BackendConformanceTest, EveryBatchPathMatchesPerInstanceSolve) {
         anneal::SolveBatchParallel(name, qubos, options, threads);
     ASSERT_TRUE(batch.ok()) << threads << " threads: " << batch.status();
     ExpectSameBatch(
-        *batch, expected,
+        *batch, expected, qubos,
         "SolveBatchParallel at " + std::to_string(threads) + " threads");
   }
 
@@ -219,11 +290,11 @@ TEST_P(BackendConformanceTest, EveryBatchPathMatchesPerInstanceSolve) {
   ASSERT_TRUE(submitted.ok()) << submitted.status();
   const auto waited = service_->Wait(submitted->id);
   ASSERT_TRUE(waited.ok()) << waited.status();
-  ExpectSameBatch(*waited, expected, "service SubmitBatch");
+  ExpectSameBatch(*waited, expected, qubos, "service SubmitBatch");
 
   const auto remote = client_->SolveBatch(name, qubos, options);
   ASSERT_TRUE(remote.ok()) << remote.status();
-  ExpectSameBatch(*remote, expected, "QdmClient SolveBatch");
+  ExpectSameBatch(*remote, expected, qubos, "QdmClient SolveBatch");
 }
 
 TEST_P(BackendConformanceTest, FailingInputReportsOneStatusOnEveryPath) {

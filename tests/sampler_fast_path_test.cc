@@ -8,7 +8,9 @@
 //   - simulated_annealing and parallel_tempering equal a copy of the loop
 //     they replaced (the CSR sum and std::exp on every uphill proposal)
 //     bit for bit, on seeded random integer QUBOs, which take the
-//     exact-field path, and on real-valued ones, which do not.
+//     exact-field path, and on real-valued ones, which do not. The copy
+//     runs its reads serially, read r on an Rng seeded by the r-th draw of
+//     the caller's, and reports Qubo::Energy of each returned assignment.
 
 #include <gtest/gtest.h>
 
@@ -175,6 +177,7 @@ TEST(ExactFieldsTest, TruthTable) {
 
 // The annealing loop as it was before exact fields and MetropolisAccept:
 // every proposal sums its CSR row, and every uphill one calls std::exp.
+// Read r runs on its own Rng, seeded by the r-th draw of `rng`.
 SampleSet ReferenceAnneal(const Qubo& qubo, const SolverOptions& options,
                           Rng* rng) {
   const QuboAdjacency adj(qubo);
@@ -185,25 +188,27 @@ SampleSet ReferenceAnneal(const Qubo& qubo, const SolverOptions& options,
       sweeps > 1 ? std::pow(beta_max / beta_min, 1.0 / (sweeps - 1)) : 1.0;
   SampleSet result;
   for (int read = 0; read < options.num_reads; ++read) {
+    Rng read_rng(rng->engine()());
     SpinMasks spins;
-    double energy = adj.RandomSpins(rng, &spins);
+    adj.RandomSpins(&read_rng, &spins);
     double beta = beta_min;
     for (int sweep = 0; sweep < sweeps; ++sweep, beta *= ratio) {
       for (int i = 0; i < n; ++i) {
         const double delta = adj.FlipDelta(spins.data(), i);
-        if (delta <= 0.0 || rng->Uniform() < std::exp(-beta * delta)) {
+        if (delta <= 0.0 || read_rng.Uniform() < std::exp(-beta * delta)) {
           spins[i] = ~spins[i];
-          energy += delta;
         }
       }
     }
-    result.Add(Sample{ToAssignment(spins), energy, 0.0});
+    const Assignment x = ToAssignment(spins);
+    result.Add(Sample{x, qubo.Energy(x), 0.0});
   }
   return result;
 }
 
 // The tempering loop as it was, counting the swaps it accepts through a
-// Uniform() draw into `*drawn_swaps`.
+// Uniform() draw into `*drawn_swaps`. Read r runs on its own Rng, seeded by
+// the r-th draw of `rng`.
 SampleSet ReferenceTempering(const Qubo& qubo, const SolverOptions& options,
                              Rng* rng, int64_t* drawn_swaps) {
   const QuboAdjacency adj(qubo);
@@ -217,10 +222,11 @@ SampleSet ReferenceTempering(const Qubo& qubo, const SolverOptions& options,
   }
   SampleSet result;
   for (int read = 0; read < options.num_reads; ++read) {
+    Rng read_rng(rng->engine()());
     std::vector<SpinMasks> replicas(r);
     std::vector<double> energies(r);
     for (int k = 0; k < r; ++k) {
-      energies[k] = adj.RandomSpins(rng, &replicas[k]);
+      energies[k] = adj.RandomSpins(&read_rng, &replicas[k]);
     }
     SpinMasks best = replicas[0];
     double best_energy = energies[0];
@@ -229,7 +235,8 @@ SampleSet ReferenceTempering(const Qubo& qubo, const SolverOptions& options,
         uint64_t* spins = replicas[k].data();
         for (int i = 0; i < n; ++i) {
           const double delta = adj.FlipDelta(spins, i);
-          if (delta <= 0.0 || rng->Uniform() < std::exp(-betas[k] * delta)) {
+          if (delta <= 0.0 ||
+              read_rng.Uniform() < std::exp(-betas[k] * delta)) {
             spins[i] = ~spins[i];
             energies[k] += delta;
           }
@@ -244,7 +251,7 @@ SampleSet ReferenceTempering(const Qubo& qubo, const SolverOptions& options,
           const double arg =
               (betas[k + 1] - betas[k]) * (energies[k + 1] - energies[k]);
           const bool draws = !(arg >= 0.0);
-          if (arg >= 0.0 || rng->Uniform() < std::exp(arg)) {
+          if (arg >= 0.0 || read_rng.Uniform() < std::exp(arg)) {
             *drawn_swaps += draws;
             std::swap(replicas[k], replicas[k + 1]);
             std::swap(energies[k], energies[k + 1]);
@@ -252,7 +259,8 @@ SampleSet ReferenceTempering(const Qubo& qubo, const SolverOptions& options,
         }
       }
     }
-    result.Add(Sample{ToAssignment(best), best_energy, 0.0});
+    const Assignment x = ToAssignment(best);
+    result.Add(Sample{x, qubo.Energy(x), 0.0});
   }
   return result;
 }
@@ -358,7 +366,8 @@ TEST(SamplerFastPathTest, MatchesTheReferenceLoopBitForBit) {
             *annealed, ReferenceAnneal(qubo, AnnealOptions(&reference_rng),
                                        &reference_rng)))
             << "simulated_annealing, " << label;
-        // Same draws: both Rngs end in the same state.
+        // Same draws: each Rng gave one seed per read and ends in the same
+        // state.
         EXPECT_EQ(rng.Uniform(), reference_rng.Uniform()) << label;
 
         const Result<SampleSet> tempered =

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -159,6 +160,46 @@ TEST(ThreadPoolTest, ForEachHandlesEmptyAndSingleRanges) {
   ThreadPool::Shared().ForEach(1, 0,
                                [&counter](int, int) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(ThreadPoolTest, ForEachWakesNoHelperBeyondItsIndices) {
+  // The caller drains too, so n indices take n - 1 helpers. Bodies that
+  // wait until all n indices have started hold one index per drain, so
+  // every drain takes exactly one: a helper beyond n - 1 would take an
+  // index with an id >= n.
+  ThreadPool pool(4);
+  for (int round = 0; round < 50; ++round) {
+    for (int n = 1; n <= pool.num_threads(); ++n) {
+      std::mutex mutex;
+      std::condition_variable cv;
+      int started = 0;
+      int max_worker = -1;
+      pool.ForEach(n, 0, [&](int worker, int) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++started;
+        max_worker = std::max(max_worker, worker);
+        cv.notify_all();
+        cv.wait(lock, [&] { return started == n; });
+      });
+      ASSERT_EQ(started, n);
+      ASSERT_LT(max_worker, n) << "n " << n << ", round " << round;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ForEachOfOneIndexRunsOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 1000; ++round) {
+    std::thread::id ran_on;
+    int worker_id = -1;
+    pool.ForEach(1, 0, [&](int worker, int) {
+      ran_on = std::this_thread::get_id();
+      worker_id = worker;
+    });
+    ASSERT_EQ(ran_on, caller) << "round " << round;
+    ASSERT_EQ(worker_id, 0) << "round " << round;
+  }
 }
 
 TEST(ThreadPoolTest, ForEachWithMoreWorkersThanItemsTouchesNothingExtra) {
