@@ -26,6 +26,8 @@
 #include "qdm/db/workload.h"
 #include "qdm/net/wire.h"
 #include "qdm/qopt/mqo.h"
+#include "qdm/sim/density_matrix.h"
+#include "qdm/sim/noise.h"
 #include "qdm/sim/statevector.h"
 
 namespace {
@@ -416,6 +418,27 @@ void BM_CnotLadder(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CnotLadder)->Arg(12)->Arg(18);
+
+// Exact noisy evolution of one QAOA-shaped layer on n qubits (H and RZ on
+// every qubit, an RZZ chain, RX on every qubit) under depol@0.01: the
+// density path the noisy gate-based backends take up to
+// algo::kMaxDensityQubits. Items are gates.
+void BM_EvolveDensityMatrix(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  qdm::circuit::Circuit c(n);
+  for (int q = 0; q < n; ++q) c.H(q).RZ(q, 0.3 + 0.1 * q);
+  for (int q = 0; q + 1 < n; ++q) c.RZZ(q, q + 1, 0.7);
+  for (int q = 0; q < n; ++q) c.RX(q, 0.9);
+  qdm::sim::NoiseModel model;
+  model.depolarizing_1q = 0.01;
+  model.depolarizing_2q = 0.01;
+  for (auto _ : state) {
+    const qdm::sim::DensityMatrix rho = qdm::sim::EvolveDensityMatrix(c, model);
+    benchmark::DoNotOptimize(rho.ProbabilityOfOne(0));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(c.size()));
+}
+BENCHMARK(BM_EvolveDensityMatrix)->Arg(4)->Arg(6);
 
 // The sampler benches' QUBO: a band of width 8 (degree <= 14) with
 // coefficients drawn from `rng`: uniform reals in [-1, 1), or nonzero

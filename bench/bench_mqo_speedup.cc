@@ -169,6 +169,11 @@ void RunPortfolioSweep(const qdm_bench::SweepFlags& flags,
     metrics->AddExact(
         qdm::StrFormat("mqo_port_race_win_rate_vs_%s", kArms[m].label),
         1.0 * wins / kInstances);
+    // Ties hide a race that starts losing from the win rate alone, so the
+    // loss rate is pinned too.
+    metrics->AddExact(
+        qdm::StrFormat("mqo_port_race_loss_rate_vs_%s", kArms[m].label),
+        1.0 * losses / kInstances);
   }
   std::printf(
       "Portfolio scoreboard: best QUBO energy of "

@@ -21,14 +21,6 @@ Rng MakeShotRng(const anneal::SolverOptions& options, int shot) {
   return Rng(base + static_cast<uint64_t>(shot));
 }
 
-uint64_t ApplyReadoutFlips(uint64_t z, int num_qubits, double p, Rng* rng) {
-  if (p <= 0.0) return z;
-  for (int q = 0; q < num_qubits; ++q) {
-    if (rng->Bernoulli(p)) z ^= uint64_t{1} << q;
-  }
-  return z;
-}
-
 }  // namespace
 
 void AddBasisSample(anneal::SampleSet* set, const std::vector<double>& diagonal,
@@ -83,12 +75,12 @@ anneal::SampleSet SampleCircuitNoisy(const circuit::Circuit& c,
     const sim::DensityMatrix rho = sim::EvolveDensityMatrix(c, model);
     std::vector<double> probabilities(rho.dimension());
     for (size_t z = 0; z < probabilities.size(); ++z) {
-      probabilities[z] = std::max(0.0, rho.matrix()(z, z).real());
+      probabilities[z] = std::max(0.0, rho.entry(z, z).real());
     }
     for (int read = 0; read < num_reads; ++read) {
       Rng shot_rng = MakeShotRng(options, read);
       uint64_t z = static_cast<uint64_t>(shot_rng.Categorical(probabilities));
-      z = ApplyReadoutFlips(z, n, model.readout_flip, &shot_rng);
+      z = sim::ApplyReadoutFlips(z, n, model.readout_flip, &shot_rng);
       AddBasisSample(&set, diagonal, n, z);
     }
     set.set_noise_fidelity(rho.FidelityWithPure(ideal));
@@ -104,7 +96,7 @@ anneal::SampleSet SampleCircuitNoisy(const circuit::Circuit& c,
     Rng shot_rng = MakeShotRng(options, read);
     const sim::Statevector trajectory = simulator.RunTrajectory(c, &shot_rng);
     uint64_t z = trajectory.SampleBasisState(&shot_rng);
-    z = ApplyReadoutFlips(z, n, model.readout_flip, &shot_rng);
+    z = sim::ApplyReadoutFlips(z, n, model.readout_flip, &shot_rng);
     fidelity_total += trajectory.FidelityWith(ideal);
     AddBasisSample(&set, diagonal, n, z);
   }

@@ -123,21 +123,5 @@ std::string Matrix::ToString() const {
   return out;
 }
 
-Matrix Kron(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows() * b.rows(), a.cols() * b.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) {
-      const Complex aij = a(i, j);
-      if (aij == Complex(0, 0)) continue;
-      for (size_t k = 0; k < b.rows(); ++k) {
-        for (size_t l = 0; l < b.cols(); ++l) {
-          out(i * b.rows() + k, j * b.cols() + l) = aij * b(k, l);
-        }
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace linalg
 }  // namespace qdm

@@ -68,9 +68,6 @@ class Matrix {
   std::vector<Complex> data_;
 };
 
-/// Kronecker (tensor) product a (x) b.
-Matrix Kron(const Matrix& a, const Matrix& b);
-
 }  // namespace linalg
 }  // namespace qdm
 

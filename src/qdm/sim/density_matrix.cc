@@ -1,6 +1,7 @@
 #include "qdm/sim/density_matrix.h"
 
 #include <cmath>
+#include <utility>
 
 #include "qdm/common/check.h"
 
@@ -9,101 +10,126 @@ namespace sim {
 
 using linalg::Matrix;
 
-DensityMatrix::DensityMatrix(int num_qubits)
-    : num_qubits_(num_qubits),
-      rho_(size_t{1} << num_qubits, size_t{1} << num_qubits) {
+namespace {
+
+/// `num_qubits`, checked before the 4^n entries are allocated.
+int CheckedNumQubits(int num_qubits) {
   QDM_CHECK(num_qubits > 0 && num_qubits <= 10)
       << "DensityMatrix is intended for small systems";
-  rho_(0, 0) = Complex(1, 0);
+  return num_qubits;
 }
 
+/// The 2n-qubit vector would accept q in [n, 2n) and act on the column
+/// register, so every entry point checks its qubits against n.
+void CheckQubit(int q, int num_qubits) {
+  QDM_CHECK(q >= 0 && q < num_qubits)
+      << ": qubit " << q << " is out of range for a " << num_qubits
+      << "-qubit density matrix";
+}
+
+void Conjugate(Statevector* sv) {
+  for (Complex& a : sv->mutable_amplitudes()) a = std::conj(a);
+}
+
+}  // namespace
+
+DensityMatrix::DensityMatrix(int num_qubits)
+    : num_qubits_(CheckedNumQubits(num_qubits)), vec_(2 * num_qubits_) {}
+
 DensityMatrix DensityMatrix::FromStatevector(const Statevector& sv) {
+  DensityMatrix rho(sv.num_qubits());
   const size_t dim = sv.dimension();
-  Matrix rho(dim, dim);
-  // The O(dim^2) outer product fans its rows out through the statevector
-  // kernels' seam (rows are independent, so every thread count fills the
+  // The O(dim^2) outer product fans its columns out through the statevector
+  // kernels' seam (columns are independent, so every thread count fills the
   // same bits); dim^2 is the work compared against the serial cutoff.
-  Statevector::ForChunks(dim, dim * dim, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      for (size_t j = 0; j < dim; ++j) {
-        rho(i, j) = sv.amplitude(i) * std::conj(sv.amplitude(j));
+  Statevector::ForChunks(dim, dim * dim, [&](size_t col_begin, size_t col_end) {
+    for (size_t j = col_begin; j < col_end; ++j) {
+      for (size_t i = 0; i < dim; ++i) {
+        rho.mutable_entry(i, j) = sv.amplitude(i) * std::conj(sv.amplitude(j));
       }
     }
   });
-  return DensityMatrix(sv.num_qubits(), std::move(rho));
+  return rho;
 }
 
 DensityMatrix DensityMatrix::WernerState(double fidelity) {
   QDM_CHECK(fidelity >= 0.0 && fidelity <= 1.0);
-  // |Phi+> = (|00> + |11>)/sqrt(2) over indices {0, 3}.
-  Matrix phi(4, 4);
-  phi(0, 0) = phi(0, 3) = phi(3, 0) = phi(3, 3) = Complex(0.5, 0);
-  Matrix rest = Matrix::Identity(4) - phi;
-  Matrix rho = phi * Complex(fidelity, 0) +
-               rest * Complex((1.0 - fidelity) / 3.0, 0);
-  return DensityMatrix(2, std::move(rho));
+  // F |Phi+><Phi+| + w (I - |Phi+><Phi+|), where |Phi+><Phi+| is 0.5 on the
+  // four corners of indices {0, 3}.
+  const double w = (1.0 - fidelity) / 3.0;
+  DensityMatrix rho(2);
+  rho.mutable_entry(0, 0) = rho.mutable_entry(3, 3) = 0.5 * fidelity + 0.5 * w;
+  rho.mutable_entry(0, 3) = rho.mutable_entry(3, 0) = 0.5 * fidelity - 0.5 * w;
+  rho.mutable_entry(1, 1) = rho.mutable_entry(2, 2) = w;
+  return rho;
 }
 
-void DensityMatrix::ApplyUnitary(const Matrix& u) {
-  QDM_CHECK_EQ(u.rows(), rho_.rows());
-  rho_ = u * rho_ * u.Adjoint();
-}
-
-void DensityMatrix::ApplyKraus(const std::vector<Matrix>& kraus) {
-  QDM_CHECK(!kraus.empty());
-  Matrix out(rho_.rows(), rho_.cols());
-  for (const Matrix& k : kraus) {
-    QDM_CHECK_EQ(k.rows(), rho_.rows());
-    out = out + k * rho_ * k.Adjoint();
+Matrix DensityMatrix::matrix() const {
+  Matrix rho(dimension(), dimension());
+  for (size_t i = 0; i < dimension(); ++i) {
+    for (size_t j = 0; j < dimension(); ++j) rho(i, j) = entry(i, j);
   }
-  rho_ = std::move(out);
+  return rho;
 }
 
-Matrix DensityMatrix::Embed1Q(const Matrix& op, int q) const {
-  QDM_CHECK(op.rows() == 2 && op.cols() == 2);
-  QDM_CHECK(q >= 0 && q < num_qubits_);
-  // Kron(a, b): `a` indexes the more-significant bits, so qubit q (bit q of
-  // the index) sits at Kron position (num_qubits - 1 - q) from the left.
-  Matrix full = Matrix::Identity(1);
-  for (int pos = num_qubits_ - 1; pos >= 0; --pos) {
-    full = linalg::Kron(full, pos == q ? op : Matrix::Identity(2));
+void DensityMatrix::ApplyGate(const circuit::Gate& gate) {
+  circuit::Gate column = gate;
+  for (int& q : column.qubits) {
+    CheckQubit(q, num_qubits_);
+    q += num_qubits_;
   }
-  return full;
+  // Row side U on Q first, then the column side conj(U) on Q + n as
+  // conj(U conj(vec)): exact, and needs no knowledge of the gate's matrix.
+  // The golden table in noisy_solver_test pins this order bit for bit.
+  vec_.ApplyGate(gate);
+  Conjugate(&vec_);
+  vec_.ApplyGate(column);
+  Conjugate(&vec_);
 }
 
 void DensityMatrix::ApplyKraus1Q(const std::vector<Matrix>& kraus, int q) {
-  std::vector<Matrix> embedded;
-  embedded.reserve(kraus.size());
-  for (const Matrix& k : kraus) embedded.push_back(Embed1Q(k, q));
-  ApplyKraus(embedded);
+  QDM_CHECK(!kraus.empty());
+  CheckQubit(q, num_qubits_);
+  // sum_k K rho K^dagger: each term is K on the row qubit q, then conj(K) on
+  // the column qubit q + n, summed in list order from zero (the order the
+  // golden table in noisy_solver_test pins bit for bit).
+  std::vector<Complex> sum(vec_.dimension(), Complex(0, 0));
+  for (const Matrix& k : kraus) {
+    Statevector term = vec_;
+    term.Apply1Q(k, q);
+    const Matrix conj_k{{std::conj(k(0, 0)), std::conj(k(0, 1))},
+                        {std::conj(k(1, 0)), std::conj(k(1, 1))}};
+    term.Apply1Q(conj_k, q + num_qubits_);
+    for (size_t z = 0; z < sum.size(); ++z) sum[z] += term.amplitude(z);
+  }
+  vec_.mutable_amplitudes() = std::move(sum);
 }
 
 void DensityMatrix::ApplyUnitary1Q(const Matrix& u, int q) {
-  ApplyUnitary(Embed1Q(u, q));
+  ApplyKraus1Q({u}, q);
 }
 
 double DensityMatrix::FidelityWithPure(const Statevector& psi) const {
-  QDM_CHECK_EQ(psi.dimension(), rho_.rows());
+  QDM_CHECK_EQ(psi.dimension(), dimension());
   // <psi|rho|psi>
   Complex f(0, 0);
-  for (size_t i = 0; i < rho_.rows(); ++i) {
-    for (size_t j = 0; j < rho_.cols(); ++j) {
-      f += std::conj(psi.amplitude(i)) * rho_(i, j) * psi.amplitude(j);
+  for (size_t i = 0; i < dimension(); ++i) {
+    for (size_t j = 0; j < dimension(); ++j) {
+      f += std::conj(psi.amplitude(i)) * entry(i, j) * psi.amplitude(j);
     }
   }
   return f.real();
 }
 
-double DensityMatrix::Purity() const { return (rho_ * rho_).Trace().real(); }
-
 DensityMatrix DensityMatrix::PartialTrace(const std::vector<int>& keep) const {
   QDM_CHECK(!keep.empty());
+  for (int q : keep) CheckQubit(q, num_qubits_);
   for (size_t i = 0; i + 1 < keep.size(); ++i) {
     QDM_CHECK_LT(keep[i], keep[i + 1]);
   }
   const int k = static_cast<int>(keep.size());
   const size_t out_dim = size_t{1} << k;
-  Matrix out(out_dim, out_dim);
+  DensityMatrix out(k);
 
   std::vector<int> traced;
   for (int q = 0; q < num_qubits_; ++q) {
@@ -128,20 +154,20 @@ DensityMatrix DensityMatrix::PartialTrace(const std::vector<int>& keep) const {
     for (size_t b = 0; b < out_dim; ++b) {
       Complex sum(0, 0);
       for (size_t t = 0; t < traced_dim; ++t) {
-        sum += rho_(compose_index(a, t), compose_index(b, t));
+        sum += entry(compose_index(a, t), compose_index(b, t));
       }
-      out(a, b) = sum;
+      out.mutable_entry(a, b) = sum;
     }
   }
-  return DensityMatrix(k, std::move(out));
+  return out;
 }
 
 double DensityMatrix::ProbabilityOfOne(int q) const {
-  QDM_CHECK(q >= 0 && q < num_qubits_);
+  CheckQubit(q, num_qubits_);
   const uint64_t bit = uint64_t{1} << q;
   double p = 0.0;
-  for (size_t z = 0; z < rho_.rows(); ++z) {
-    if (z & bit) p += rho_(z, z).real();
+  for (size_t z = 0; z < dimension(); ++z) {
+    if (z & bit) p += entry(z, z).real();
   }
   return p;
 }

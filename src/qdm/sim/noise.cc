@@ -17,22 +17,6 @@ linalg::Matrix PauliMatrix(int index) {
   return circuit::SingleQubitMatrix(paulis[index], {});
 }
 
-/// Materializes one circuit gate as a full-dimension unitary by applying it
-/// to every basis column. 4^n work — only used on the density-matrix
-/// reference path, which is restricted to small n anyway.
-linalg::Matrix FullGateUnitary(const circuit::Gate& gate, int num_qubits) {
-  const uint64_t dim = uint64_t{1} << num_qubits;
-  linalg::Matrix u(dim, dim);
-  for (uint64_t col = 0; col < dim; ++col) {
-    std::vector<Complex> amplitudes(dim, Complex(0, 0));
-    amplitudes[col] = Complex(1, 0);
-    Statevector basis = Statevector::FromAmplitudes(std::move(amplitudes));
-    basis.ApplyGate(gate);
-    for (uint64_t row = 0; row < dim; ++row) u(row, col) = basis.amplitude(row);
-  }
-  return u;
-}
-
 }  // namespace
 
 void TrajectorySimulator::ApplyChannels(Statevector* sv, int qubit,
@@ -125,15 +109,8 @@ std::map<uint64_t, int> TrajectorySimulator::Sample(const circuit::Circuit& c,
     // numbers earlier shots' error branches consumed.
     Rng shot_rng(rng->engine()());
     Statevector sv = RunTrajectory(c, &shot_rng);
-    uint64_t outcome = sv.SampleBasisState(&shot_rng);
-    if (model_.readout_flip > 0.0) {
-      for (int q = 0; q < c.num_qubits(); ++q) {
-        if (shot_rng.Bernoulli(model_.readout_flip)) {
-          outcome ^= uint64_t{1} << q;
-        }
-      }
-    }
-    ++counts[outcome];
+    ++counts[ApplyReadoutFlips(sv.SampleBasisState(&shot_rng), c.num_qubits(),
+                               model_.readout_flip, &shot_rng)];
   }
   return counts;
 }
@@ -153,14 +130,21 @@ double TrajectorySimulator::AverageDiagonalExpectation(
   return total / trajectories;
 }
 
+uint64_t ApplyReadoutFlips(uint64_t z, int num_qubits, double p, Rng* rng) {
+  for (int q = 0; p > 0.0 && q < num_qubits; ++q) {
+    if (rng->Bernoulli(p)) z ^= uint64_t{1} << q;
+  }
+  return z;
+}
+
 DensityMatrix EvolveDensityMatrix(const circuit::Circuit& c,
                                   const NoiseModel& model) {
   DensityMatrix rho(c.num_qubits());
   const double pauli_total = model.pauli_px + model.pauli_py + model.pauli_pz;
   for (const circuit::Gate& gate : c.gates()) {
-    rho.ApplyUnitary(FullGateUnitary(gate, c.num_qubits()));
-    const double depol = gate.qubits.size() == 1 ? model.depolarizing_1q
-                                                 : model.depolarizing_2q;
+    rho.ApplyGate(gate);
+    const double depol =
+        gate.qubits.size() == 1 ? model.depolarizing_1q : model.depolarizing_2q;
     // Same channel order per operand qubit as RunTrajectory.
     for (int q : gate.qubits) {
       if (depol > 0.0) rho.ApplyKraus1Q(DepolarizingKraus(depol), q);

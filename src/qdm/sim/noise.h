@@ -95,12 +95,16 @@ class TrajectorySimulator {
   NoiseModel model_;
 };
 
+/// Readout error: flips each of the low `num_qubits` bits of outcome `z`
+/// with probability `p`, one Bernoulli draw per qubit (none when p == 0).
+uint64_t ApplyReadoutFlips(uint64_t z, int num_qubits, double p, Rng* rng);
+
 /// Evolves |0...0> through `c` under `model` with exact density-matrix
-/// channel semantics: each gate is applied as a full-dimension unitary, then
-/// each active channel hits each operand qubit via its Kraus operators in
-/// the same fixed order as RunTrajectory. Readout flips are NOT applied (they
-/// act on classical outcomes; apply them when sampling the diagonal).
-/// Intended for small n — the matrix is 4^n complex entries.
+/// channel semantics: each gate is DensityMatrix::ApplyGate, then each active
+/// channel hits each operand qubit via its Kraus operators in the same fixed
+/// order as RunTrajectory, at O(4^n) work per gate or Kraus operator.
+/// Readout flips are NOT applied (they act on classical outcomes; apply them
+/// when sampling the diagonal). Intended for small n.
 DensityMatrix EvolveDensityMatrix(const circuit::Circuit& c,
                                   const NoiseModel& model);
 

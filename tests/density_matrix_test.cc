@@ -83,11 +83,7 @@ TEST(DensityMatrixTest, UnitaryEvolutionMatchesStatevector) {
 
   DensityMatrix rho(2);
   rho.ApplyUnitary1Q(SingleQubitMatrix(GateKind::kH, {}), 0);
-  // CX(0->1) as full-dim unitary.
-  linalg::Matrix cx(4, 4);
-  cx(0, 0) = cx(2, 2) = Complex(1, 0);
-  cx(1, 3) = cx(3, 1) = Complex(1, 0);
-  rho.ApplyUnitary(cx);
+  rho.ApplyGate(circuit::Gate{GateKind::kCX, {0, 1}, {}});
   rho.ApplyUnitary1Q(SingleQubitMatrix(GateKind::kRZ, {0.4}), 1);
   rho.ApplyUnitary1Q(SingleQubitMatrix(GateKind::kRY, {0.9}), 0);
 
@@ -109,6 +105,51 @@ TEST(DensityMatrixTest, PhaseDampingKillsCoherence) {
   EXPECT_NEAR(std::abs(rho.matrix()(0, 1)), 0.0, 1e-12);
   // Populations preserved.
   EXPECT_NEAR(rho.ProbabilityOfOne(0), 0.5, 1e-12);
+}
+
+// -- Range checks -------------------------------------------------------------
+//
+// rho over n qubits is stored as a 2n-qubit vector, which would accept a
+// qubit in [n, 2n) and act on the column register, so every entry point
+// checks its qubits against n.
+
+TEST(DensityMatrixDeathTest, QubitCountIsCheckedBeforeAllocation) {
+  EXPECT_DEATH(DensityMatrix(0), "small systems");
+  EXPECT_DEATH(DensityMatrix(11), "small systems");
+  EXPECT_DEATH(DensityMatrix::FromStatevector(Statevector(11)),
+               "small systems");
+}
+
+TEST(DensityMatrixDeathTest, ApplyGateChecksQubitsAgainstN) {
+  DensityMatrix rho(2);
+  EXPECT_DEATH(rho.ApplyGate(circuit::Gate{GateKind::kH, {2}, {}}),
+               "qubit 2 is out of range for a 2-qubit density matrix");
+  EXPECT_DEATH(rho.ApplyGate(circuit::Gate{GateKind::kCX, {0, 2}, {}}),
+               "qubit 2 is out of range");
+}
+
+TEST(DensityMatrixDeathTest, ApplyKraus1QChecksQubitAgainstN) {
+  DensityMatrix rho(2);
+  EXPECT_DEATH(rho.ApplyKraus1Q(DepolarizingKraus(0.1), 2),
+               "qubit 2 is out of range");
+}
+
+TEST(DensityMatrixDeathTest, ApplyUnitary1QChecksQubitAgainstN) {
+  DensityMatrix rho(2);
+  EXPECT_DEATH(rho.ApplyUnitary1Q(SingleQubitMatrix(GateKind::kX, {}), 2),
+               "qubit 2 is out of range");
+}
+
+TEST(DensityMatrixDeathTest, ProbabilityOfOneChecksQubitAgainstN) {
+  DensityMatrix rho(2);
+  EXPECT_DEATH(rho.ProbabilityOfOne(2), "qubit 2 is out of range");
+}
+
+TEST(DensityMatrixDeathTest, PartialTraceChecksEveryKeptQubit) {
+  DensityMatrix rho(2);
+  EXPECT_DEATH(rho.PartialTrace({2}), "qubit 2 is out of range");
+  EXPECT_DEATH(rho.PartialTrace({0, 2}), "qubit 2 is out of range");
+  EXPECT_DEATH(rho.PartialTrace({-1}), "qubit -1 is out of range");
 }
 
 TEST(TrajectorySimulatorTest, NoiselessMatchesExact) {

@@ -55,33 +55,6 @@ TEST(MatrixTest, ApplyToVector) {
   EXPECT_EQ(out[1], Complex(1, 0));
 }
 
-TEST(MatrixTest, KronDimensionsAndValues) {
-  Matrix i2 = Matrix::Identity(2);
-  Matrix x = SingleQubitMatrix(GateKind::kX, {});
-  Matrix k = Kron(i2, x);
-  EXPECT_EQ(k.rows(), 4u);
-  // Block-diagonal [[X,0],[0,X]].
-  EXPECT_EQ(k(0, 1), Complex(1, 0));
-  EXPECT_EQ(k(1, 0), Complex(1, 0));
-  EXPECT_EQ(k(2, 3), Complex(1, 0));
-  EXPECT_EQ(k(3, 2), Complex(1, 0));
-  EXPECT_EQ(k(0, 2), Complex(0, 0));
-}
-
-TEST(MatrixTest, KronNonSquare) {
-  Matrix a(1, 2);
-  a(0, 0) = Complex(1, 0);
-  a(0, 1) = Complex(2, 0);
-  Matrix b(2, 1);
-  b(0, 0) = Complex(3, 0);
-  b(1, 0) = Complex(4, 0);
-  Matrix k = Kron(a, b);
-  EXPECT_EQ(k.rows(), 2u);
-  EXPECT_EQ(k.cols(), 2u);
-  EXPECT_EQ(k(0, 0), Complex(3, 0));
-  EXPECT_EQ(k(1, 1), Complex(8, 0));
-}
-
 class StandardGateUnitarity : public ::testing::TestWithParam<GateKind> {};
 
 TEST_P(StandardGateUnitarity, FixedGatesAreUnitary) {

@@ -3,12 +3,15 @@
 // error taxonomy with exact messages, zero-rate bit-identity against every
 // registered backend, bit-identical batch dispatch across thread counts and
 // channel families, scalar/SIMD kernel parity on the trajectory path, the
-// noise_fidelity metric, and composition with the race:* and embedded:*
-// families.
+// noise_fidelity metric, composition with the race:* and embedded:*
+// families, and a golden table pinning the exact density path bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,8 +20,11 @@
 #include "qdm/anneal/noise_spec.h"
 #include "qdm/anneal/noisy_solver.h"
 #include "qdm/anneal/solver.h"
+#include "qdm/circuit/circuit.h"
 #include "qdm/common/rng.h"
 #include "qdm/service/solver_service.h"
+#include "qdm/sim/density_matrix.h"
+#include "qdm/sim/noise.h"
 #include "qdm/sim/statevector.h"
 
 namespace qdm {
@@ -319,6 +325,136 @@ TEST(NoisySolverTest, ComposesWithRaceAndEmbeddedFamilies) {
                             q, options);
   ASSERT_TRUE(embedded.ok()) << embedded.status();
   EXPECT_FALSE(embedded->empty());
+}
+
+// -- Golden table: the exact density path ------------------------------------
+//
+// Recorded while EvolveDensityMatrix still multiplied dense 2^n x 2^n
+// unitaries and embedded Kraus operators; the 2n-qubit statevector layout
+// must reproduce every bit. A reordered sum or a moved Rng draw shows up as a
+// different fidelity bit pattern or sample.
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// A dense QUBO over `n` variables with coefficients drawn from Rng(seed).
+Qubo SeededQubo(int n, uint64_t seed) {
+  Rng rng(seed);
+  Qubo q(n);
+  for (int i = 0; i < n; ++i) q.AddLinear(i, rng.Uniform(-1.0, 1.0));
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      q.AddQuadratic(i, j, rng.Uniform(-1.0, 1.0));
+    }
+  }
+  return q;
+}
+
+/// One solve of SeededQubo(num_variables, 40 + num_variables) at
+/// FastOptions(5) with 8 reads: the noise_fidelity bits and every sample's
+/// assignment, in SampleSet order.
+struct NoisyGolden {
+  const char* solver;
+  int num_variables;
+  uint64_t fidelity_bits;
+  const char* samples;
+};
+
+constexpr NoisyGolden kNoisyGolden[] = {
+    {"noisy:depol@0.01:qaoa", 4, 0x3feb0e2bc59517b9ull,
+     "1110 1110 1110 1110 0110 0110 0010 0010"},
+    {"noisy:depol@0.01:vqe", 4, 0x3fed2806dfefdc44ull,
+     "1110 1110 1110 1110 1110 1110 1110 1110"},
+    {"noisy:pauli@0.01,0.02,0.03:qaoa", 4, 0x3fd7569212ed7503ull,
+     "1110 1110 0110 0110 1100 1100 0101 0001"},
+    {"noisy:damp@0.05:qaoa", 4, 0x3fe6583f81e854c3ull,
+     "1110 1110 1110 0110 0110 0110 1100 1100"},
+    {"noisy:phase@0.05:qaoa", 4, 0x3fe84431a81ae48bull,
+     "1110 1110 1110 1110 0110 0110 0010 0010"},
+    {"noisy:readout@0.05:qaoa", 4, 0x3feffffffffffff6ull,
+     "1110 1110 0110 0110 0110 1010 0010 1111"},
+    {"noisy:depol@0.01:qaoa", 6, 0x3fe6b10bb4dc9271ull,
+     "101101 001101 001101 011101 111101 011100 111100 100011"},
+    {"noisy:pauli@0.01,0.02,0.03:qaoa", 6, 0x3fc2129d2c53c170ull,
+     "001101 011101 011100 101100 000101 100101 000011 110011"},
+    {"noisy:damp@0.05:qaoa", 6, 0x3fdf66e5cc645411ull,
+     "001101 001101 011101 011101 101001 000101 010100 100100"},
+    {"noisy:phase@0.05:qaoa", 6, 0x3fe2337a74f1d1adull,
+     "101101 001101 001101 011101 111101 011100 011100 010011"},
+    {"noisy:readout@0.05:qaoa", 6, 0x3feffffffffffff8ull,
+     "001101 001111 011101 111101 111101 011100 101001 010010"},
+};
+
+TEST(NoisySolverGoldenTest, DensityPathMatchesTheRecordedBits) {
+  SolverOptions options = FastOptions(5);
+  options.num_reads = 8;
+  for (const NoisyGolden& golden : kNoisyGolden) {
+    const int n = golden.num_variables;
+    auto set = SolveWith(golden.solver, SeededQubo(n, 40 + n), options);
+    ASSERT_TRUE(set.ok()) << golden.solver << ": " << set.status();
+    std::string samples;
+    for (const Sample& sample : set->samples()) {
+      if (!samples.empty()) samples += ' ';
+      for (int bit : sample.assignment) samples += bit ? '1' : '0';
+    }
+    EXPECT_EQ(Bits(set->noise_fidelity()), golden.fidelity_bits)
+        << golden.solver << " on " << n << " variables";
+    EXPECT_EQ(samples, golden.samples)
+        << golden.solver << " on " << n << " variables";
+  }
+}
+
+/// Every gate kind the simulator knows, on `n` >= 3 qubits.
+circuit::Circuit EveryGateKindCircuit(int n) {
+  circuit::Circuit c(n);
+  for (int q = 0; q < n; ++q) c.H(q).RY(q, 0.3 + 0.1 * q);
+  c.I(0).X(1).Y(2).Z(0).S(1).Sdg(2).T(0).Tdg(1).RX(2, 0.7).RZ(0, -0.4);
+  c.Phase(1, 0.9).U3(2, 0.5, -0.3, 1.1);
+  for (int q = 0; q + 1 < n; ++q) c.CX(q, q + 1).RZZ(q + 1, q, 0.6 - 0.1 * q);
+  c.CY(0, 2).CZ(2, 1).Swap(0, n - 1).CRZ(n - 1, 1, 0.8).CPhase(1, 0, -0.5);
+  c.CCX(0, 1, 2).CSwap(2, 0, 1);
+  return c;
+}
+
+/// FNV-1a over the real and imaginary bits of every entry, row-major, with
+/// -0.0 folded to +0.0 (the layouts may differ in the sign of an exact zero).
+uint64_t EntryDigest(const sim::DensityMatrix& rho) {
+  const linalg::Matrix m = rho.matrix();
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) {
+      for (const double part : {m(r, c).real(), m(r, c).imag()}) {
+        const uint64_t bits = Bits(part == 0.0 ? 0.0 : part);
+        for (int byte = 0; byte < 8; ++byte) {
+          hash ^= (bits >> (8 * byte)) & 0xff;
+          hash *= 0x100000001b3ull;
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(NoisySolverGoldenTest, EvolveDensityMatrixMatchesTheRecordedDigest) {
+  sim::NoiseModel model;
+  model.depolarizing_1q = 0.02;
+  model.depolarizing_2q = 0.05;
+  model.pauli_px = 0.01;
+  model.pauli_py = 0.02;
+  model.pauli_pz = 0.03;
+  model.amplitude_damping = 0.04;
+  model.phase_damping = 0.06;
+  const std::map<int, uint64_t> expected = {{3, 0xbf6a9f6b4474f0d8ull},
+                                            {6, 0x99b29c4dcc6d8679ull}};
+  for (const auto& [n, digest] : expected) {
+    EXPECT_EQ(
+        EntryDigest(sim::EvolveDensityMatrix(EveryGateKindCircuit(n), model)),
+        digest)
+        << n << " qubits";
+  }
 }
 
 }  // namespace
