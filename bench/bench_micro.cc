@@ -509,6 +509,48 @@ void BM_TabuIterations(benchmark::State& state) {
 }
 BENCHMARK(BM_TabuIterations)->Arg(64)->Arg(256)->Arg(1024);
 
+// Whole solves of state.range(0) reads on BandQubo(64), timed in real time
+// because the reads run on pool threads. On a 4-thread pool,
+// simulated_annealing runs 4 reads one per thread and 10 reads in lanes of
+// four, while tabu_search runs every solve of two or more reads in lanes
+// (docs/solvers.md, "Reads in lanes"). Items are the flip deltas the reads
+// evaluate.
+void RunReadsBench(benchmark::State& state, const char* solver,
+                   qdm::anneal::SolverOptions options,
+                   int64_t deltas_per_variable, bool integer) {
+  constexpr int kVariables = 64;
+  qdm::Rng rng(1);
+  const qdm::anneal::Qubo qubo = BandQubo(kVariables, integer, &rng);
+  auto sampler = qdm::anneal::SolverRegistry::Global().Create(solver);
+  QDM_CHECK(sampler.ok()) << sampler.status();
+  options.num_reads = static_cast<int>(state.range(0));
+  options.rng = &rng;
+  for (auto _ : state) {
+    auto set = (*sampler)->Solve(qubo, options);
+    benchmark::DoNotOptimize(set->best().energy);
+  }
+  state.SetItemsProcessed(state.iterations() * options.num_reads *
+                          deltas_per_variable * kVariables);
+}
+
+void BM_AnnealReads(benchmark::State& state) {
+  qdm::anneal::SolverOptions options;
+  options.num_sweeps = 100;
+  RunReadsBench(state, "simulated_annealing", options, 100,
+                state.range(1) != 0);
+}
+BENCHMARK(BM_AnnealReads)
+    ->ArgsProduct({{4, 10}, {0, 1}})
+    ->ArgNames({"reads", "integer"})
+    ->UseRealTime();
+
+void BM_TabuReads(benchmark::State& state) {
+  qdm::anneal::SolverOptions options;
+  options.max_iterations = 100;
+  RunReadsBench(state, "tabu_search", options, 100, false);
+}
+BENCHMARK(BM_TabuReads)->Arg(4)->UseRealTime();
+
 // The samplers' acceptance draw: items are Uniform() calls.
 void BM_RngUniform(benchmark::State& state) {
   qdm::Rng rng(1);

@@ -35,7 +35,7 @@ Result<SampleSet> ParallelTempering::Solve(const Qubo& qubo,
                                    static_cast<double>(k) / (r - 1));
   }
 
-  return SampleReads(options.num_reads, rng, [&](Rng* read_rng) {
+  const auto read = [&](Rng* read_rng, int, Sample* sample) {
     std::vector<MetropolisChain> replicas(r);
     for (MetropolisChain& replica : replicas) {
       adj.StartChain(read_rng, &replica);
@@ -63,8 +63,9 @@ Result<SampleSet> ParallelTempering::Solve(const Qubo& qubo,
         }
       }
     }
-    return SampleOf(qubo, best);
-  });
+    *sample = SampleOf(qubo, best);
+  };
+  return SampleReads(options.num_reads, /*group_size=*/1, rng, read);
 }
 
 }  // namespace anneal

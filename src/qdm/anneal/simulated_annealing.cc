@@ -5,7 +5,19 @@
 #include <optional>
 #include <utility>
 
+#include "qdm/common/check.h"
 #include "qdm/common/thread_pool.h"
+#include "qdm/sim/statevector.h"
+
+// The read lanes are compiled with per-function target("avx2") attributes,
+// as the statevector kernels in sim/simd.cc are, so the library still runs
+// on any x86-64 machine; ReadLanes() gates every call at runtime. No fma:
+// every multiply and add rounds on its own, as in the one-read loops.
+#if defined(QDM_ENABLE_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define QDM_ANNEAL_HAVE_AVX2 1
+#include <immintrin.h>
+#endif
 
 namespace qdm {
 namespace anneal {
@@ -22,14 +34,19 @@ Sample SampleOf(const Qubo& qubo, const SpinMasks& spins) {
   return sample;
 }
 
-SampleSet SampleReads(int num_reads, Rng* rng,
-                      const std::function<Sample(Rng*)>& read) {
+SampleSet SampleReads(int num_reads, int group_size, Rng* rng,
+                      const std::function<void(Rng*, int, Sample*)>& reads) {
   std::vector<uint64_t> seeds(num_reads);
   for (uint64_t& seed : seeds) seed = rng->engine()();
   std::vector<Sample> samples(num_reads);
-  ThreadPool::Shared().ForEach(num_reads, /*max_workers=*/0, [&](int, int r) {
-    Rng read_rng(seeds[r]);
-    samples[r] = read(&read_rng);
+  const int groups = (num_reads + group_size - 1) / group_size;
+  ThreadPool::Shared().ForEach(groups, /*max_workers=*/0, [&](int, int g) {
+    const int first = g * group_size;
+    const int count = std::min(group_size, num_reads - first);
+    std::vector<Rng> read_rngs;
+    read_rngs.reserve(count);
+    for (int j = 0; j < count; ++j) read_rngs.emplace_back(seeds[first + j]);
+    reads(read_rngs.data(), count, samples.data() + first);
   });
   SampleSet result;
   for (Sample& sample : samples) result.Add(std::move(sample));
@@ -176,6 +193,294 @@ void QuboAdjacency::MetropolisSweep(double beta, Rng* rng,
   chain->energy = energy;
 }
 
+bool QuboAdjacency::ReadLanes() {
+#if QDM_ANNEAL_HAVE_AVX2
+  return sim::Statevector::ResolvedSimdTier() == sim::simd::Tier::kAvx2;
+#else
+  return false;
+#endif
+}
+
+#if QDM_ANNEAL_HAVE_AVX2
+
+namespace {
+
+constexpr int kLanes = QuboAdjacency::kLanes;
+
+// One variable's values in every lane, aligned for one 256-bit load.
+template <typename T>
+struct alignas(32) LaneQuad {
+  T lane[kLanes];
+};
+
+__attribute__((target("avx2"))) inline __m256d Load(
+    const LaneQuad<double>& quad) {
+  return _mm256_load_pd(quad.lane);
+}
+__attribute__((target("avx2"))) inline __m256d Load(
+    const LaneQuad<uint64_t>& quad) {
+  return _mm256_castsi256_pd(
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(quad.lane)));
+}
+__attribute__((target("avx2"))) inline void Store(__m256d value,
+                                                  LaneQuad<double>* quad) {
+  _mm256_store_pd(quad->lane, value);
+}
+__attribute__((target("avx2"))) inline void Store(__m256d value,
+                                                  LaneQuad<uint64_t>* quad) {
+  _mm256_store_si256(reinterpret_cast<__m256i*>(quad->lane),
+                     _mm256_castpd_si256(value));
+}
+
+// All ones in lanes [0, count), zero in the others.
+__attribute__((target("avx2"))) inline __m256d FirstLanes(int count) {
+  return _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(count), _mm256_setr_epi64x(0, 1, 2, 3)));
+}
+
+// FlipDelta's field of one variable in every lane: `linear`, then for each
+// neighbour k in CSR order the weight's bits masked by that lane's spin.
+// Each lane adds the same doubles in the same order as the one-read sum.
+__attribute__((target("avx2"))) inline __m256d LaneField(
+    double linear, int begin, int end, const int* neighbor,
+    const double* weight, const LaneQuad<uint64_t>* spins) {
+  __m256d field = _mm256_set1_pd(linear);
+  for (int k = begin; k < end; ++k) {
+    field = _mm256_add_pd(field, _mm256_and_pd(_mm256_set1_pd(weight[k]),
+                                               Load(spins[neighbor[k]])));
+  }
+  return field;
+}
+
+// MetropolisAccept(u, y) in each lane set in `draw`, false in the others:
+// the same Horner sum, the same bracket, and std::exp for a lane the bracket
+// leaves open, each operation rounded as the scalar one is.
+__attribute__((target("avx2"))) inline __m256d MetropolisAcceptLanes(
+    __m256d u, __m256d y, __m256d draw) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  __m256d t5 = _mm256_mul_pd(y, _mm256_set1_pd(1.0 / 120));
+  t5 = _mm256_mul_pd(y, _mm256_add_pd(_mm256_set1_pd(1.0 / 24), t5));
+  t5 = _mm256_mul_pd(y, _mm256_add_pd(_mm256_set1_pd(1.0 / 6), t5));
+  t5 = _mm256_mul_pd(y, _mm256_add_pd(_mm256_set1_pd(0.5), t5));
+  t5 = _mm256_mul_pd(y, _mm256_add_pd(one, t5));
+  t5 = _mm256_add_pd(one, t5);
+  const __m256d reject =
+      _mm256_cmp_pd(_mm256_mul_pd(u, t5),
+                    _mm256_set1_pd(1.0 + kMetropolisMargin), _CMP_GE_OQ);
+  const __m256d sure = _mm256_cmp_pd(
+      u,
+      _mm256_sub_pd(_mm256_sub_pd(one, y), _mm256_set1_pd(kMetropolisMargin)),
+      _CMP_LT_OQ);
+  __m256d accept = _mm256_and_pd(_mm256_andnot_pd(reject, sure), draw);
+  const int open =
+      _mm256_movemask_pd(_mm256_andnot_pd(_mm256_or_pd(reject, sure), draw));
+  if (open != 0) {
+    LaneQuad<double> us, ys;
+    LaneQuad<uint64_t> exact = {};
+    Store(u, &us);
+    Store(y, &ys);
+    for (int l = 0; l < kLanes; ++l) {
+      if ((open >> l) & 1) {
+        exact.lane[l] = SpinMask(us.lane[l] < std::exp(-ys.lane[l]));
+      }
+    }
+    accept = _mm256_or_pd(accept, Load(exact));
+  }
+  return accept;
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) void QuboAdjacency::AnnealLanes(
+    int count, Rng* rngs, double beta_min, double ratio, int sweeps,
+    SpinMasks* spins) const {
+  QDM_CHECK(count >= 1 && count <= kLanes) << count << " read lanes";
+  // Locals, not members: the 256-bit stores below may alias anything.
+  const int n = num_variables_;
+  const bool exact = exact_fields_;
+  const double* linear = linear_.data();
+  const int* start = start_.data();
+  const int* neighbor = neighbor_.data();
+  const double* weight = weight_.data();
+  const __m256d lanes = FirstLanes(count);
+  const __m256d sign_bit =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(kSignBit)));
+
+  // Lane l's uniforms, drawn ahead of use: its next one is
+  // uniforms[next.lane[l]], inside its block [l * capacity, (l + 1) *
+  // capacity). A lane past `count` never draws; its index stays in range.
+  const int64_t capacity = 2 * int64_t{n} + 16;
+  std::vector<double> uniforms(kLanes * capacity);
+  LaneQuad<uint64_t> next;
+  for (int l = 0; l < kLanes; ++l) {
+    next.lane[l] = l * capacity + (l < count ? capacity : 0);
+  }
+  // Tops each read's block up to at least n unread uniforms: enough for the
+  // start state or for one sweep.
+  const auto refill = [&] {
+    for (int l = 0; l < count; ++l) {
+      double* block = uniforms.data() + l * capacity;
+      const int64_t used = static_cast<int64_t>(next.lane[l]) - l * capacity;
+      if (capacity - used >= n) continue;
+      std::copy(block + used, block + capacity, block);
+      for (int64_t j = capacity - used; j < capacity; ++j) {
+        block[j] = rngs[l].Uniform();
+      }
+      next.lane[l] = l * capacity;
+    }
+  };
+
+  // StartChain per lane: one Bernoulli(0.5) per variable, then the fields.
+  refill();
+  std::vector<LaneQuad<uint64_t>> lane_spins(n);
+  for (int l = 0; l < count; ++l) {
+    const double* u = uniforms.data() + next.lane[l];
+    for (int i = 0; i < n; ++i) lane_spins[i].lane[l] = SpinMask(u[i] < 0.5);
+    next.lane[l] += n;
+  }
+  std::vector<LaneQuad<double>> fields(exact ? n : 0);
+  for (int i = 0; i < static_cast<int>(fields.size()); ++i) {
+    Store(LaneField(linear[i], start[i], start[i + 1], neighbor, weight,
+                    lane_spins.data()),
+          &fields[i]);
+  }
+
+  double beta = beta_min;
+  for (int sweep = 0; sweep < sweeps; ++sweep, beta *= ratio) {
+    refill();
+    __m256i cursor = _mm256_castpd_si256(Load(next));
+    const __m256d beta_lanes = _mm256_set1_pd(beta);
+    for (int i = 0; i < n; ++i) {
+      const __m256d spin = Load(lane_spins[i]);
+      const __m256d spin_sign = _mm256_and_pd(spin, sign_bit);
+      const __m256d field =
+          exact ? Load(fields[i])
+                : LaneField(linear[i], start[i], start[i + 1], neighbor, weight,
+                            lane_spins.data());
+      const __m256d delta = _mm256_xor_pd(field, spin_sign);
+      // Only an uphill or NaN delta draws, as `delta <= 0.0 ||` decides.
+      const __m256d draw = _mm256_and_pd(
+          _mm256_cmp_pd(delta, _mm256_setzero_pd(), _CMP_NLE_UQ), lanes);
+      const __m256d u = _mm256_i64gather_pd(uniforms.data(), cursor, 8);
+      cursor = _mm256_sub_epi64(cursor, _mm256_castpd_si256(draw));
+      const __m256d accept = _mm256_or_pd(
+          _mm256_andnot_pd(draw, lanes),
+          MetropolisAcceptLanes(u, _mm256_mul_pd(beta_lanes, delta), draw));
+      if (_mm256_movemask_pd(accept) == 0) continue;
+      if (exact) {
+        // An accepting lane's neighbours gain or lose the coupling; the
+        // others keep their fields bit for bit.
+        for (int k = start[i]; k < start[i + 1]; ++k) {
+          LaneQuad<double>& target = fields[neighbor[k]];
+          const __m256d old_field = Load(target);
+          const __m256d moved = _mm256_add_pd(
+              old_field, _mm256_xor_pd(_mm256_set1_pd(weight[k]), spin_sign));
+          Store(_mm256_blendv_pd(old_field, moved, accept), &target);
+        }
+      }
+      Store(_mm256_xor_pd(spin, accept), &lane_spins[i]);
+    }
+    Store(_mm256_castsi256_pd(cursor), &next);
+  }
+
+  for (int l = 0; l < count; ++l) {
+    spins[l].resize(n);
+    for (int i = 0; i < n; ++i) spins[l][i] = lane_spins[i].lane[l];
+  }
+}
+
+__attribute__((target("avx2"))) void QuboAdjacency::TabuLanes(
+    int count, int max_iterations, int tenure, const double* energies,
+    SpinMasks* spins) const {
+  QDM_CHECK(count >= 1 && count <= kLanes) << count << " read lanes";
+  const int n = num_variables_;
+  const double* linear = linear_.data();
+  const int* start = start_.data();
+  const int* neighbor = neighbor_.data();
+  const double* weight = weight_.data();
+  const __m256d sign_bit =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(kSignBit)));
+  const __m256i none = _mm256_set1_epi64x(-1);
+
+  std::vector<LaneQuad<uint64_t>> current(n);
+  for (int l = 0; l < count; ++l) {
+    for (int i = 0; i < n; ++i) current[i].lane[l] = spins[l][i];
+  }
+  // tabu_until as int64 lanes, so one signed compare tests all four.
+  LaneQuad<uint64_t> never;
+  for (uint64_t& lane : never.lane) lane = static_cast<uint64_t>(-1);
+  std::vector<LaneQuad<uint64_t>> tabu_until(n, never);
+  LaneQuad<double> energy = {}, best_energy = {};
+  for (int l = 0; l < count; ++l) {
+    energy.lane[l] = energies[l];
+    best_energy.lane[l] = energies[l];
+  }
+
+  int searching = (1 << count) - 1;  // Lanes still moving, one bit each.
+  for (int iter = 0; iter < max_iterations && searching != 0; ++iter) {
+    // The one-read scan's selects, lane by lane: the first strictly
+    // smallest delta among the allowed flips.
+    const __m256d energy_lanes = Load(energy);
+    const __m256d best_lanes = Load(best_energy);
+    const __m256i iter_lanes = _mm256_set1_epi64x(iter);
+    __m256i chosen = none;
+    __m256d chosen_delta = _mm256_setzero_pd();
+    for (int i = 0; i < n; ++i) {
+      const __m256d delta =
+          _mm256_xor_pd(LaneField(linear[i], start[i], start[i + 1], neighbor,
+                                  weight, current.data()),
+                        _mm256_and_pd(Load(current[i]), sign_bit));
+      const __m256i tabu = _mm256_cmpgt_epi64(
+          _mm256_castpd_si256(Load(tabu_until[i])), iter_lanes);
+      const __m256d allowed =
+          _mm256_or_pd(_mm256_castsi256_pd(_mm256_xor_si256(tabu, none)),
+                       _mm256_cmp_pd(_mm256_add_pd(energy_lanes, delta),
+                                     best_lanes, _CMP_LT_OQ));
+      const __m256d take = _mm256_and_pd(
+          allowed,
+          _mm256_or_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(chosen, none)),
+                       _mm256_cmp_pd(delta, chosen_delta, _CMP_LT_OQ)));
+      chosen = _mm256_castpd_si256(
+          _mm256_blendv_pd(_mm256_castsi256_pd(chosen),
+                           _mm256_castsi256_pd(_mm256_set1_epi64x(i)), take));
+      chosen_delta = _mm256_blendv_pd(chosen_delta, delta, take);
+    }
+    LaneQuad<uint64_t> chosen_lanes;
+    LaneQuad<double> delta_lanes;
+    Store(_mm256_castsi256_pd(chosen), &chosen_lanes);
+    Store(chosen_delta, &delta_lanes);
+    for (int l = 0; l < count; ++l) {
+      if (((searching >> l) & 1) == 0) continue;
+      const int64_t flip = static_cast<int64_t>(chosen_lanes.lane[l]);
+      if (flip == -1) {  // Everything tabu: this read is done.
+        searching &= ~(1 << l);
+        continue;
+      }
+      current[flip].lane[l] = ~current[flip].lane[l];
+      energy.lane[l] += delta_lanes.lane[l];
+      tabu_until[flip].lane[l] =
+          static_cast<uint64_t>(iter + std::min(tenure, max_iterations - iter));
+      if (energy.lane[l] < best_energy.lane[l]) {
+        best_energy.lane[l] = energy.lane[l];
+        for (int i = 0; i < n; ++i) spins[l][i] = current[i].lane[l];
+      }
+    }
+  }
+}
+
+#else  // !QDM_ANNEAL_HAVE_AVX2
+
+void QuboAdjacency::AnnealLanes(int, Rng*, double, double, int,
+                                SpinMasks*) const {
+  QDM_CHECK(false) << "read lanes need the avx2 tier (ReadLanes())";
+}
+
+void QuboAdjacency::TabuLanes(int, int, int, const double*, SpinMasks*) const {
+  QDM_CHECK(false) << "read lanes need the avx2 tier (ReadLanes())";
+}
+
+#endif  // QDM_ANNEAL_HAVE_AVX2
+
 std::pair<double, double> BetaRange(const QuboAdjacency& adj,
                                     const SolverOptions& options) {
   if (options.beta_max <= 0.0) {
@@ -199,15 +504,26 @@ Result<SampleSet> SimulatedAnnealer::Solve(const Qubo& qubo,
   const double ratio =
       sweeps > 1 ? std::pow(beta_max / beta_min, 1.0 / (sweeps - 1)) : 1.0;
 
-  return SampleReads(options.num_reads, rng, [&](Rng* read_rng) {
-    MetropolisChain chain;
-    adj.StartChain(read_rng, &chain);
-    double beta = beta_min;
-    for (int sweep = 0; sweep < sweeps; ++sweep, beta *= ratio) {
-      adj.MetropolisSweep(beta, read_rng, &chain);
-    }
-    return SampleOf(qubo, chain.spins);
-  });
+  // Reads that would wait for a pool thread run in lanes instead.
+  const bool lanes = QuboAdjacency::ReadLanes() &&
+                     options.num_reads > ThreadPool::Shared().num_threads();
+  return SampleReads(
+      options.num_reads, lanes ? QuboAdjacency::kLanes : 1, rng,
+      [&](Rng* read_rngs, int count, Sample* samples) {
+        SpinMasks spins[QuboAdjacency::kLanes];
+        if (count == 1) {
+          MetropolisChain chain;
+          adj.StartChain(read_rngs, &chain);
+          double beta = beta_min;
+          for (int sweep = 0; sweep < sweeps; ++sweep, beta *= ratio) {
+            adj.MetropolisSweep(beta, read_rngs, &chain);
+          }
+          spins[0] = std::move(chain.spins);
+        } else {
+          adj.AnnealLanes(count, read_rngs, beta_min, ratio, sweeps, spins);
+        }
+        for (int j = 0; j < count; ++j) samples[j] = SampleOf(qubo, spins[j]);
+      });
 }
 
 }  // namespace anneal

@@ -19,7 +19,9 @@ namespace anneal {
 /// low-energy samples out, quality improving with anneal length / num_reads)
 /// matches the physical device; the dynamics are classical Metropolis.
 /// Reads num_sweeps (each sweep proposes one flip per variable) and the
-/// beta_min/beta_max ends of its geometric schedule (see BetaRange).
+/// beta_min/beta_max ends of its geometric schedule (see BetaRange). On the
+/// avx2 tier, a solve with more reads than the shared pool has threads runs
+/// them four at a time (QuboAdjacency::AnnealLanes), with the same samples.
 class SimulatedAnnealer : public QuboSolver {
  public:
   static constexpr int kDefaultSweeps = 200;
@@ -46,6 +48,9 @@ Assignment ToAssignment(const SpinMasks& spins);
 /// assignment, whatever the chain accumulated on the way.
 Sample SampleOf(const Qubo& qubo, const SpinMasks& spins);
 
+/// The width of MetropolisAccept's bracket around e^-y.
+inline constexpr double kMetropolisMargin = 1e-9;
+
 /// The Metropolis test for a move that costs y = beta * delta: exactly
 /// `u < std::exp(-y)`, for every double y (±0, ±inf and NaN included) and
 /// every u >= 0, but calling exp only when two cheap bounds leave the
@@ -57,12 +62,11 @@ Sample SampleOf(const Qubo& qubo, const SpinMasks& spins);
 /// The 1e-9 margin is far wider than the rounding of either test and exp's
 /// own error, so every decision is the one exp would make.
 inline bool MetropolisAccept(double u, double y) {
-  constexpr double kMargin = 1e-9;
   const double t5 =
       1.0 +
       y * (1.0 + y * (0.5 + y * (1.0 / 6 + y * (1.0 / 24 + y * (1.0 / 120)))));
-  if (u * t5 >= 1.0 + kMargin) return false;
-  if (u < 1.0 - y - kMargin) return true;
+  if (u * t5 >= 1.0 + kMetropolisMargin) return false;
+  if (u < 1.0 - y - kMetropolisMargin) return true;
   return u < std::exp(-y);
 }
 
@@ -81,13 +85,17 @@ struct MetropolisChain {
 /// samples, added in read order. Read r draws only from its own Rng, seeded
 /// by the r-th 64-bit draw of `rng`: all num_reads seeds are drawn on the
 /// calling thread before any read starts, so `rng` advances by exactly
-/// num_reads draws. The reads fan out on ThreadPool::Shared() through its
-/// caller-participating ForEach (a saturated pool runs them in turn on the
-/// caller), and no read sees another's state, so the SampleSet is the same
-/// bits at every pool size. `read` is called once per read, concurrently
-/// for different reads.
-SampleSet SampleReads(int num_reads, Rng* rng,
-                      const std::function<Sample(Rng* read_rng)>& read);
+/// num_reads draws. The reads are cut in read order into groups of
+/// `group_size` (the last group may be shorter), and the groups fan out on
+/// ThreadPool::Shared() through its caller-participating ForEach (a
+/// saturated pool runs them in turn on the caller). No read sees another's
+/// state, so the SampleSet is the same bits at every pool size.
+/// `reads(read_rngs, count, samples)` runs the `count` reads of one group,
+/// read j on read_rngs[j] with its sample written to samples[j]; it is
+/// called once per group, concurrently for different groups.
+SampleSet SampleReads(int num_reads, int group_size, Rng* rng,
+                      const std::function<void(Rng* read_rngs, int count,
+                                               Sample* samples)>& reads);
 
 /// Internal workhorse shared by the annealing-family samplers: the Qubo's
 /// interaction graph in CSR form with O(deg) flip deltas. Variable i's
@@ -125,6 +133,38 @@ class QuboAdjacency {
   /// in O(1) and updates the neighbours' fields on accept; one without
   /// sums the CSR row. Both give the same deltas bit for bit.
   void MetropolisSweep(double beta, Rng* rng, MetropolisChain* chain) const;
+
+  /// The most reads one lane group runs at once: one per 64-bit lane of a
+  /// 256-bit register.
+  static constexpr int kLanes = 4;
+
+  /// True when AnnealLanes and TabuLanes can run: the build compiled their
+  /// AVX2 code and the resolved SIMD tier
+  /// (sim::Statevector::ResolvedSimdTier) is avx2. SimdMode::kScalar, a CPU
+  /// without AVX2 and -DQDM_ENABLE_SIMD=OFF builds make it false.
+  static bool ReadLanes();
+
+  /// Anneals `count` reads (1 to kLanes) at once, read l on rngs[l], and
+  /// leaves each read's final spins in spins[l]. The `sweeps` inverse
+  /// temperatures are beta_min, then each the one before times `ratio`.
+  /// Each lane repeats one read's StartChain and its MetropolisSweep at
+  /// each of them operation for operation (the same draws, deltas, fields
+  /// and MetropolisAccept decisions), with the lanes' spins and fields
+  /// interleaved by variable so that each CSR row serves every lane in
+  /// 256-bit operations. A lane draws its uniforms into a buffer ahead of
+  /// use, so rngs[l] ends past the draws the read consumed. Needs
+  /// ReadLanes().
+  void AnnealLanes(int count, Rng* rngs, double beta_min, double ratio,
+                   int sweeps, SpinMasks* spins) const;
+
+  /// Tabu search (TabuSearch) on `count` reads (1 to kLanes) at once: read
+  /// l starts at spins[l], whose energy is energies[l], and spins[l] ends
+  /// at the best state the read visited. Each lane repeats one read's
+  /// iterations operation for operation (the same CSR deltas and the first
+  /// strictly smallest allowed one), and stops on its own when every move
+  /// it has is tabu. Draws nothing. Needs ReadLanes().
+  void TabuLanes(int count, int max_iterations, int tenure,
+                 const double* energies, SpinMasks* spins) const;
 
   /// The same delta over spin masks, with no data-dependent branch: each
   /// neighbour adds bits(weight) & mask, i.e. its weight or +0.0, in the

@@ -14,7 +14,8 @@ namespace anneal {
 /// (aspiration). Classic strong classical QUBO heuristic (cf. qbsolv).
 /// Reads max_iterations and tenure; tenure 0 means min(20, n/4 + 1), and a
 /// tenure that outlasts the iteration budget keeps a flip tabu for the rest
-/// of the run.
+/// of the run. On the avx2 tier a solve of two or more reads runs them four
+/// at a time (QuboAdjacency::TabuLanes), with the same samples.
 class TabuSearch : public QuboSolver {
  public:
   static constexpr int kDefaultMaxIterations = 500;

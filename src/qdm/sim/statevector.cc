@@ -352,13 +352,18 @@ void Statevector::ApplyGate(const circuit::Gate& gate) {
     case GateKind::kRZZ: {
       // RZZ(theta) = exp(-i theta/2 Z(x)Z): phase -theta/2 when bits equal,
       // +theta/2 when they differ.
-      const uint64_t bit_a = uint64_t{1} << gate.qubits[0];
-      const uint64_t bit_b = uint64_t{1} << gate.qubits[1];
+      const uint64_t bit_a = QubitBit(gate.qubits[0]);
+      const uint64_t bit_b = QubitBit(gate.qubits[1]);
       const double half = gate.params[0] / 2;
-      for (size_t z = 0; z < amplitudes_.size(); ++z) {
-        const bool equal = ((z & bit_a) != 0) == ((z & bit_b) != 0);
-        amplitudes_[z] *= std::polar(1.0, equal ? -half : half);
-      }
+      const Complex equal_phase = std::polar(1.0, -half);
+      const Complex differ_phase = std::polar(1.0, half);
+      Complex* amp = amplitudes_.data();
+      ForChunks(dimension(), dimension(), [=](uint64_t begin, uint64_t end) {
+        for (uint64_t z = begin; z < end; ++z) {
+          const bool equal = ((z & bit_a) != 0) == ((z & bit_b) != 0);
+          amp[z] *= equal ? equal_phase : differ_phase;
+        }
+      });
       return;
     }
     case GateKind::kCCX:

@@ -12,6 +12,11 @@
 //   - Solve on a saturated shared pool, where every fan-out inside the
 //     solve (reads, race members, kernel chunks) runs on its caller.
 //
+// The single-solve paths run twice: with few reads, and with one more read
+// than the shared pool has threads, where simulated_annealing and
+// tabu_search run their reads in SIMD lanes on the avx2 tier and one read
+// at a time on the scalar tier.
+//
 // Every success is compared bit for bit with anneal::BitIdentical, and each
 // of its samples must carry Qubo::Energy of its assignment, bit for bit.
 // One failing input must report the same (code, message) on every path. A
@@ -208,6 +213,44 @@ class BackendConformanceTest : public ::testing::TestWithParam<std::string> {
     delete service_;
   }
 
+  /// Solve, repeated, at each tier, on a saturated pool, through the
+  /// service and through QdmClient: every path returns the Solve SampleSet.
+  static void ExpectEveryPathMatches(const std::string& name,
+                                     const SolverOptions& options) {
+    const Qubo qubo = MakeQubo(4, 21);
+    const auto reference = anneal::SolveWith(name, qubo, options);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_FALSE(reference->empty());
+
+    ExpectQuboEnergies(*reference, qubo, "Solve");
+
+    const auto again = anneal::SolveWith(name, qubo, options);
+    ASSERT_TRUE(again.ok()) << again.status();
+    ExpectSame(*again, *reference, qubo, "Solve, repeated");
+
+    for (sim::SimdMode tier : kTiers) {
+      ScopedSimdTier scoped(tier);
+      const auto tiered = anneal::SolveWith(name, qubo, options);
+      ASSERT_TRUE(tiered.ok()) << TierName(tier) << ": " << tiered.status();
+      ExpectSame(*tiered, *reference, qubo, TierName(tier));
+    }
+
+    const auto saturated = SolveOnSaturatedPool(name, qubo, options);
+    ASSERT_TRUE(saturated.ok()) << saturated.status();
+    ExpectSame(*saturated, *reference, qubo, "Solve on a saturated pool");
+
+    const auto submitted = service_->Submit(name, qubo, options);
+    ASSERT_TRUE(submitted.ok()) << submitted.status();
+    const auto waited = service_->Wait(submitted->id);
+    ASSERT_TRUE(waited.ok()) << waited.status();
+    ASSERT_EQ(waited->size(), 1u);
+    ExpectSame((*waited)[0], *reference, qubo, "service Submit");
+
+    const auto remote = client_->Solve(name, qubo, options);
+    ASSERT_TRUE(remote.ok()) << remote.status();
+    ExpectSame(*remote, *reference, qubo, "QdmClient Solve");
+  }
+
   static service::SolverService* service_;
   static net::QdmServer* server_;
   static net::QdmClient* client_;
@@ -227,40 +270,13 @@ TEST(BackendConformanceNamesTest, MatrixCoversEveryListedName) {
 }
 
 TEST_P(BackendConformanceTest, EveryPathReturnsTheSolveSampleSet) {
-  const std::string& name = GetParam();
-  const Qubo qubo = MakeQubo(4, 21);
-  const SolverOptions options = FastOptions();
-  const auto reference = anneal::SolveWith(name, qubo, options);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  ASSERT_FALSE(reference->empty());
+  ExpectEveryPathMatches(GetParam(), FastOptions());
+}
 
-  ExpectQuboEnergies(*reference, qubo, "Solve");
-
-  const auto again = anneal::SolveWith(name, qubo, options);
-  ASSERT_TRUE(again.ok()) << again.status();
-  ExpectSame(*again, *reference, qubo, "Solve, repeated");
-
-  for (sim::SimdMode tier : kTiers) {
-    ScopedSimdTier scoped(tier);
-    const auto tiered = anneal::SolveWith(name, qubo, options);
-    ASSERT_TRUE(tiered.ok()) << TierName(tier) << ": " << tiered.status();
-    ExpectSame(*tiered, *reference, qubo, TierName(tier));
-  }
-
-  const auto saturated = SolveOnSaturatedPool(name, qubo, options);
-  ASSERT_TRUE(saturated.ok()) << saturated.status();
-  ExpectSame(*saturated, *reference, qubo, "Solve on a saturated pool");
-
-  const auto submitted = service_->Submit(name, qubo, options);
-  ASSERT_TRUE(submitted.ok()) << submitted.status();
-  const auto waited = service_->Wait(submitted->id);
-  ASSERT_TRUE(waited.ok()) << waited.status();
-  ASSERT_EQ(waited->size(), 1u);
-  ExpectSame((*waited)[0], *reference, qubo, "service Submit");
-
-  const auto remote = client_->Solve(name, qubo, options);
-  ASSERT_TRUE(remote.ok()) << remote.status();
-  ExpectSame(*remote, *reference, qubo, "QdmClient Solve");
+TEST_P(BackendConformanceTest, MoreReadsThanPoolThreadsOnEveryPath) {
+  SolverOptions options = FastOptions();
+  options.num_reads = ThreadPool::Shared().num_threads() + 1;
+  ExpectEveryPathMatches(GetParam(), options);
 }
 
 TEST_P(BackendConformanceTest, EveryBatchPathMatchesPerInstanceSolve) {

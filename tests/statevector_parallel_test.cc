@@ -103,6 +103,14 @@ void NaiveControlledSwap(Amplitudes* amp, uint64_t control_mask, int a, int b) {
   }
 }
 
+/// exp(-i theta/2 Z(x)Z) on qubits a and b, one polar per amplitude.
+void NaiveRzz(Amplitudes* amp, int a, int b, double theta) {
+  for (uint64_t z = 0; z < amp->size(); ++z) {
+    const bool equal = ((z >> a) & 1) == ((z >> b) & 1);
+    (*amp)[z] *= std::polar(1.0, equal ? -theta / 2 : theta / 2);
+  }
+}
+
 void NaiveDiagonalPhase(Amplitudes* amp,
                         const std::function<double(uint64_t)>& phase) {
   for (uint64_t z = 0; z < amp->size(); ++z) {
@@ -274,6 +282,27 @@ TEST(StatevectorParallelTest, ApplyControlledSwapEveryTriple) {
       }
     }
   }
+}
+
+// Every ordered RZZ pair, a == b included, 1-8 qubits, and the highest
+// pair up to 12.
+TEST(StatevectorParallelTest, ApplyRzzEveryPair) {
+  const double theta = 0.731;
+  const auto check = [&](int n, int a, int b) {
+    CheckKernel(
+        n,
+        [&](Statevector* sv) {
+          sv->ApplyGate(circuit::Gate{GateKind::kRZZ, {a, b}, {theta}});
+        },
+        [&](Amplitudes* amp) { NaiveRzz(amp, a, b, theta); },
+        "RZZ " + Qubits(n, {a, b}));
+  };
+  for (int n = 1; n <= 8; ++n) {
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) check(n, a, b);
+    }
+  }
+  for (int n = 9; n <= 12; ++n) check(n, n - 2, n - 1);
 }
 
 TEST(StatevectorParallelTest, ApplyDiagonalPhaseCallableParity) {
@@ -479,6 +508,22 @@ TEST(StatevectorParallelDeathTest, ControlledSwapNegativeQubitIsChecked) {
                "qubit -1 is out of range for a 3-qubit state");
   EXPECT_DEATH(sv.ApplyControlledSwap(0, 1, -2),
                "qubit -2 is out of range for a 3-qubit state");
+}
+
+TEST(StatevectorParallelDeathTest, RzzOutOfRangeQubitIsChecked) {
+  Statevector sv(3);
+  EXPECT_DEATH(sv.ApplyGate(circuit::Gate{GateKind::kRZZ, {0, 3}, {0.5}}),
+               "qubit 3 is out of range for a 3-qubit state");
+  EXPECT_DEATH(sv.ApplyGate(circuit::Gate{GateKind::kRZZ, {64, 1}, {0.5}}),
+               "qubit 64 is out of range for a 3-qubit state");
+}
+
+TEST(StatevectorParallelDeathTest, RzzNegativeQubitIsChecked) {
+  Statevector sv(3);
+  EXPECT_DEATH(sv.ApplyGate(circuit::Gate{GateKind::kRZZ, {-1, 2}, {0.5}}),
+               "qubit -1 is out of range for a 3-qubit state");
+  EXPECT_DEATH(sv.ApplyGate(circuit::Gate{GateKind::kRZZ, {1, -3}, {0.5}}),
+               "qubit -3 is out of range for a 3-qubit state");
 }
 
 }  // namespace
