@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 #include "qdm/anneal/backend_cache.h"
 #include "qdm/anneal/embedded_solver.h"
 #include "qdm/anneal/embedding.h"
+#include "qdm/anneal/simulated_annealing.h"
 #include "qdm/anneal/solver.h"
 #include "qdm/anneal/topology.h"
 #include "qdm/circuit/circuit.h"
@@ -510,11 +512,11 @@ void BM_TabuIterations(benchmark::State& state) {
 BENCHMARK(BM_TabuIterations)->Arg(64)->Arg(256)->Arg(1024);
 
 // Whole solves of state.range(0) reads on BandQubo(64), timed in real time
-// because the reads run on pool threads. On a 4-thread pool,
-// simulated_annealing runs 4 reads one per thread and 10 reads in lanes of
-// four, while tabu_search runs every solve of two or more reads in lanes
-// (docs/solvers.md, "Reads in lanes"). Items are the flip deltas the reads
-// evaluate.
+// because the read groups run on pool threads. On the avx2 tier,
+// simulated_annealing and tabu_search run every solve of two or more reads
+// in lanes of four (docs/solvers.md, "Reads in lanes"): 4 reads are one
+// group on the caller, 10 reads groups of 4, 4 and 2. Items are the flip
+// deltas the reads evaluate.
 void RunReadsBench(benchmark::State& state, const char* solver,
                    qdm::anneal::SolverOptions options,
                    int64_t deltas_per_variable, bool integer) {
@@ -563,6 +565,38 @@ void BM_RngUniform(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kDraws);
 }
 BENCHMARK(BM_RngUniform);
+
+// The read lanes' block draw: BM_RngUniform's 1,024 values per iteration
+// in one call, checked equal to the Uniform() calls before timing. It runs
+// where the lanes do (QuboAdjacency::ReadLanes()).
+void BM_RngFillUniform(benchmark::State& state) {
+  if (!qdm::anneal::QuboAdjacency::ReadLanes()) {
+    state.SkipWithError("the block draw runs with the read lanes (avx2 tier)");
+    return;
+  }
+  constexpr int kDraws = 1024;
+  std::vector<double> block(kDraws);
+  {
+    qdm::Rng single(1);
+    qdm::Rng blocked(1);
+    std::vector<double> expected(kDraws);
+    for (int round = 0; round < 3; ++round) {
+      for (double& u : expected) u = single.Uniform();
+      blocked.FillUniformAvx2(block.data(), kDraws);
+      QDM_CHECK(std::memcmp(block.data(), expected.data(),
+                            kDraws * sizeof(double)) == 0)
+          << "FillUniformAvx2 differs from Uniform() in round " << round;
+    }
+  }
+  qdm::Rng rng(1);
+  for (auto _ : state) {
+    rng.FillUniformAvx2(block.data(), kDraws);
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kDraws);
+}
+BENCHMARK(BM_RngFillUniform);
 
 void BM_MqoQuboBuild(benchmark::State& state) {
   qdm::Rng rng(2);

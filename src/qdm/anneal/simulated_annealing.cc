@@ -201,6 +201,10 @@ bool QuboAdjacency::ReadLanes() {
 #endif
 }
 
+int QuboAdjacency::ReadGroupSize(int num_reads) {
+  return ReadLanes() && num_reads >= 2 ? kLanes : 1;
+}
+
 #if QDM_ANNEAL_HAVE_AVX2
 
 namespace {
@@ -316,16 +320,16 @@ __attribute__((target("avx2"))) void QuboAdjacency::AnnealLanes(
     next.lane[l] = l * capacity + (l < count ? capacity : 0);
   }
   // Tops each read's block up to at least n unread uniforms: enough for the
-  // start state or for one sweep.
+  // start state or for one sweep. One block draw per lane, the same values
+  // its Uniform() calls would give.
   const auto refill = [&] {
     for (int l = 0; l < count; ++l) {
       double* block = uniforms.data() + l * capacity;
       const int64_t used = static_cast<int64_t>(next.lane[l]) - l * capacity;
       if (capacity - used >= n) continue;
       std::copy(block + used, block + capacity, block);
-      for (int64_t j = capacity - used; j < capacity; ++j) {
-        block[j] = rngs[l].Uniform();
-      }
+      rngs[l].FillUniformAvx2(block + capacity - used,
+                              static_cast<size_t>(used));
       next.lane[l] = l * capacity;
     }
   };
@@ -504,11 +508,8 @@ Result<SampleSet> SimulatedAnnealer::Solve(const Qubo& qubo,
   const double ratio =
       sweeps > 1 ? std::pow(beta_max / beta_min, 1.0 / (sweeps - 1)) : 1.0;
 
-  // Reads that would wait for a pool thread run in lanes instead.
-  const bool lanes = QuboAdjacency::ReadLanes() &&
-                     options.num_reads > ThreadPool::Shared().num_threads();
   return SampleReads(
-      options.num_reads, lanes ? QuboAdjacency::kLanes : 1, rng,
+      options.num_reads, QuboAdjacency::ReadGroupSize(options.num_reads), rng,
       [&](Rng* read_rngs, int count, Sample* samples) {
         SpinMasks spins[QuboAdjacency::kLanes];
         if (count == 1) {

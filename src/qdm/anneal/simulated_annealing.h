@@ -20,8 +20,11 @@ namespace anneal {
 /// matches the physical device; the dynamics are classical Metropolis.
 /// Reads num_sweeps (each sweep proposes one flip per variable) and the
 /// beta_min/beta_max ends of its geometric schedule (see BetaRange). On the
-/// avx2 tier, a solve with more reads than the shared pool has threads runs
-/// them four at a time (QuboAdjacency::AnnealLanes), with the same samples.
+/// avx2 tier, a solve of two or more reads runs them in groups of four
+/// (QuboAdjacency::ReadGroupSize, AnnealLanes), and only the groups fan out
+/// on the shared pool: a group of four costs far less CPU than four
+/// one-read loops, so a loaded pool serves more solves, with the same
+/// samples.
 class SimulatedAnnealer : public QuboSolver {
  public:
   static constexpr int kDefaultSweeps = 200;
@@ -89,7 +92,9 @@ struct MetropolisChain {
 /// `group_size` (the last group may be shorter), and the groups fan out on
 /// ThreadPool::Shared() through its caller-participating ForEach (a
 /// saturated pool runs them in turn on the caller). No read sees another's
-/// state, so the SampleSet is the same bits at every pool size.
+/// state, so the SampleSet is the same bits at every pool size and group
+/// size: simulated_annealing passes ReadGroupSize's lane groups, and
+/// parallel_tempering groups of one.
 /// `reads(read_rngs, count, samples)` runs the `count` reads of one group,
 /// read j on read_rngs[j] with its sample written to samples[j]; it is
 /// called once per group, concurrently for different groups.
@@ -144,6 +149,12 @@ class QuboAdjacency {
   /// without AVX2 and -DQDM_ENABLE_SIMD=OFF builds make it false.
   static bool ReadLanes();
 
+  /// How many reads simulated_annealing and tabu_search run as one group:
+  /// kLanes when ReadLanes() and the solve has two or more reads, else 1
+  /// (the one-read loop). It reads no pool size or load: at equal bits,
+  /// lanes cost less CPU per read whether the pool is idle or busy.
+  static int ReadGroupSize(int num_reads);
+
   /// Anneals `count` reads (1 to kLanes) at once, read l on rngs[l], and
   /// leaves each read's final spins in spins[l]. The `sweeps` inverse
   /// temperatures are beta_min, then each the one before times `ratio`.
@@ -152,8 +163,9 @@ class QuboAdjacency {
   /// and MetropolisAccept decisions), with the lanes' spins and fields
   /// interleaved by variable so that each CSR row serves every lane in
   /// 256-bit operations. A lane draws its uniforms into a buffer ahead of
-  /// use, so rngs[l] ends past the draws the read consumed. Needs
-  /// ReadLanes().
+  /// use, a block at a time (Rng::FillUniformAvx2, the same values as its
+  /// Uniform() calls), so rngs[l] ends past the draws the read consumed.
+  /// Needs ReadLanes().
   void AnnealLanes(int count, Rng* rngs, double beta_min, double ratio,
                    int sweeps, SpinMasks* spins) const;
 

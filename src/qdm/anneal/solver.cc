@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -148,6 +149,13 @@ Status ValidateSolverOptions(const SolverOptions& options) {
   if (options.beta_min < 0.0 || options.beta_max < 0.0) {
     return Status::InvalidArgument(
         StrFormat("beta_min/beta_max must be non-negative, got %g/%g",
+                  options.beta_min, options.beta_max));
+  }
+  // NaN fails both tests above and would read as "auto" below; NaN or inf
+  // betas make the sweeps reject every uphill move.
+  if (!std::isfinite(options.beta_min) || !std::isfinite(options.beta_max)) {
+    return Status::InvalidArgument(
+        StrFormat("beta_min/beta_max must be finite, got %g/%g",
                   options.beta_min, options.beta_max));
   }
   if (min_set != max_set) {

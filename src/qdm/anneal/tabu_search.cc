@@ -62,9 +62,7 @@ Result<SampleSet> TabuSearch::Solve(const Qubo& qubo,
 
   // The reads run one group after another, each group's start states drawn
   // in read order before it searches; a group of one is the one-read loop.
-  const int group_size = QuboAdjacency::ReadLanes() && options.num_reads >= 2
-                             ? QuboAdjacency::kLanes
-                             : 1;
+  const int group_size = QuboAdjacency::ReadGroupSize(options.num_reads);
   SampleSet result;
   for (int first = 0; first < options.num_reads; first += group_size) {
     const int count = std::min(group_size, options.num_reads - first);

@@ -17,10 +17,14 @@ namespace qdm {
 /// The in-tree copy differs only in speed: its twist selects the matrix
 /// term with a mask, `(0 - (y & 1)) & a`, where libstdc++ branches on the
 /// low bit of every state word. Satisfies UniformRandomBitGenerator, so
-/// the std distributions accept it.
+/// the std distributions accept it. Rng::FillUniformAvx2 reads the state
+/// words in blocks of four.
 class Mt19937_64 {
  public:
   using result_type = uint64_t;
+
+  /// Words of state (n); a twist regenerates all of them.
+  static constexpr size_t kStateSize = 312;
 
   explicit Mt19937_64(uint64_t seed);
 
@@ -38,7 +42,7 @@ class Mt19937_64 {
   }
 
  private:
-  static constexpr size_t kStateSize = 312;
+  friend class Rng;
 
   /// Regenerates all kStateSize words and rewinds index_.
   void Twist();
@@ -74,6 +78,22 @@ class Rng {
     const double low = static_cast<double>(static_cast<uint32_t>(bits));
     return std::min(high * 0x1p-32 + low * 0x1p-64, 0x1.fffffffffffffp-1);
   }
+
+  /// Writes the next n Uniform() values to out[0, n) and leaves the engine
+  /// where those n calls leave it, bit for bit. It twists, tempers and
+  /// converts four engine words per AVX2 instruction (the conversion is
+  /// UnitsFromBitsAvx2), so call it only where the CPU is known to run
+  /// AVX2: its one caller, anneal::QuboAdjacency::AnnealLanes, runs only
+  /// when ReadLanes() holds. Uniform() stays the reference everywhere
+  /// else. A build without the AVX2 code (QDM_ENABLE_SIMD off, or not
+  /// x86-64) makes the n Uniform() calls.
+  void FillUniformAvx2(double* out, size_t n);
+
+  /// UnitFromBits of bits[0..3] into out[0..3], four at a time: the same
+  /// exact halves, multiplies, add and clamp, each rounded on its own (no
+  /// fused multiply-add), so the same doubles. The same AVX2 requirement
+  /// as FillUniformAvx2.
+  static void UnitsFromBitsAvx2(const uint64_t* bits, double* out);
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }

@@ -209,6 +209,98 @@ TEST(RngTest, UnitFromBitsRoundsToNearestAndStaysBelowOne) {
   }
 }
 
+// The block draws run AVX2 code where the build compiled it (and scalar
+// Uniform() calls where it did not), so they need a CPU that runs AVX2.
+bool CpuRunsBlockDraws() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx2");
+#else
+  return true;
+#endif
+}
+
+TEST(RngTest, UnitsFromBitsAvx2MatchesUnitFromBits) {
+  if (!CpuRunsBlockDraws()) GTEST_SKIP() << "no AVX2";
+  const uint64_t two_53 = uint64_t{1} << 53;
+  const uint64_t top = ~uint64_t{0};
+  // UnitFromBits' edge inputs, each tried in every lane.
+  const uint64_t edges[] = {0,          1,          two_53 - 1,
+                            two_53 + 1, two_53 + 3, (uint64_t{1} << 63) + 1,
+                            top - 2047, top - 1023, top};
+  constexpr int kEdges = sizeof(edges) / sizeof(edges[0]);
+  for (int first = 0; first < kEdges; ++first) {
+    uint64_t bits[4];
+    double out[4];
+    for (int l = 0; l < 4; ++l) bits[l] = edges[(first + l) % kEdges];
+    Rng::UnitsFromBitsAvx2(bits, out);
+    for (int l = 0; l < 4; ++l) {
+      EXPECT_EQ(Bits(out[l]), Bits(Rng::UnitFromBits(bits[l])))
+          << "input " << bits[l] << " in lane " << l;
+    }
+  }
+  double clamped[4];
+  const uint64_t tops[4] = {top - 1023, top - 1, top, top - 2};
+  Rng::UnitsFromBitsAvx2(tops, clamped);
+  for (const double u : clamped) EXPECT_EQ(u, std::nextafter(1.0, 0.0));
+
+  std::mt19937_64 engine(5);
+  for (int i = 0; i < 1000000; i += 4) {
+    uint64_t bits[4];
+    double out[4];
+    for (uint64_t& word : bits) word = engine();
+    Rng::UnitsFromBitsAvx2(bits, out);
+    for (int l = 0; l < 4; ++l) {
+      if (Bits(out[l]) != Bits(Rng::UnitFromBits(bits[l]))) {
+        FAIL() << "input " << bits[l] << " in lane " << l;
+      }
+    }
+  }
+}
+
+TEST(RngTest, FillUniformAvx2EqualsUniformCalls) {
+  if (!CpuRunsBlockDraws()) GTEST_SKIP() << "no AVX2";
+  // Block sizes around the 312-word state, after draws that leave the
+  // engine fresh, one word in, one word short of a twist, and due one.
+  for (const uint64_t seed : kStreamSeeds) {
+    for (const int before : {0, 1, 311, 312}) {
+      for (const size_t n : {0, 1, 3, 4, 5, 311, 312, 313, 624, 1000}) {
+        Rng block(seed);
+        Rng single(seed);
+        for (int i = 0; i < before; ++i) {
+          block.Uniform();
+          single.Uniform();
+        }
+        // One slot past the block, which must stay untouched.
+        std::vector<double> out(n + 1, -1.0);
+        block.FillUniformAvx2(out.data(), n);
+        for (size_t i = 0; i < n; ++i) {
+          if (Bits(out[i]) != Bits(single.Uniform())) {
+            FAIL() << "seed " << seed << ", " << before << " before, block of "
+                   << n << ": value " << i;
+          }
+        }
+        EXPECT_EQ(out[n], -1.0);
+        EXPECT_EQ(Bits(block.Uniform()), Bits(single.Uniform()))
+            << "seed " << seed << ", " << before << " before, block of " << n;
+        EXPECT_EQ(block.engine()(), single.engine()())
+            << "seed " << seed << ", " << before << " before, block of " << n;
+      }
+    }
+  }
+
+  // Back-to-back blocks, as a lane's buffer refills take them.
+  Rng block(3);
+  Rng single(3);
+  std::vector<double> out(1000);
+  for (const size_t n : {5, 300, 1, 624, 17, 312, 2, 999}) {
+    block.FillUniformAvx2(out.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(Bits(out[i]), Bits(single.Uniform())) << "block of " << n;
+    }
+  }
+  EXPECT_EQ(block.engine()(), single.engine()());
+}
+
 TEST(RngTest, UniformMatchesRecordedBits) {
   // Per seed of kStreamSeeds: the bits of the first Uniform(), and the
   // fold of the first 10^5.

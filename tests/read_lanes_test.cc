@@ -5,11 +5,13 @@
 //     that read: a stream swapped between lanes, a draw moved or a lane
 //     that moves after it stopped shows here even where the sorted
 //     SampleSet could not tell;
-//   - simulated_annealing with more reads than pool threads (one group
-//     partial) and tabu_search with 2 to 9 reads return the same SampleSet
-//     under SimdMode::kAuto and kScalar, equal to the reference loops run
-//     read by read, on integer, real-valued and non-finite QUBOs, and leave
-//     the caller's Rng where the reference leaves it.
+//   - simulated_annealing with 1 to 4 reads (a group of one, a partial
+//     group, a whole one), with one more read than pool threads and with
+//     two groups' worth more, and tabu_search with 2 to 9 reads return the
+//     same SampleSet under SimdMode::kAuto and kScalar, equal to the
+//     reference loops run read by read, on integer, real-valued and
+//     non-finite QUBOs, and leave the caller's Rng where the reference
+//     leaves it.
 //
 // The reference loops share no code with the samplers' sweeps: each
 // proposal sums its CSR row through the Assignment FlipDelta and every
@@ -280,9 +282,9 @@ TEST(ReadLanesTest, SimulatedAnnealingMatchesAtBothTiers) {
   for (const Family family : kFamilies) {
     for (const int n : {5, 24}) {
       const Qubo qubo = RandomQubo(family, n, 0.6, ++seed);
-      // One more read than pool threads, and two groups' worth more: the
-      // last group is partial either way.
-      for (const int num_reads : {threads + 1, 2 * threads + 2}) {
+      // One group of each size up to four (one read runs the one-read
+      // loop), one more read than pool threads, and two groups' worth more.
+      for (const int num_reads : {1, 2, 3, 4, threads + 1, 2 * threads + 2}) {
         SolverOptions options;
         options.num_reads = num_reads;
         options.num_sweeps = 30;

@@ -4,11 +4,13 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 #include "qdm/common/status.h"
+#include "qdm/common/strings.h"
 #include "qdm/qopt/mqo.h"
 
 namespace qdm {
@@ -161,6 +163,33 @@ TEST(SolverRegistryTest, HalfSetBetaLadderIsAnErrorNotAnAbort) {
     both.seed = 9;
     auto ok = SolveWith(name, q, both);
     ASSERT_TRUE(ok.ok()) << name << ": " << ok.status();
+  }
+}
+
+TEST(SolverRegistryTest, NonFiniteBetaLadderIsAnError) {
+  // NaN fails both `> 0` and `< 0`, so a NaN endpoint once read as unset:
+  // NaN/NaN and 0/NaN passed validation and reached the sweeps, as did
+  // inf/inf and 1/inf. The sweeps then rejected every uphill move.
+  const Qubo q = KnownGroundStateQubo();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> ladders[] = {
+      {nan, nan}, {0.0, nan}, {nan, 0.0}, {inf, inf}, {1.0, inf}};
+  for (const std::string name : {"simulated_annealing", "parallel_tempering"}) {
+    for (const auto& [beta_min, beta_max] : ladders) {
+      SolverOptions options;
+      options.beta_min = beta_min;
+      options.beta_max = beta_max;
+      const std::string label = name + " " + std::to_string(beta_min) + "/" +
+                                std::to_string(beta_max);
+      auto result = SolveWith(name, q, options);
+      ASSERT_FALSE(result.ok()) << label;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << label;
+      EXPECT_EQ(result.status().message(),
+                StrFormat("beta_min/beta_max must be finite, got %g/%g",
+                          beta_min, beta_max))
+          << label;
+    }
   }
 }
 
