@@ -34,21 +34,22 @@ int main() {
   for (int hops : {1, 2, 3}) {
     qdm::qnet::DistributedQuantumStore store(
         LineNetwork(hops + 1, 40),
-        qdm::qnet::DistributedQuantumStore::Options{},
-        &rng);
+        qdm::qnet::DistributedQuantumStore::Options{}, &rng);
     QDM_CHECK(store.PutClassical(0, "ledger", "txn,amount\n901,12.5\n").ok());
-    QDM_CHECK(store.PutQuantum(0, "qcredential",
-                               qdm::qnet::Qubit::FromAngles(0.8, 0.4)).ok());
+    QDM_CHECK(store
+                  .PutQuantum(0, "qcredential",
+                              qdm::qnet::Qubit::FromAngles(0.8, 0.4))
+                  .ok());
 
     qdm::Status replicate = store.ReplicateClassical("ledger", hops);
     qdm::Status migrate = store.MigrateQuantum("qcredential", hops);
-    table.AddRow({qdm::StrFormat("%d", hops),
-                  replicate.ok() ? "ok" : replicate.ToString(),
-                  qdm::StrFormat("%.0f", store.stats().qkd_secure_bits),
-                  migrate.ok() ? "ok" : migrate.ToString(),
-                  qdm::StrFormat("%d", store.stats().epr_pairs_consumed),
-                  qdm::StrFormat("%.4f",
-                                 *store.QuantumFidelity("qcredential"))});
+    table.AddRow(
+        {qdm::StrFormat("%d", hops),
+         replicate.ok() ? "ok" : replicate.ToString(),
+         qdm::StrFormat("%.0f", store.stats().qkd_secure_bits),
+         migrate.ok() ? "ok" : migrate.ToString(),
+         qdm::StrFormat("%d", store.stats().epr_pairs_consumed),
+         qdm::StrFormat("%.4f", *store.QuantumFidelity("qcredential"))});
   }
   std::printf("E13: classical replication vs quantum migration\n%s\n",
               table.ToString().c_str());
@@ -62,20 +63,19 @@ int main() {
       options.memory_t_s = 0.002;
       qdm::qnet::DistributedQuantumStore store(LineNetwork(3, 60), options,
                                                &rng);
-      QDM_CHECK(
-          store.PutQuantum(0, "q", qdm::qnet::Qubit::FromAngles(1.1, 0.2))
-              .ok());
+      QDM_CHECK(store.PutQuantum(0, "q", qdm::qnet::Qubit::FromAngles(1.1, 0.2))
+                    .ok());
       for (int m = 0; m < migrations; ++m) {
         QDM_CHECK(store.MigrateQuantum("q", (m % 2) ? 0 : 2).ok());
       }
       total += *store.QuantumFidelity("q");
     }
-    decay.AddRow({qdm::StrFormat("%d", migrations),
-                  qdm::StrFormat("%.4f", total / 40)});
+    decay.AddRow(
+        {qdm::StrFormat("%d", migrations), qdm::StrFormat("%.4f", total / 40)});
   }
   std::printf(
       "Quantum payload fidelity vs migration count (harsh memories):\n%s\n",
-              decay.ToString().c_str());
+      decay.ToString().c_str());
 
   // Fault injection: link failure forces rerouting or typed failure.
   qdm::qnet::QuantumNetwork ring = LineNetwork(4, 40);
@@ -86,12 +86,14 @@ int main() {
   QDM_CHECK(store.PutQuantum(0, "q", qdm::qnet::Qubit::Zero()).ok());
   QDM_CHECK(store.network().SetLinkUp(1, 2, false).ok());
   qdm::Status rerouted = store.MigrateQuantum("q", 3);
-  std::printf("fault injection: with link dc1-dc2 down, migration 0 -> 3 %s\n"
-              "(rerouted over the 200 km backup edge)\n",
-              rerouted.ok() ? "succeeded" : rerouted.ToString().c_str());
-  std::printf("\nShape check: replication leaves copies everywhere; migration\n"
-              "never does (no-cloning); fidelity decays with every migration\n"
-              "over imperfect entanglement; failures reroute when a path "
-              "exists.\n");
+  std::printf(
+      "fault injection: with link dc1-dc2 down, migration 0 -> 3 %s\n"
+      "(rerouted over the 200 km backup edge)\n",
+      rerouted.ok() ? "succeeded" : rerouted.ToString().c_str());
+  std::printf(
+      "\nShape check: replication leaves copies everywhere; migration\n"
+      "never does (no-cloning); fidelity decays with every migration\n"
+      "over imperfect entanglement; failures reroute when a path "
+      "exists.\n");
   return 0;
 }

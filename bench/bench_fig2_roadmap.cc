@@ -24,8 +24,10 @@ int main() {
   qdm::anneal::Qubo qubo = qdm::qopt::MqoToQubo(problem);
   const double optimum = qdm::qopt::ExhaustiveMqo(problem).cost;
   std::printf("E2: Figure 2 roadmap -- one MQO instance, every arm\n");
-  std::printf("instance: 3 queries x 3 plans -> QUBO with %d variables; "
-              "exhaustive optimum %.3f\n\n", qubo.num_variables(), optimum);
+  std::printf(
+      "instance: 3 queries x 3 plans -> QUBO with %d variables; "
+      "exhaustive optimum %.3f\n\n",
+      qubo.num_variables(), optimum);
 
   qdm::TablePrinter table({"Figure-2 arm", "backend", "best cost", "optimal?"});
   // Every arm is dispatched by registry name — the same MQO instance flows
@@ -36,11 +38,10 @@ int main() {
     auto set = qdm::anneal::SolveWith(solver_name, qubo, options);
     QDM_CHECK(set.ok()) << set.status();
     auto decoded = qdm::qopt::DecodeMqoSample(problem, set->best().assignment);
-    table.AddRow({arm, solver_name,
-                  decoded.feasible ? qdm::StrFormat("%.3f", decoded.cost)
-                                   : "infeasible",
-                  decoded.feasible && decoded.cost <= optimum + 1e-9 ? "yes"
-                                                                     : "no"});
+    table.AddRow(
+        {arm, solver_name,
+         decoded.feasible ? qdm::StrFormat("%.3f", decoded.cost) : "infeasible",
+         decoded.feasible && decoded.cost <= optimum + 1e-9 ? "yes" : "no"});
   };
 
   report("QUBO -> quantum annealer", "simulated_annealing",
@@ -68,7 +69,8 @@ int main() {
   }
   std::printf("QPE (quantum phase estimation) readout accuracy:\n%s\n",
               qpe_table.ToString().c_str());
-  std::printf("Shape check: every roadmap arm reaches the exhaustive optimum\n"
-              "on this instance; QPE errors are below 2^-8.\n");
+  std::printf(
+      "Shape check: every roadmap arm reaches the exhaustive optimum\n"
+      "on this instance; QPE errors are below 2^-8.\n");
   return 0;
 }

@@ -32,8 +32,8 @@ int main() {
     double classical_total = 0, grover_total = 0, bbht_total = 0, success = 0;
     for (int t = 0; t < kTrials; ++t) {
       const int64_t key = rng.UniformInt(0, static_cast<int64_t>(size) - 1);
-      qdm::qdb::SearchStats c = db->ClassicalSearchWhere(
-          [&](int64_t r) { return r == key; }, &rng);
+      qdm::qdb::SearchStats c =
+          db->ClassicalSearchWhere([&](int64_t r) { return r == key; }, &rng);
       classical_total += static_cast<double>(c.oracle_queries);
 
       qdm::algo::CountingOracle oracle(
@@ -42,8 +42,8 @@ int main() {
       grover_total += static_cast<double>(g.oracle_queries);
       success += g.success_probability;
 
-      qdm::qdb::SearchStats b = db->GroverSearchWhere(
-          [&](int64_t r) { return r == key; }, &rng);
+      qdm::qdb::SearchStats b =
+          db->GroverSearchWhere([&](int64_t r) { return r == key; }, &rng);
       bbht_total += static_cast<double>(b.oracle_queries);
     }
     const double classical_avg = classical_total / kTrials;
@@ -59,7 +59,8 @@ int main() {
   }
   std::printf("E3: Grover vs classical database search (oracle queries)\n%s\n",
               table.ToString().c_str());
-  std::printf("Shape check: classical grows ~N/2, Grover ~pi/4 sqrt(N); the\n"
-              "speedup column should roughly double per 4x N.\n");
+  std::printf(
+      "Shape check: classical grows ~N/2, Grover ~pi/4 sqrt(N); the\n"
+      "speedup column should roughly double per 4x N.\n");
   return 0;
 }

@@ -73,14 +73,14 @@ int main(int argc, char** argv) {
              qdm::StrFormat("%d", (*topology)->num_qubits()),
              qdm::StrFormat("%d", embedding->TotalPhysicalQubits()),
              qdm::StrFormat("%d", embedding->MaxChainLength()),
-             qdm::StrFormat("%.1fx",
-                            static_cast<double>(
-                                embedding->TotalPhysicalQubits()) / n)});
+             qdm::StrFormat(
+                 "%.1fx",
+                 static_cast<double>(embedding->TotalPhysicalQubits()) / n)});
       }
     }
     std::printf(
         "E14.1: minor-embedding qubit overhead (clique embedding)\n%s\n",
-                overhead.ToString().c_str());
+        overhead.ToString().c_str());
 
     auto ground = qdm::anneal::SolveWith("exact", qubo, {.num_reads = 1});
     QDM_CHECK(ground.ok()) << ground.status();
@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
 
     // (2) Chain-strength sweep on Chimera-embedded annealing, through the
     // registry backend's chain_strength knob.
-    qdm::TablePrinter chains({"chain strength", "success rate",
-                              "mean chain breaks"});
+    qdm::TablePrinter chains(
+        {"chain strength", "success rate", "mean chain breaks"});
     for (double strength : {0.05, 0.2, 1.0, 5.0, 25.0, 125.0}) {
       qdm::anneal::SolverOptions options;
       options.num_reads = 30;
@@ -107,11 +107,11 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "E14.2: chain-strength sweep (8 logical vars on C(2,2,4))\n%s\n",
-                chains.ToString().c_str());
+        chains.ToString().c_str());
 
     // (3) Penalty-weight sweep on the logical QUBO.
-    qdm::TablePrinter penalties({"penalty x auto", "feasible rate",
-                                 "success rate"});
+    qdm::TablePrinter penalties(
+        {"penalty x auto", "feasible rate", "success rate"});
     for (double scale : {0.02, 0.1, 0.5, 1.0, 5.0, 25.0}) {
       // Derive the auto penalty from the instance the same way MqoToQubo does.
       double max_cost = 0.0;
@@ -148,8 +148,8 @@ int main(int argc, char** argv) {
                 penalties.ToString().c_str());
 
     // (4) QAOA under depolarizing gate noise.
-    qdm::TablePrinter noise_table({"depolarizing p", "mean cost (sampled)",
-                                   "optimum"});
+    qdm::TablePrinter noise_table(
+        {"depolarizing p", "mean cost (sampled)", "optimum"});
     qdm::algo::Qaoa qaoa(qubo, 2);
     qdm::algo::CoordinateDescent optimizer;
     auto opt = qaoa.Optimize(&optimizer, 3, &rng);
@@ -160,9 +160,9 @@ int main(int argc, char** argv) {
       model.depolarizing_1q = p;
       model.depolarizing_2q = 2 * p;
       qdm::sim::TrajectorySimulator sim(model);
-      const double mean = sim.AverageDiagonalExpectation(circuit, diag,
-                                                         /*trajectories=*/200,
-                                                         &rng);
+      const double mean =
+          sim.AverageDiagonalExpectation(circuit, diag,
+                                         /*trajectories=*/200, &rng);
       noise_table.AddRow({qdm::StrFormat("%.3f", p),
                           qdm::StrFormat("%.3f", mean),
                           qdm::StrFormat("%.3f", optimum)});
@@ -172,8 +172,8 @@ int main(int argc, char** argv) {
 
     // (5) Chain-break policy comparison in the weak-chain regime, through
     // the registry backend and its options knobs.
-    qdm::TablePrinter policies({"policy", "success rate", "mean breaks",
-                                "samples kept"});
+    qdm::TablePrinter policies(
+        {"policy", "success rate", "mean breaks", "samples kept"});
     for (qdm::anneal::ChainBreakPolicy policy :
          {qdm::anneal::ChainBreakPolicy::kMajorityVote,
           qdm::anneal::ChainBreakPolicy::kMinimizeEnergy,
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "E14.5: chain-break policy comparison (chain strength 0.3)\n%s\n",
-                policies.ToString().c_str());
+        policies.ToString().c_str());
 
     std::printf(
         "Shape check: qubit overhead grows ~2 sqrt(n)x; success peaks at\n"
@@ -223,8 +223,8 @@ int main(int argc, char** argv) {
   options.seed = 7;
 
   qdm_bench::MetricsJson metrics;
-  qdm::TablePrinter summary({"backend", "hw qubits", "max chain",
-                             "chain breaks", "items/s (t=1)"});
+  qdm::TablePrinter summary(
+      {"backend", "hw qubits", "max chain", "chain breaks", "items/s (t=1)"});
   const qdm::anneal::BackendCacheStats cache_before =
       qdm::anneal::GetBackendCacheStats();
   for (const char* backend : kSweepBackends) {
@@ -256,8 +256,8 @@ int main(int argc, char** argv) {
     // as EXACT metrics (perf_gate compares them for equality, not ratio):
     // they are pure functions of the seeds and topology, so any drift in
     // either direction is a real behavior change.
-    auto embedding = qdm::anneal::CliqueEmbedding(
-        batch[0].num_variables(), topology);
+    auto embedding =
+        qdm::anneal::CliqueEmbedding(batch[0].num_variables(), topology);
     QDM_CHECK(embedding.ok()) << embedding.status();
     double breaks = 0;
     size_t samples = 0;

@@ -61,15 +61,12 @@ void RunNoiseSweep(const qdm_bench::SweepFlags& flags,
                            {"depol@0.001", "p001"},
                            {"depol@0.01", "p01"},
                            {"depol@0.05", "p05"}};
-  qdm::TablePrinter table(
-      {"solver", "total ms", "items/s", "mean fidelity"});
+  qdm::TablePrinter table({"solver", "total ms", "items/s", "mean fidelity"});
   double previous_fidelity = 2.0;  // Above any reachable fidelity.
   for (const Point& point : kPoints) {
-    const std::string solver =
-        qdm::StrFormat("noisy:%s:qaoa", point.model);
+    const std::string solver = qdm::StrFormat("noisy:%s:qaoa", point.model);
     const auto start = std::chrono::steady_clock::now();
-    auto sets =
-        qdm::anneal::SolveBatchParallel(solver, qubos, options, 1);
+    auto sets = qdm::anneal::SolveBatchParallel(solver, qubos, options, 1);
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -81,8 +78,8 @@ void RunNoiseSweep(const qdm_bench::SweepFlags& flags,
     fidelity /= kInstances;
     QDM_CHECK(fidelity <= previous_fidelity + 1e-12)
         << solver << ": fidelity " << fidelity
-        << " not monotone under rising noise (previous "
-        << previous_fidelity << ")";
+        << " not monotone under rising noise (previous " << previous_fidelity
+        << ")";
     previous_fidelity = fidelity;
     const double items_per_s = 1000.0 * kInstances / ms;
     table.AddRow({solver, qdm::StrFormat("%.1f", ms),
@@ -140,8 +137,8 @@ int main(int argc, char** argv) {
         anneal_options.num_sweeps = 300 * n;
         anneal_options.num_reads = 4 * n;
         anneal_options.rng = &rng;
-        auto annealed = qdm::qopt::SolveJoinOrder(g, "simulated_annealing",
-                                                  anneal_options);
+        auto annealed =
+            qdm::qopt::SolveJoinOrder(g, "simulated_annealing", anneal_options);
         QDM_CHECK(annealed.ok()) << annealed.status();
         if (annealed->strict_feasible) ++feasible;
         log_anneal +=
@@ -167,20 +164,21 @@ int main(int argc, char** argv) {
         log_bushy += std::log(optimal / qdm::db::OptimalBushyPlan(g).cost);
       }
       auto geomean = [&](double log_sum) { return std::exp(log_sum / kSeeds); };
-      table.AddRow({qdm::db::QueryShapeToString(shape), qdm::StrFormat("%d", n),
-                    qdm::StrFormat("%.2f", geomean(log_anneal)),
-                    qdm::StrFormat("%.2f", geomean(log_tabu)),
-                    qdm::StrFormat("%.2f", geomean(log_proxy)),
-                    qdm::StrFormat("%.2f", geomean(log_greedy)),
-                    qdm::StrFormat("%.1f",
-                                   log_random / kSeeds / std::log(10.0)),
-                    qdm::StrFormat("%.2f", geomean(log_bushy)),
-                    qdm::StrFormat("%d/%d", feasible, kSeeds)});
+      table.AddRow(
+          {qdm::db::QueryShapeToString(shape), qdm::StrFormat("%d", n),
+           qdm::StrFormat("%.2f", geomean(log_anneal)),
+           qdm::StrFormat("%.2f", geomean(log_tabu)),
+           qdm::StrFormat("%.2f", geomean(log_proxy)),
+           qdm::StrFormat("%.2f", geomean(log_greedy)),
+           qdm::StrFormat("%.1f", log_random / kSeeds / std::log(10.0)),
+           qdm::StrFormat("%.2f", geomean(log_bushy)),
+           qdm::StrFormat("%d/%d", feasible, kSeeds)});
     }
   }
-  std::printf("E5: join ordering quality by topology (geometric-mean C_out "
-              "ratios; 1.0 = left-deep optimal)\n%s\n",
-              table.ToString().c_str());
+  std::printf(
+      "E5: join ordering quality by topology (geometric-mean C_out "
+      "ratios; 1.0 = left-deep optimal)\n%s\n",
+      table.ToString().c_str());
   std::printf(
       "Shape check: the QUBO pipeline (anneal/tabu) stays within a small\n"
       "factor of optimal and is astronomically better than random orders\n"

@@ -350,8 +350,8 @@ void CheckCachedCreationSpeedup() {
           cached_ns, std::chrono::duration<double, std::nano>(t2 - t1).count());
     }
     QDM_CHECK(cold_ns >= 5.0 * cached_ns)
-        << "cached embedded-backend creation is only "
-        << cold_ns / cached_ns << "x the cold path (contract: >= 5x)";
+        << "cached embedded-backend creation is only " << cold_ns / cached_ns
+        << "x the cold path (contract: >= 5x)";
     return true;
   }();
   (void)checked;
@@ -600,8 +600,8 @@ BENCHMARK(BM_RngFillUniform);
 
 void BM_MqoQuboBuild(benchmark::State& state) {
   qdm::Rng rng(2);
-  auto problem = qdm::qopt::GenerateMqoProblem(
-      static_cast<int>(state.range(0)), 3, 0.3, &rng);
+  auto problem = qdm::qopt::GenerateMqoProblem(static_cast<int>(state.range(0)),
+                                               3, 0.3, &rng);
   for (auto _ : state) {
     auto qubo = qdm::qopt::MqoToQubo(problem);
     benchmark::DoNotOptimize(qubo.num_variables());
@@ -659,8 +659,8 @@ BENCHMARK(BM_WireDecodeResults);
 
 void BM_OptimalBushyPlan(benchmark::State& state) {
   qdm::Rng rng(3);
-  auto graph = qdm::db::JoinGraph::RandomClique(
-      static_cast<int>(state.range(0)), &rng);
+  auto graph =
+      qdm::db::JoinGraph::RandomClique(static_cast<int>(state.range(0)), &rng);
   for (auto _ : state) {
     auto plan = qdm::db::OptimalBushyPlan(graph);
     benchmark::DoNotOptimize(plan.cost);

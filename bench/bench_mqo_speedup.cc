@@ -98,7 +98,7 @@ void RunPortfolioSweep(const qdm_bench::SweepFlags& flags,
 
   struct Arm {
     const char* solver;
-    const char* label;   // Short key used in metric names.
+    const char* label;  // Short key used in metric names.
   };
   const Arm kArms[] = {
       {"simulated_annealing", "sa"},
@@ -191,10 +191,9 @@ void RunPortfolioSweep(const qdm_bench::SweepFlags& flags,
   const std::string& decision = adaptive.back().decision();
   const std::vector<std::string> decision_parts = qdm::StrSplit(decision, ':');
   QDM_CHECK(decision_parts.size() == 3 && decision_parts[0] == "commit")
-      << "adaptive arm ended the batch without a commit decision: '"
-      << decision << "'";
-  metrics->AddExact("mqo_adaptive_commit_arm",
-                    std::stod(decision_parts[1]));
+      << "adaptive arm ended the batch without a commit decision: '" << decision
+      << "'";
+  metrics->AddExact("mqo_adaptive_commit_arm", std::stod(decision_parts[1]));
   const auto timed_items_per_s = [&qubos, &options](const char* solver) {
     const auto start = std::chrono::steady_clock::now();
     auto sets = qdm::anneal::SolveBatchParallel(solver, qubos, options,
@@ -247,15 +246,12 @@ void RunNoiseSweep(const qdm_bench::SweepFlags& flags,
                            {"depol@0.001", "p001"},
                            {"depol@0.01", "p01"},
                            {"depol@0.05", "p05"}};
-  qdm::TablePrinter table(
-      {"solver", "total ms", "items/s", "mean fidelity"});
+  qdm::TablePrinter table({"solver", "total ms", "items/s", "mean fidelity"});
   double previous_fidelity = 2.0;  // Above any reachable fidelity.
   for (const Point& point : kPoints) {
-    const std::string solver =
-        qdm::StrFormat("noisy:%s:qaoa", point.model);
+    const std::string solver = qdm::StrFormat("noisy:%s:qaoa", point.model);
     const auto start = std::chrono::steady_clock::now();
-    auto sets =
-        qdm::anneal::SolveBatchParallel(solver, qubos, options, 1);
+    auto sets = qdm::anneal::SolveBatchParallel(solver, qubos, options, 1);
     const double ms = MillisSince(start);
     QDM_CHECK(sets.ok()) << solver << ": " << sets.status();
     double fidelity = 0.0;
@@ -265,8 +261,8 @@ void RunNoiseSweep(const qdm_bench::SweepFlags& flags,
     fidelity /= kInstances;
     QDM_CHECK(fidelity <= previous_fidelity + 1e-12)
         << solver << ": fidelity " << fidelity
-        << " not monotone under rising noise (previous "
-        << previous_fidelity << ")";
+        << " not monotone under rising noise (previous " << previous_fidelity
+        << ")";
     previous_fidelity = fidelity;
     const double items_per_s = 1000.0 * kInstances / ms;
     table.AddRow({solver, qdm::StrFormat("%.1f", ms),
@@ -345,19 +341,18 @@ int main(int argc, char** argv) {
       qdm::qopt::MqoSolution tabu_solution =
           qdm::qopt::DecodeMqoSample(problem, tabu_samples->best().assignment);
 
-      table.AddRow({qdm::StrFormat("%d", queries),
-                    qdm::StrFormat("%.1f", sharing),
-                    qdm::StrFormat("%d", problem.num_variables()),
-                    qdm::StrFormat("%.2f", exhaustive_ms),
-                    qdm::StrFormat("%.1f", anneal_ms),
-                    qdm::StrFormat("%.4f", annealed.feasible
-                                               ? annealed.cost / exact.cost
-                                               : -1.0),
-                    qdm::StrFormat("%.1f", tabu_ms),
-                    qdm::StrFormat("%.4f", tabu_solution.feasible
-                                               ? tabu_solution.cost / exact.cost
-                                               : -1.0),
-                    qdm::StrFormat("%.1fx", exhaustive_ms / tabu_ms)});
+      table.AddRow(
+          {qdm::StrFormat("%d", queries), qdm::StrFormat("%.1f", sharing),
+           qdm::StrFormat("%d", problem.num_variables()),
+           qdm::StrFormat("%.2f", exhaustive_ms),
+           qdm::StrFormat("%.1f", anneal_ms),
+           qdm::StrFormat(
+               "%.4f", annealed.feasible ? annealed.cost / exact.cost : -1.0),
+           qdm::StrFormat("%.1f", tabu_ms),
+           qdm::StrFormat("%.4f", tabu_solution.feasible
+                                      ? tabu_solution.cost / exact.cost
+                                      : -1.0),
+           qdm::StrFormat("%.1fx", exhaustive_ms / tabu_ms)});
     }
   }
   std::printf("E4: MQO -- exhaustive search vs the QUBO pipeline\n%s\n",

@@ -83,9 +83,9 @@ std::vector<SampleSet> RunPass(int clients) {
     threads.emplace_back([&server, &results, c, clients] {
       QdmClient client((*server)->port());
       for (int j = c; j < kJobs; j += clients) {
-        auto result = client.Solve("simulated_annealing",
-                                   MakeQubo(kVariables, 17 + j),
-                                   JobOptions(1000 + j));
+        auto result =
+            client.Solve("simulated_annealing", MakeQubo(kVariables, 17 + j),
+                         JobOptions(1000 + j));
         QDM_CHECK(result.ok()) << result.status();
         results[j] = std::move(*result);
       }

@@ -50,41 +50,36 @@ int main() {
   {
     auto chsh = qdm::nonlocal::ChshGame();
     auto strategy = qdm::nonlocal::OptimalChshStrategy();
-    table.AddRow({"CHSH", "0.75",
-                  qdm::StrFormat("%.4f",
-                                 qdm::nonlocal::ClassicalValueTwoPlayer(chsh)),
-                  "~0.85",
-                  qdm::StrFormat(
-                      "%.6f",
-                      qdm::nonlocal::QuantumValueTwoPlayer(chsh, strategy)),
-                  qdm::StrFormat("%.4f",
-                                 qdm::nonlocal::PlayTwoPlayerGame(
-                                     chsh, strategy, 200000, &rng))});
+    table.AddRow(
+        {"CHSH", "0.75",
+         qdm::StrFormat("%.4f", qdm::nonlocal::ClassicalValueTwoPlayer(chsh)),
+         "~0.85",
+         qdm::StrFormat("%.6f",
+                        qdm::nonlocal::QuantumValueTwoPlayer(chsh, strategy)),
+         qdm::StrFormat("%.4f", qdm::nonlocal::PlayTwoPlayerGame(
+                                    chsh, strategy, 200000, &rng))});
   }
   {
     auto ghz = qdm::nonlocal::GhzGame();
     auto strategy = qdm::nonlocal::OptimalGhzStrategy();
-    table.AddRow({"GHZ", "0.75",
-                  qdm::StrFormat(
-                      "%.4f", qdm::nonlocal::ClassicalValueThreePlayer(ghz)),
-                  "1.0",
-                  qdm::StrFormat(
-                      "%.6f",
-                      qdm::nonlocal::QuantumValueThreePlayer(ghz, strategy)),
-                  qdm::StrFormat("%.4f",
-                                 qdm::nonlocal::PlayThreePlayerGame(
-                                     ghz, strategy, 200000, &rng))});
+    table.AddRow(
+        {"GHZ", "0.75",
+         qdm::StrFormat("%.4f", qdm::nonlocal::ClassicalValueThreePlayer(ghz)),
+         "1.0",
+         qdm::StrFormat("%.6f",
+                        qdm::nonlocal::QuantumValueThreePlayer(ghz, strategy)),
+         qdm::StrFormat("%.4f", qdm::nonlocal::PlayThreePlayerGame(
+                                    ghz, strategy, 200000, &rng))});
   }
   {
     // Extension: Mermin-Peres magic square (pseudo-telepathy; the natural
     // next entry in Sec IV-A's progression after CHSH and GHZ).
-    table.AddRow({"magic square", "8/9",
-                  qdm::StrFormat("%.4f",
-                                 qdm::nonlocal::ClassicalValueMagicSquare()),
-                  "1.0", "1.000000",
-                  qdm::StrFormat("%.4f",
-                                 qdm::nonlocal::PlayMagicSquareQuantum(
-                                     20000, &rng))});
+    table.AddRow(
+        {"magic square", "8/9",
+         qdm::StrFormat("%.4f", qdm::nonlocal::ClassicalValueMagicSquare()),
+         "1.0", "1.000000",
+         qdm::StrFormat("%.4f",
+                        qdm::nonlocal::PlayMagicSquareQuantum(20000, &rng))});
   }
   std::printf("E9/E10: nonlocal game values\n%s\n", table.ToString().c_str());
   std::printf("cos^2(pi/8) = %.6f\n", std::pow(std::cos(M_PI / 8), 2));

@@ -24,14 +24,14 @@ int main() {
     config.channel_error = error;
     config.eavesdropper = eve;
     qdm::qnet::Bb84Result r = qdm::qnet::RunBb84(config, &rng);
-    table.AddRow({qdm::StrFormat("%.3f", error), eve ? "yes" : "no",
-                  qdm::StrFormat("%.3f", r.estimated_qber),
-                  qdm::StrFormat("%d", r.sifted_bits),
-                  qdm::StrFormat("%.0f", r.secure_key_bits),
-                  qdm::StrFormat("%.3f", r.sifted_bits
-                                             ? r.secure_key_bits / r.sifted_bits
-                                             : 0.0),
-                  r.aborted ? "ABORT" : "key ok"});
+    table.AddRow(
+        {qdm::StrFormat("%.3f", error), eve ? "yes" : "no",
+         qdm::StrFormat("%.3f", r.estimated_qber),
+         qdm::StrFormat("%d", r.sifted_bits),
+         qdm::StrFormat("%.0f", r.secure_key_bits),
+         qdm::StrFormat(
+             "%.3f", r.sifted_bits ? r.secure_key_bits / r.sifted_bits : 0.0),
+         r.aborted ? "ABORT" : "key ok"});
   };
   for (double error : {0.0, 0.02, 0.05, 0.08, 0.12}) run(error, false);
   run(0.0, true);
@@ -56,7 +56,7 @@ int main() {
   qdm::Status status = store.ReplicateClassical("dim_table", b);
   std::printf(
       "QKD-secured replication of %zu payload bytes across 160 km: %s\n",
-              relation.size(), status.ToString().c_str());
+      relation.size(), status.ToString().c_str());
   std::printf("sessions: %d, secure bits: %.0f (need %zu)\n",
               store.stats().qkd_sessions, store.stats().qkd_secure_bits,
               relation.size() * 8);
@@ -70,23 +70,24 @@ int main() {
     config.pair_fidelity = fidelity;
     config.eavesdropper = eve;
     qdm::qnet::E91Result r = qdm::qnet::RunE91(config, &rng);
-    e91_table.AddRow({qdm::StrFormat("%.2f", fidelity), eve ? "yes" : "no",
-                      qdm::StrFormat("%.3f", r.s_value),
-                      eve ? "1.414" : qdm::StrFormat(
-                                          "%.3f",
-                                          qdm::qnet::ExpectedE91S(fidelity)),
-                      qdm::StrFormat("%.3f", r.qber),
-                      r.aborted ? "ABORT (S <= 2)" : "key ok"});
+    e91_table.AddRow(
+        {qdm::StrFormat("%.2f", fidelity), eve ? "yes" : "no",
+         qdm::StrFormat("%.3f", r.s_value),
+         eve ? "1.414"
+             : qdm::StrFormat("%.3f", qdm::qnet::ExpectedE91S(fidelity)),
+         qdm::StrFormat("%.3f", r.qber),
+         r.aborted ? "ABORT (S <= 2)" : "key ok"});
   };
   for (double fidelity : {1.0, 0.9, 0.8, 0.7}) run_e91(fidelity, false);
   run_e91(1.0, true);
   std::printf("E91 entanglement-based QKD (CHSH-certified security):\n%s\n",
               e91_table.ToString().c_str());
 
-  std::printf("\nShape check: secret fraction decays with QBER and hits the\n"
-              "abort cliff near 11%%; intercept-resend forces ~25%% QBER and\n"
-              "always aborts. In E91 the CHSH value S is the security meter:\n"
-              "S tracks 2*sqrt(2)*w and crosses the classical bound 2 near\n"
-              "F ~ 0.78; an intercept-resend attack pins S at sqrt(2).\n");
+  std::printf(
+      "\nShape check: secret fraction decays with QBER and hits the\n"
+      "abort cliff near 11%%; intercept-resend forces ~25%% QBER and\n"
+      "always aborts. In E91 the CHSH value S is the security meter:\n"
+      "S tracks 2*sqrt(2)*w and crosses the classical bound 2 near\n"
+      "F ~ 0.78; an intercept-resend attack pins S at sqrt(2).\n");
   return 0;
 }

@@ -41,7 +41,7 @@ int main() {
   }
   std::printf(
       "E11: entanglement distribution rate and fidelity vs distance\n%s\n",
-              table.ToString().c_str());
+      table.ToString().c_str());
 
   // Purification ablation at 100 km, 1 repeater.
   qdm::qnet::ChainConfig config;
@@ -59,9 +59,10 @@ int main() {
                        qdm::StrFormat("%.4f", purified.mean_fidelity)});
   std::printf("Purification trade-off at 100 km (F0 = 0.9):\n%s\n",
               purify_table.ToString().c_str());
-  std::printf("Shape check: direct rate falls ~10x per 50 km (0.2 dB/km);\n"
-              "repeaters overtake direct generation as distance grows but\n"
-              "deliver lower fidelity; purification buys fidelity with "
-              "rate.\n");
+  std::printf(
+      "Shape check: direct rate falls ~10x per 50 km (0.2 dB/km);\n"
+      "repeaters overtake direct generation as distance grows but\n"
+      "deliver lower fidelity; purification buys fidelity with "
+      "rate.\n");
   return 0;
 }

@@ -29,8 +29,8 @@ int main() {
         if (problem.num_variables() <= 25) {
           qdm::anneal::SolverOptions exact_options;
           exact_options.num_reads = 1;
-          auto ground = qdm::qopt::SolveSchemaMatching(problem, "exact",
-                                                       exact_options);
+          auto ground =
+              qdm::qopt::SolveSchemaMatching(problem, "exact", exact_options);
           QDM_CHECK(ground.ok()) << ground.status();
           exact += ground->total_similarity;
         }
@@ -58,18 +58,19 @@ int main() {
               qaoa_decoded->feasible ? qaoa_decoded->total_similarity : 0.0;
         }
       }
-      table.AddRow(
-          {qdm::StrFormat("%dx%d", n, n), qdm::StrFormat("%.2f", noise),
-           qdm::StrFormat("%.3f", hungarian / kSeeds),
-           n * n <= 25 ? qdm::StrFormat("%.3f", exact / kSeeds) : "-",
-           qdm::StrFormat("%.3f", anneal / kSeeds),
-           n <= 4 ? qdm::StrFormat("%.3f", qaoa_sim / kSeeds) : "-",
-           qdm::StrFormat("%.3f", greedy / kSeeds)});
+      table.AddRow({qdm::StrFormat("%dx%d", n, n),
+                    qdm::StrFormat("%.2f", noise),
+                    qdm::StrFormat("%.3f", hungarian / kSeeds),
+                    n * n <= 25 ? qdm::StrFormat("%.3f", exact / kSeeds) : "-",
+                    qdm::StrFormat("%.3f", anneal / kSeeds),
+                    n <= 4 ? qdm::StrFormat("%.3f", qaoa_sim / kSeeds) : "-",
+                    qdm::StrFormat("%.3f", greedy / kSeeds)});
     }
   }
   std::printf("E6: schema matching total similarity (higher is better)\n%s\n",
               table.ToString().c_str());
-  std::printf("Shape check: qubo-exact == hungarian (the encoding is exact);\n"
-              "anneal tracks it closely; greedy trails on noisy instances.\n");
+  std::printf(
+      "Shape check: qubo-exact == hungarian (the encoding is exact);\n"
+      "anneal tracks it closely; greedy trails on noisy instances.\n");
   return 0;
 }

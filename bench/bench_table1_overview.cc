@@ -55,12 +55,10 @@ int main() {
     QDM_CHECK(set.ok()) << solver_name << ": " << set.status();
     return std::move(set).value();
   };
-  const qdm::anneal::SolverOptions kAnnealerOptions{.num_reads = 20,
-                                                    .num_sweeps = 500,
-                                                    .num_replicas = 12};
-  const qdm::anneal::SolverOptions kQaoaOptions{.num_reads = 100,
-                                                .layers = 3,
-                                                .restarts = 4};
+  const qdm::anneal::SolverOptions kAnnealerOptions{
+      .num_reads = 20, .num_sweeps = 500, .num_replicas = 12};
+  const qdm::anneal::SolverOptions kQaoaOptions{
+      .num_reads = 100, .layers = 3, .restarts = 4};
 
   // ---- [20] MQO on the annealer: D-Wave-scale instance (27 qubits). -------
   {
@@ -94,10 +92,10 @@ int main() {
         qdm::qopt::OptimalOrderUnderProxy(small), small);
     auto s = sample("qaoa", enc_small.qubo(), kQaoaOptions);
     auto order = enc_small.DecodeWithRepair(s.best().assignment);
-    table.AddRow({"[23-25]", "join ordering (left-deep)", "MILP/BILP->QUBO",
-                  "QAOA", "gate-based", "9",
-                  Verdict(true, qdm::qopt::LogCostProxy(order, small),
-                          opt_small)});
+    table.AddRow(
+        {"[23-25]", "join ordering (left-deep)", "MILP/BILP->QUBO", "QAOA",
+         "gate-based", "9",
+         Verdict(true, qdm::qopt::LogCostProxy(order, small), opt_small)});
 
     qdm::db::JoinGraph larger = qdm::db::JoinGraph::RandomChain(4, &graph_rng);
     qdm::qopt::JoinOrderQubo enc_larger(larger);
@@ -106,30 +104,29 @@ int main() {
     auto sa = sample("parallel_tempering", enc_larger.qubo(),
                      {.num_reads = 30, .num_sweeps = 500, .num_replicas = 12});
     auto sa_order = enc_larger.DecodeWithRepair(sa.best().assignment);
-    table.AddRow({"[23-25]", "join ordering (left-deep)", "MILP/BILP->QUBO",
-                  "--", "annealing", "16",
-                  Verdict(true, qdm::qopt::LogCostProxy(sa_order, larger),
-                          opt_larger)});
+    table.AddRow(
+        {"[23-25]", "join ordering (left-deep)", "MILP/BILP->QUBO", "--",
+         "annealing", "16",
+         Verdict(true, qdm::qopt::LogCostProxy(sa_order, larger), opt_larger)});
 
     // ---- [26] bushy-target join ordering via VQE (9 qubits). ----------------
     auto v = sample("vqe", enc_small.qubo(),
                     {.num_reads = 100, .layers = 3, .restarts = 4});
     auto v_order = enc_small.DecodeWithRepair(v.best().assignment);
-    table.AddRow({"[26]", "join ordering (bushy target)", "QUBO", "VQE",
-                  "gate-based", "9",
-                  Verdict(true, qdm::qopt::LogCostProxy(v_order, small),
-                          opt_small)});
+    table.AddRow(
+        {"[26]", "join ordering (bushy target)", "QUBO", "VQE", "gate-based",
+         "9",
+         Verdict(true, qdm::qopt::LogCostProxy(v_order, small), opt_small)});
 
     // ---- [27] join ordering as learning with a VQC (4 relations). -----------
     qdm::qml::VqcJoinOrderAgent agent(
         larger, qdm::qml::VqcJoinOrderAgent::Options{.episodes = 120}, &rng);
     agent.Train();
-    table.AddRow({"[27]", "join ordering", "learning (MDP)", "VQC",
-                  "gate-based", "4",
-                  Verdict(true,
-                          qdm::qopt::LogCostProxy(agent.BestVisitedOrder(),
-                                                  larger),
-                          opt_larger)});
+    table.AddRow(
+        {"[27]", "join ordering", "learning (MDP)", "VQC", "gate-based", "4",
+         Verdict(true,
+                 qdm::qopt::LogCostProxy(agent.BestVisitedOrder(), larger),
+                 opt_larger)});
   }
   // ---- [28] schema matching: QAOA on 3x3 (9 qubits), annealing on 5x5. -----
   {
@@ -187,10 +184,11 @@ int main() {
 
   std::printf("E1: Table I regenerated with measured outcomes\n%s\n",
               table.ToString().c_str());
-  std::printf("Every surveyed pipeline runs end-to-end in this toolkit; the\n"
-              "result column reports optimality against the classical ground\n"
-              "truth. Gate-based rows use hardware-scale instances (<= ~10\n"
-              "qubits), matching the device scales the surveyed papers "
-              "used.\n");
+  std::printf(
+      "Every surveyed pipeline runs end-to-end in this toolkit; the\n"
+      "result column reports optimality against the classical ground\n"
+      "truth. Gate-based rows use hardware-scale instances (<= ~10\n"
+      "qubits), matching the device scales the surveyed papers "
+      "used.\n");
   return 0;
 }

@@ -77,20 +77,20 @@ int main(int argc, char** argv) {
     double conflicts = 0;
     bool grover_ran = false;
     for (int seed = 0; seed < kSeeds; ++seed) {
-      auto problem = qdm::qopt::GenerateTxnSchedule(
-          txns, txns, 2, /*num_slots=*/0, &rng);
+      auto problem =
+          qdm::qopt::GenerateTxnSchedule(txns, txns, 2, /*num_slots=*/0, &rng);
       conflicts += static_cast<double>(problem.ConflictPairs().size());
 
       qdm::qopt::Schedule naive;
       naive.slot_of_txn.assign(problem.num_txns(), 0);
       naive.feasible = true;
       naive.makespan = 1;
-      naive_wait += qdm::qopt::SimulateTwoPhaseLocking(problem, naive)
-                        .total_wait_steps;
+      naive_wait +=
+          qdm::qopt::SimulateTwoPhaseLocking(problem, naive).total_wait_steps;
 
       qdm::qopt::Schedule greedy = qdm::qopt::GreedyColoringSchedule(problem);
-      greedy_wait += qdm::qopt::SimulateTwoPhaseLocking(problem, greedy)
-                         .total_wait_steps;
+      greedy_wait +=
+          qdm::qopt::SimulateTwoPhaseLocking(problem, greedy).total_wait_steps;
       greedy_span += greedy.makespan;
 
       // Both quantum arms dispatch through the QuboSolver registry.
@@ -98,9 +98,8 @@ int main(int argc, char** argv) {
       anneal_options.num_sweeps = 1500;
       anneal_options.num_reads = 30;
       anneal_options.rng = &rng;
-      auto annealed = qdm::qopt::SolveTxnSchedule(problem,
-                                                  "simulated_annealing",
-                                                  anneal_options);
+      auto annealed = qdm::qopt::SolveTxnSchedule(
+          problem, "simulated_annealing", anneal_options);
       QDM_CHECK(annealed.ok()) << annealed.status();
       if (annealed->feasible) {
         anneal_wait += qdm::qopt::SimulateTwoPhaseLocking(problem, *annealed)
@@ -124,24 +123,23 @@ int main(int argc, char** argv) {
         }
       }
     }
-    table.AddRow({qdm::StrFormat("%d", txns),
-                  qdm::StrFormat("%.1f", conflicts / kSeeds),
-                  qdm::StrFormat("%.1f", naive_wait / kSeeds),
-                  qdm::StrFormat("%.1f", greedy_wait / kSeeds),
-                  qdm::StrFormat("%.1f", anneal_wait / kSeeds),
-                  grover_ran ? qdm::StrFormat("%.1f", grover_wait / kSeeds)
-                             : "-",
-                  qdm::StrFormat("%.1f", greedy_span / kSeeds),
-                  qdm::StrFormat("%.1f", anneal_span / kSeeds),
-                  grover_ran ? qdm::StrFormat("%.1f", grover_span / kSeeds)
-                             : "-"});
+    table.AddRow(
+        {qdm::StrFormat("%d", txns), qdm::StrFormat("%.1f", conflicts / kSeeds),
+         qdm::StrFormat("%.1f", naive_wait / kSeeds),
+         qdm::StrFormat("%.1f", greedy_wait / kSeeds),
+         qdm::StrFormat("%.1f", anneal_wait / kSeeds),
+         grover_ran ? qdm::StrFormat("%.1f", grover_wait / kSeeds) : "-",
+         qdm::StrFormat("%.1f", greedy_span / kSeeds),
+         qdm::StrFormat("%.1f", anneal_span / kSeeds),
+         grover_ran ? qdm::StrFormat("%.1f", grover_span / kSeeds) : "-"});
   }
   std::printf("E7: 2PL blocking (total wait steps) by scheduler\n%s\n",
               table.ToString().c_str());
-  std::printf("Shape check: naive blocking grows with conflicts; every\n"
-              "optimized schedule eliminates blocking entirely (0 waits),\n"
-              "the headline claim of [29, 30]; annealed makespans stay close\n"
-              "to greedy coloring.\n\n");
+  std::printf(
+      "Shape check: naive blocking grows with conflicts; every\n"
+      "optimized schedule eliminates blocking entirely (0 waits),\n"
+      "the headline claim of [29, 30]; annealed makespans stay close\n"
+      "to greedy coloring.\n\n");
   RunEpochSweep(flags);
   return 0;
 }

@@ -65,8 +65,9 @@ int main() {
               curve.ToString().c_str());
   std::printf("Deployed plan quality (C_out ratio to left-deep optimum):\n%s\n",
               plans.ToString().c_str());
-  std::printf("Shape check: later training windows at or below early ones;\n"
-              "best-visited plans near the proxy optimum and well below the\n"
-              "random baseline, consistent with [27]'s reported behaviour.\n");
+  std::printf(
+      "Shape check: later training windows at or below early ones;\n"
+      "best-visited plans near the proxy optimum and well below the\n"
+      "random baseline, consistent with [27]'s reported behaviour.\n");
   return 0;
 }

@@ -112,8 +112,8 @@ inline Batch RunThreadSweep(
     const std::function<bool(const Batch&, const Batch&)>& equal,
     const char* metric_prefix, const SweepFlags& flags,
     MetricsJson* collector = nullptr) {
-  qdm::TablePrinter table({"threads", "batch", "total ms", items_column,
-                           "speedup", "identical"});
+  qdm::TablePrinter table(
+      {"threads", "batch", "total ms", items_column, "speedup", "identical"});
   Batch reference;
   double base_items_per_s = 0.0;
   int diverged_at = 0;  // 0 = all thread counts matched the reference.
@@ -137,20 +137,18 @@ inline Batch RunThreadSweep(
       if (!identical && diverged_at == 0) diverged_at = threads;
     }
     table.AddRow({qdm::StrFormat("%d", threads),
-                  qdm::StrFormat("%d", num_items),
-                  qdm::StrFormat("%.1f", ms),
+                  qdm::StrFormat("%d", num_items), qdm::StrFormat("%.1f", ms),
                   qdm::StrFormat("%.1f", items_per_s),
                   qdm::StrFormat("%.2fx", items_per_s / base_items_per_s),
                   identical ? "yes" : "NO"});
-    metrics->Add(qdm::StrFormat("%s_t%d", metric_prefix, threads),
-                 items_per_s);
+    metrics->Add(qdm::StrFormat("%s_t%d", metric_prefix, threads), items_per_s);
   }
   // Print the full table before enforcing determinism, so a violation still
   // leaves the per-thread evidence on screen; abort before writing JSON so
   // the perf gate never ingests numbers from a broken run.
   std::printf("%s\n%s\n", header, table.ToString().c_str());
-  QDM_CHECK(diverged_at == 0) << metric_prefix << " results diverged at "
-                              << diverged_at << " threads";
+  QDM_CHECK(diverged_at == 0)
+      << metric_prefix << " results diverged at " << diverged_at << " threads";
   if (collector == nullptr && flags.json_path != nullptr) {
     local.WriteTo(flags.json_path);
   }

@@ -53,9 +53,8 @@ int main() {
   auto annealed =
       qdm::qopt::SolveJoinOrder(graph, "simulated_annealing", anneal_options);
   QDM_CHECK(annealed.ok()) << annealed.status();
-  QDM_CHECK(report_plan("QUBO+anneal",
-                        qdm::db::LeftDeepFromPermutation(annealed->order)) ==
-            reference)
+  QDM_CHECK(report_plan("QUBO+anneal", qdm::db::LeftDeepFromPermutation(
+                                           annealed->order)) == reference)
       << "plans must agree on the output relation";
 
   // 3. QAOA (gate-based arm): same pipeline, different registry name.
@@ -67,21 +66,19 @@ int main() {
   qaoa_options.rng = &rng;
   auto qaoa_solved = qdm::qopt::SolveJoinOrder(graph, "qaoa", qaoa_options);
   QDM_CHECK(qaoa_solved.ok()) << qaoa_solved.status();
-  QDM_CHECK(report_plan("QAOA",
-                        qdm::db::LeftDeepFromPermutation(qaoa_solved->order)) ==
-            reference);
+  QDM_CHECK(report_plan("QAOA", qdm::db::LeftDeepFromPermutation(
+                                    qaoa_solved->order)) == reference);
 
   // 4. VQC reinforcement learning (Winker et al.).
   qdm::qml::VqcJoinOrderAgent agent(
       graph, qdm::qml::VqcJoinOrderAgent::Options{.episodes = 120}, &rng);
   agent.Train();
-  QDM_CHECK(report_plan("VQC RL",
-                        qdm::db::LeftDeepFromPermutation(
-                            agent.BestVisitedOrder())) ==
-            reference);
+  QDM_CHECK(report_plan("VQC RL", qdm::db::LeftDeepFromPermutation(
+                                      agent.BestVisitedOrder())) == reference);
 
-  std::printf("%s\nAll optimizers produced the same relation. "
-              "Cost differences are plan quality only.\n",
-              report.ToString().c_str());
+  std::printf(
+      "%s\nAll optimizers produced the same relation. "
+      "Cost differences are plan quality only.\n",
+      report.ToString().c_str());
   return 0;
 }

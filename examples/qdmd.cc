@@ -40,8 +40,9 @@ int ParseIntFlag(const char* flag, const char* text) {
   char* end = nullptr;
   const long value = std::strtol(text, &end, 10);
   if (end == text || *end != '\0' || value < 0 || value > 65535) {
-    std::fprintf(stderr, "qdmd: %s expects an integer in [0, 65535], got "
-                         "'%s'\n",
+    std::fprintf(stderr,
+                 "qdmd: %s expects an integer in [0, 65535], got "
+                 "'%s'\n",
                  flag, text);
     std::exit(2);
   }

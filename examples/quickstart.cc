@@ -102,8 +102,8 @@ int main() {
   // unreliability (docs/solvers.md). Same QuboPipeline entry point, one more
   // registry name.
   std::printf("== 6. MQO again, racing a solver portfolio ==\n");
-  auto raced = qdm::qopt::SolveMqo(
-      mqo, "race:simulated_annealing+tabu_search", options);
+  auto raced =
+      qdm::qopt::SolveMqo(mqo, "race:simulated_annealing+tabu_search", options);
   QDM_CHECK(raced.ok()) << raced.status();
   std::printf("portfolio selection cost: %.2f (exhaustive optimum %.2f)\n",
               raced->cost, optimal.cost);

@@ -29,9 +29,8 @@ int main() {
 
   // -- Classical data: replicate under a BB84-derived one-time pad. ----------
   std::printf("== Classical replication over QKD ==\n");
-  QDM_CHECK(
-      store.PutClassical(amsterdam, "orders", "order_id,total\n17,99.5\n")
-          .ok());
+  QDM_CHECK(store.PutClassical(amsterdam, "orders", "order_id,total\n17,99.5\n")
+                .ok());
   qdm::Status replicated = store.ReplicateClassical("orders", san_francisco);
   std::printf("replicate 'orders' -> san_francisco: %s\n",
               replicated.ToString().c_str());
@@ -49,16 +48,18 @@ int main() {
 
   // -- Quantum data: no-cloning forbids replication; teleport instead. -------
   std::printf("== Quantum payloads ==\n");
-  QDM_CHECK(store.PutQuantum(amsterdam, "qtoken",
-                             qdm::qnet::Qubit::FromAngles(1.0, 0.3)).ok());
+  QDM_CHECK(store
+                .PutQuantum(amsterdam, "qtoken",
+                            qdm::qnet::Qubit::FromAngles(1.0, 0.3))
+                .ok());
   qdm::Status refused = store.ReplicateQuantum("qtoken", san_francisco);
   std::printf("replicate 'qtoken': %s\n", refused.ToString().c_str());
 
   QDM_CHECK(store.MigrateQuantum("qtoken", san_francisco).ok());
-  std::printf("migrated 'qtoken' to node %d via teleportation "
-              "(EPR pairs consumed: %d)\n",
-              *store.QuantumLocation("qtoken"),
-              store.stats().epr_pairs_consumed);
+  std::printf(
+      "migrated 'qtoken' to node %d via teleportation "
+      "(EPR pairs consumed: %d)\n",
+      *store.QuantumLocation("qtoken"), store.stats().epr_pairs_consumed);
   std::printf("payload fidelity after migration: %.4f\n",
               *store.QuantumFidelity("qtoken"));
 

@@ -18,9 +18,9 @@ namespace {
 
 qdm::db::Table MakeTable(const std::string& name, int rows, int key_domain,
                          qdm::Rng* rng) {
-  qdm::db::Table table(
-      name, qdm::db::Schema({{"id", qdm::db::ValueType::kInt64},
-                             {"fk", qdm::db::ValueType::kInt64}}));
+  qdm::db::Table table(name,
+                       qdm::db::Schema({{"id", qdm::db::ValueType::kInt64},
+                                        {"fk", qdm::db::ValueType::kInt64}}));
   for (int i = 0; i < rows; ++i) {
     table.AppendUnchecked({qdm::db::Value(static_cast<int64_t>(i)),
                            qdm::db::Value(rng->UniformInt(0, key_domain - 1))});
@@ -79,7 +79,8 @@ int main() {
   QDM_CHECK(qdm::db::TableFingerprint(*dp_result) ==
             qdm::db::TableFingerprint(*quantum_result))
       << "both plans must compute the same relation";
-  std::printf("\nboth plans return identical relations; SQL -> QUBO -> "
-              "annealer -> executed plan, end to end.\n");
+  std::printf(
+      "\nboth plans return identical relations; SQL -> QUBO -> "
+      "annealer -> executed plan, end to end.\n");
   return 0;
 }

@@ -16,10 +16,9 @@ int main() {
   qdm::Rng rng(5);
 
   // 8 transactions locking 2 of 8 objects each.
-  qdm::qopt::TxnScheduleProblem problem =
-      qdm::qopt::GenerateTxnSchedule(/*num_txns=*/8, /*num_objects=*/8,
-                                     /*locks_per_txn=*/2, /*num_slots=*/0,
-                                     &rng);
+  qdm::qopt::TxnScheduleProblem problem = qdm::qopt::GenerateTxnSchedule(
+      /*num_txns=*/8, /*num_objects=*/8,
+      /*locks_per_txn=*/2, /*num_slots=*/0, &rng);
   std::printf("conflicting transaction pairs: %zu, slots available: %d\n\n",
               problem.ConflictPairs().size(), problem.num_slots);
 
@@ -35,9 +34,8 @@ int main() {
                    qdm::StrFormat("%d", report.total_wait_steps)});
   };
 
-  qdm::TablePrinter table(
-      {"scheduler", "slot per txn", "makespan", "co-located conflicts",
-       "2PL wait steps"});
+  qdm::TablePrinter table({"scheduler", "slot per txn", "makespan",
+                           "co-located conflicts", "2PL wait steps"});
 
   // Naive: everything in slot 0 (maximum concurrency, maximum blocking).
   qdm::qopt::Schedule naive;
@@ -67,7 +65,9 @@ int main() {
   QDM_CHECK(annealed->feasible);
   evaluate("QUBO + annealer", *annealed, &table);
 
-  std::printf("%s\nA schedule with zero co-located conflicts never blocks "
-              "under strict 2PL.\n", table.ToString().c_str());
+  std::printf(
+      "%s\nA schedule with zero co-located conflicts never blocks "
+      "under strict 2PL.\n",
+      table.ToString().c_str());
   return 0;
 }

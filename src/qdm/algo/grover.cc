@@ -19,8 +19,8 @@ void CountingOracle::ApplyPhaseFlip(sim::Statevector* sv) {
 int OptimalGroverIterations(uint64_t num_states, uint64_t num_marked) {
   QDM_CHECK_GT(num_marked, 0u);
   QDM_CHECK_GE(num_states, num_marked);
-  const double theta = std::asin(
-      std::sqrt(static_cast<double>(num_marked) / num_states));
+  const double theta =
+      std::asin(std::sqrt(static_cast<double>(num_marked) / num_states));
   return static_cast<int>(std::floor(M_PI / (4 * theta)));
 }
 
@@ -71,8 +71,9 @@ GroverResult BbhtSearch(int num_qubits, CountingOracle* oracle, Rng* rng) {
   double m = 1.0;
   // BBHT terminates in expected O(sqrt(N)) queries when a solution exists; the
   // cutoff bounds the no-solution case.
-  const int64_t cutoff = static_cast<int64_t>(
-      16 * std::ceil(std::sqrt(static_cast<double>(n)))) + 64;
+  const int64_t cutoff =
+      static_cast<int64_t>(16 * std::ceil(std::sqrt(static_cast<double>(n)))) +
+      64;
   while (oracle->query_count() < cutoff) {
     const int j = static_cast<int>(rng->UniformInt(0, static_cast<int64_t>(m)));
     sim::Statevector sv(num_qubits);
@@ -119,8 +120,7 @@ circuit::Circuit GroverCircuit(int num_qubits, uint64_t marked,
                                int iterations) {
   QDM_CHECK_GT(num_qubits, 0);
   QDM_CHECK_LT(marked, uint64_t{1} << num_qubits);
-  const int num_ancillas =
-      circuit::MultiControlledAncillaCount(num_qubits - 1);
+  const int num_ancillas = circuit::MultiControlledAncillaCount(num_qubits - 1);
   circuit::Circuit c(num_qubits + num_ancillas);
 
   std::vector<int> data(num_qubits);
@@ -173,8 +173,8 @@ MinimumResult DurrHoyerMinimum(int num_qubits,
 
   // Durr-Hoyer run until the 22.5 sqrt(N) query budget is exhausted (their
   // Theorem 1 bound); each round strictly lowers the threshold.
-  const int64_t budget = static_cast<int64_t>(
-      22.5 * std::sqrt(static_cast<double>(n))) + 32;
+  const int64_t budget =
+      static_cast<int64_t>(22.5 * std::sqrt(static_cast<double>(n))) + 32;
   int64_t used = 0;
   while (used < budget) {
     CountingOracle below([&](uint64_t x) { return f(x) < threshold; });

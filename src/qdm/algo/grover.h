@@ -51,8 +51,8 @@ void ApplyDiffusion(sim::Statevector* sv);
 
 struct GroverResult {
   uint64_t measured = 0;
-  bool found = false;            // Verified classically post-measurement.
-  int64_t oracle_queries = 0;    // Coherent oracle applications used.
+  bool found = false;          // Verified classically post-measurement.
+  int64_t oracle_queries = 0;  // Coherent oracle applications used.
   int iterations = 0;
   /// Probability mass on marked states just before measurement.
   double success_probability = 0.0;

@@ -110,8 +110,8 @@ uint64_t CorruptBasisState(uint64_t z, int num_qubits,
   double keep = 1.0;
   // Worst arity: the Durr-Hoyer loop's gates are two-qubit dominated.
   const double depol = std::max(model.depolarizing_1q, model.depolarizing_2q);
-  const double flip = 2.0 * depol / 3.0 + model.pauli_px + model.pauli_py +
-                      model.readout_flip;
+  const double flip =
+      2.0 * depol / 3.0 + model.pauli_px + model.pauli_py + model.readout_flip;
   for (int q = 0; q < num_qubits; ++q) {
     const uint64_t bit = uint64_t{1} << q;
     if (flip > 0.0) {

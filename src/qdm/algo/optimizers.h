@@ -58,8 +58,8 @@ class Spsa : public Optimizer {
  public:
   struct Options {
     int iterations = 200;
-    double a = 0.2;      // Step-size numerator.
-    double c = 0.1;      // Perturbation size.
+    double a = 0.2;  // Step-size numerator.
+    double c = 0.1;  // Perturbation size.
     double alpha = 0.602;
     double gamma = 0.101;
   };

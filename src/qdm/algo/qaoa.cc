@@ -118,8 +118,8 @@ OptimizationResult Qaoa::Optimize(Optimizer* optimizer, int restarts,
   for (int r = 0; r < restarts; ++r) {
     std::vector<double> initial(num_parameters());
     for (int i = 0; i < layers_; ++i) {
-      initial[i] = rng->Uniform(0.0, M_PI / 4);             // gammas
-      initial[layers_ + i] = rng->Uniform(0.0, M_PI / 4);   // betas
+      initial[i] = rng->Uniform(0.0, M_PI / 4);            // gammas
+      initial[layers_ + i] = rng->Uniform(0.0, M_PI / 4);  // betas
     }
     OptimizationResult run = optimizer->Minimize(objective, initial, rng);
     run.evaluations += best.evaluations;

@@ -64,8 +64,7 @@ Result<std::shared_ptr<const Embedding>> GetCachedCliqueEmbedding(
     ++state.stats.embedding_hits;
     return it->second;
   }
-  QDM_ASSIGN_OR_RETURN(Embedding built,
-                       CliqueEmbedding(num_logical, topology));
+  QDM_ASSIGN_OR_RETURN(Embedding built, CliqueEmbedding(num_logical, topology));
   auto embedding = std::make_shared<const Embedding>(std::move(built));
   ++state.stats.embedding_constructions;
   plans[num_logical] = embedding;

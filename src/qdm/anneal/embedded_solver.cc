@@ -88,17 +88,17 @@ Result<std::unique_ptr<QuboSolver>> MakeEmbeddedSolver(
     const std::string& name) {
   const std::string kPrefix = "embedded:";
   if (!StartsWith(name, kPrefix)) {
-    return Status::InvalidArgument(StrFormat(
-        "embedded solver name '%s' must start with '%s'", name.c_str(),
-        kPrefix.c_str()));
+    return Status::InvalidArgument(
+        StrFormat("embedded solver name '%s' must start with '%s'",
+                  name.c_str(), kPrefix.c_str()));
   }
   const std::string rest = name.substr(kPrefix.size());
   const size_t colon = rest.find(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= rest.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "embedded solver name '%s' must have the form "
-        "'embedded:<base>:<topology-spec>'",
-        name.c_str()));
+    return Status::InvalidArgument(
+        StrFormat("embedded solver name '%s' must have the form "
+                  "'embedded:<base>:<topology-spec>'",
+                  name.c_str()));
   }
   const std::string base = rest.substr(0, colon);
   const std::string topology_spec = rest.substr(colon + 1);

@@ -183,8 +183,8 @@ SampleSet UnembedAll(const Qubo& logical, const EmbeddedQubo& embedded,
     // All samples broken: fall back to majority vote rather than returning
     // an empty set (see ChainBreakPolicy::kDiscard).
     for (const Sample& s : physical.samples()) {
-      logical_set.Add(Unembed(logical, embedded, s,
-                              ChainBreakPolicy::kMajorityVote));
+      logical_set.Add(
+          Unembed(logical, embedded, s, ChainBreakPolicy::kMajorityVote));
     }
   }
   return logical_set;

@@ -21,14 +21,13 @@ Result<double> ParseRate(const std::string& token, const std::string& field) {
   char* end = nullptr;
   const double value = std::strtod(begin, &end);
   if (end != begin + field.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "noise model '%s' has unparseable rate '%s'", token.c_str(),
-        field.c_str()));
+    return Status::InvalidArgument(
+        StrFormat("noise model '%s' has unparseable rate '%s'", token.c_str(),
+                  field.c_str()));
   }
   if (!(value >= 0.0 && value <= 1.0)) {
-    return Status::InvalidArgument(
-        StrFormat("noise model '%s' rate %g outside [0, 1]", token.c_str(),
-                  value));
+    return Status::InvalidArgument(StrFormat(
+        "noise model '%s' rate %g outside [0, 1]", token.c_str(), value));
   }
   return value;
 }
@@ -95,10 +94,10 @@ Result<NoiseSpec> ParseNoiseSpec(const std::string& token) {
   if (spec.channel == NoiseChannel::kPauli) {
     const std::vector<std::string> fields = StrSplit(rates, ',');
     if (fields.size() != 3) {
-      return Status::InvalidArgument(StrFormat(
-          "noise model '%s' needs three ','-separated rates "
-          "('pauli@<px>,<py>,<pz>')",
-          token.c_str()));
+      return Status::InvalidArgument(
+          StrFormat("noise model '%s' needs three ','-separated rates "
+                    "('pauli@<px>,<py>,<pz>')",
+                    token.c_str()));
     }
     QDM_ASSIGN_OR_RETURN(spec.px, ParseRate(token, fields[0]));
     QDM_ASSIGN_OR_RETURN(spec.py, ParseRate(token, fields[1]));

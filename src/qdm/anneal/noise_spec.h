@@ -10,12 +10,12 @@ namespace anneal {
 
 /// The channel selected by a noise-model token (docs/noise.md grammar).
 enum class NoiseChannel {
-  kNone = 0,           // noiseless default (zero-means-default convention)
-  kDepolarizing,       // depol@<p>
-  kPauli,              // pauli@<px>,<py>,<pz>
-  kAmplitudeDamping,   // damp@<gamma>
-  kPhaseDamping,       // phase@<lambda>
-  kReadout,            // readout@<p>
+  kNone = 0,          // noiseless default (zero-means-default convention)
+  kDepolarizing,      // depol@<p>
+  kPauli,             // pauli@<px>,<py>,<pz>
+  kAmplitudeDamping,  // damp@<gamma>
+  kPhaseDamping,      // phase@<lambda>
+  kReadout,           // readout@<p>
 };
 
 /// Backend-neutral noise-model description carried on SolverOptions.noise —

@@ -17,10 +17,10 @@ NoisySolver::NoisySolver(std::string registry_name, NoiseSpec spec,
 Result<SolverOptions> NoisySolver::WithNoise(
     const SolverOptions& options) const {
   if (options.noise.channel != NoiseChannel::kNone) {
-    return Status::InvalidArgument(StrFormat(
-        "solver '%s': options.noise is already set ('%s'); a noisy:* "
-        "backend supplies its own model",
-        registry_name_.c_str(), options.noise.ToString().c_str()));
+    return Status::InvalidArgument(
+        StrFormat("solver '%s': options.noise is already set ('%s'); a noisy:* "
+                  "backend supplies its own model",
+                  registry_name_.c_str(), options.noise.ToString().c_str()));
   }
   // A zero-rate model perturbs nothing: delegate with options untouched so
   // the result is bit-identical to the bare base backend.
@@ -90,10 +90,10 @@ Result<std::unique_ptr<QuboSolver>> MakeNoisySolver(const std::string& name) {
   Result<std::unique_ptr<QuboSolver>> base_solver =
       SolverRegistry::Global().Create(base);
   if (!base_solver.ok()) {
-    return Status(base_solver.status().code(),
-                  StrFormat("noisy solver '%s' wraps base '%s': %s",
-                            name.c_str(), base.c_str(),
-                            base_solver.status().message().c_str()));
+    return Status(
+        base_solver.status().code(),
+        StrFormat("noisy solver '%s' wraps base '%s': %s", name.c_str(),
+                  base.c_str(), base_solver.status().message().c_str()));
   }
   return std::unique_ptr<QuboSolver>(std::make_unique<NoisySolver>(
       name, std::move(spec).value(), std::move(base_solver).value()));

@@ -31,8 +31,8 @@ Result<SampleSet> ParallelTempering::Solve(const Qubo& qubo,
       options.swap_interval > 0 ? options.swap_interval : kDefaultSwapInterval;
   std::vector<double> betas(r);
   for (int k = 0; k < r; ++k) {
-    betas[k] = beta_min * std::pow(beta_max / beta_min,
-                                   static_cast<double>(k) / (r - 1));
+    betas[k] = beta_min *
+               std::pow(beta_max / beta_min, static_cast<double>(k) / (r - 1));
   }
 
   const auto read = [&](Rng* read_rng, int, Sample* sample) {

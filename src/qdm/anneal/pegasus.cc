@@ -8,7 +8,9 @@
 namespace qdm {
 namespace anneal {
 
-PegasusGraph::PegasusGraph(int m) : m_(m) { QDM_CHECK_GE(m, 2); }
+PegasusGraph::PegasusGraph(int m) : m_(m) {
+  QDM_CHECK_GE(m, 2);
+}
 
 int PegasusGraph::VerticalShift(int k) {
   static constexpr int kShift[3] = {2, 10, 6};
@@ -21,8 +23,8 @@ int PegasusGraph::HorizontalShift(int k) {
 }
 
 int PegasusGraph::Qubit(int u, int w, int k, int z) const {
-  QDM_CHECK(u >= 0 && u < 2 && w >= 0 && w < m_ && k >= 0 && k < 12 &&
-            z >= 0 && z < m_ - 1);
+  QDM_CHECK(u >= 0 && u < 2 && w >= 0 && w < m_ && k >= 0 && k < 12 && z >= 0 &&
+            z < m_ - 1);
   return ((u * m_ + w) * 12 + k) * (m_ - 1) + z;
 }
 
@@ -35,7 +37,9 @@ PegasusGraph::Coord PegasusGraph::Decode(int id) const {
   return Coord{rest / m_, rest % m_, k, z};
 }
 
-std::string PegasusGraph::name() const { return StrFormat("pegasus:%d", m_); }
+std::string PegasusGraph::name() const {
+  return StrFormat("pegasus:%d", m_);
+}
 
 bool PegasusGraph::HasEdge(int a, int b) const {
   if (a == b) return false;

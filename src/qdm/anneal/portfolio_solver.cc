@@ -56,8 +56,8 @@ Result<SampleSet> SolveMember(QuboSolver* solver, const std::string& member,
                               const Qubo& qubo, const SolverOptions& options) {
   QDM_ASSIGN_OR_RETURN(SampleSet samples, solver->Solve(qubo, options));
   if (samples.empty()) {
-    return Status::Internal(StrFormat(
-        "solver '%s' returned an empty sample set", member.c_str()));
+    return Status::Internal(
+        StrFormat("solver '%s' returned an empty sample set", member.c_str()));
   }
   return samples;
 }

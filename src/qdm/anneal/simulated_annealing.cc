@@ -79,9 +79,9 @@ QuboAdjacency::QuboAdjacency(const Qubo& qubo)
     if (linear_[i] != 0.0) {
       max_abs_coefficient_ =
           std::max(max_abs_coefficient_, std::abs(linear_[i]));
-      min_nonzero = min_nonzero == 0.0 ? std::abs(linear_[i])
-                                       : std::min(min_nonzero,
-                                                  std::abs(linear_[i]));
+      min_nonzero = min_nonzero == 0.0
+                        ? std::abs(linear_[i])
+                        : std::min(min_nonzero, std::abs(linear_[i]));
     }
   }
   for (const auto& [key, w] : qubo.quadratic_terms()) {
@@ -89,8 +89,8 @@ QuboAdjacency::QuboAdjacency(const Qubo& qubo)
     ++start_[key.first + 1];
     ++start_[key.second + 1];
     max_abs_coefficient_ = std::max(max_abs_coefficient_, std::abs(w));
-    min_nonzero = min_nonzero == 0.0 ? std::abs(w)
-                                     : std::min(min_nonzero, std::abs(w));
+    min_nonzero =
+        min_nonzero == 0.0 ? std::abs(w) : std::min(min_nonzero, std::abs(w));
   }
   min_abs_coefficient_ = min_nonzero;
   for (int i = 0; i < num_variables_; ++i) start_[i + 1] += start_[i];

@@ -254,9 +254,9 @@ Result<std::unique_ptr<QuboSolver>> SolverRegistry::Create(
   }
   if (factory != nullptr) return factory();
   if (dynamic != nullptr) return dynamic(name);
-  return Status::NotFound(StrFormat(
-      "no QUBO solver registered under '%s' (registered: %s)", name.c_str(),
-      StrJoin(RegisteredNames(), ", ").c_str()));
+  return Status::NotFound(
+      StrFormat("no QUBO solver registered under '%s' (registered: %s)",
+                name.c_str(), StrJoin(RegisteredNames(), ", ").c_str()));
 }
 
 Result<SampleSet> SolveWith(const std::string& solver_name, const Qubo& qubo,

@@ -79,8 +79,7 @@ Result<std::unique_ptr<HardwareTopology>> MakeTopology(
     return BadSpec(spec, "expected '<family>:<dimensions>'");
   }
   const std::string family = spec.substr(0, colon);
-  const std::vector<std::string> dims =
-      StrSplit(spec.substr(colon + 1), 'x');
+  const std::vector<std::string> dims = StrSplit(spec.substr(colon + 1), 'x');
 
   if (family == "chimera") {
     int rows, cols, shore;
@@ -89,8 +88,7 @@ Result<std::unique_ptr<HardwareTopology>> MakeTopology(
         !ParsePositiveInt(dims[2], &shore)) {
       return BadSpec(spec, "chimera needs three positive dimensions RxCxL");
     }
-    QDM_RETURN_IF_ERROR(
-        CheckQubitCount(spec, 2LL * rows * cols * shore));
+    QDM_RETURN_IF_ERROR(CheckQubitCount(spec, 2LL * rows * cols * shore));
     return std::unique_ptr<HardwareTopology>(
         std::make_unique<ChimeraGraph>(rows, cols, shore));
   }

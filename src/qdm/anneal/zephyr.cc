@@ -119,12 +119,8 @@ Result<std::vector<std::vector<int>>> ZephyrGraph::CliqueChains(
   // joined by odd couplers (overlapping spans).
   return TriadCliqueChains(
       num_logical, t_,
-      [this](int r, int c, int i) {
-        return Qubit(0, c, i, r & 1, r >> 1);
-      },
-      [this](int r, int c, int i) {
-        return Qubit(1, r, i, c & 1, c >> 1);
-      });
+      [this](int r, int c, int i) { return Qubit(0, c, i, r & 1, r >> 1); },
+      [this](int r, int c, int i) { return Qubit(1, r, i, c & 1, c >> 1); });
 }
 
 }  // namespace anneal

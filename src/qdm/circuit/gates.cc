@@ -64,29 +64,52 @@ int GateParamCount(GateKind kind) {
 
 const char* GateName(GateKind kind) {
   switch (kind) {
-    case GateKind::kI: return "id";
-    case GateKind::kX: return "x";
-    case GateKind::kY: return "y";
-    case GateKind::kZ: return "z";
-    case GateKind::kH: return "h";
-    case GateKind::kS: return "s";
-    case GateKind::kSdg: return "sdg";
-    case GateKind::kT: return "t";
-    case GateKind::kTdg: return "tdg";
-    case GateKind::kRX: return "rx";
-    case GateKind::kRY: return "ry";
-    case GateKind::kRZ: return "rz";
-    case GateKind::kPhase: return "p";
-    case GateKind::kU3: return "u3";
-    case GateKind::kCX: return "cx";
-    case GateKind::kCY: return "cy";
-    case GateKind::kCZ: return "cz";
-    case GateKind::kSwap: return "swap";
-    case GateKind::kCRZ: return "crz";
-    case GateKind::kCPhase: return "cp";
-    case GateKind::kRZZ: return "rzz";
-    case GateKind::kCCX: return "ccx";
-    case GateKind::kCSwap: return "cswap";
+    case GateKind::kI:
+      return "id";
+    case GateKind::kX:
+      return "x";
+    case GateKind::kY:
+      return "y";
+    case GateKind::kZ:
+      return "z";
+    case GateKind::kH:
+      return "h";
+    case GateKind::kS:
+      return "s";
+    case GateKind::kSdg:
+      return "sdg";
+    case GateKind::kT:
+      return "t";
+    case GateKind::kTdg:
+      return "tdg";
+    case GateKind::kRX:
+      return "rx";
+    case GateKind::kRY:
+      return "ry";
+    case GateKind::kRZ:
+      return "rz";
+    case GateKind::kPhase:
+      return "p";
+    case GateKind::kU3:
+      return "u3";
+    case GateKind::kCX:
+      return "cx";
+    case GateKind::kCY:
+      return "cy";
+    case GateKind::kCZ:
+      return "cz";
+    case GateKind::kSwap:
+      return "swap";
+    case GateKind::kCRZ:
+      return "crz";
+    case GateKind::kCPhase:
+      return "cp";
+    case GateKind::kRZZ:
+      return "rzz";
+    case GateKind::kCCX:
+      return "ccx";
+    case GateKind::kCSwap:
+      return "cswap";
   }
   return "?";
 }

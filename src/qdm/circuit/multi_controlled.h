@@ -21,7 +21,9 @@ void AppendMultiControlledZ(Circuit* c, const std::vector<int>& controls,
                             int target, const std::vector<int>& ancillas);
 
 /// Number of clean ancillas AppendMultiControlledX/Z require for `k` controls.
-inline int MultiControlledAncillaCount(int k) { return k <= 2 ? 0 : k - 2; }
+inline int MultiControlledAncillaCount(int k) {
+  return k <= 2 ? 0 : k - 2;
+}
 
 }  // namespace circuit
 }  // namespace qdm

@@ -45,9 +45,9 @@ struct NullStream {
 
 /// Aborts with a diagnostic if `condition` is false. Additional context can
 /// be streamed: `QDM_CHECK(i < n) << "i=" << i;`
-#define QDM_CHECK(condition)                                              \
-  if (condition) {                                                        \
-  } else /* NOLINT */                                                     \
+#define QDM_CHECK(condition) \
+  if (condition) {           \
+  } else /* NOLINT */        \
     ::qdm::internal_check::CheckFailure(__FILE__, __LINE__, #condition)
 
 #define QDM_CHECK_EQ(a, b) QDM_CHECK((a) == (b))

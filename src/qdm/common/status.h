@@ -163,15 +163,15 @@ class Result {
 
 /// Evaluates `expr` (a Status expression) and returns it from the enclosing
 /// function if it is not OK.
-#define QDM_RETURN_IF_ERROR(expr)                  \
-  do {                                             \
-    ::qdm::Status qdm_status_ = (expr);            \
-    if (!qdm_status_.ok()) return qdm_status_;     \
+#define QDM_RETURN_IF_ERROR(expr)              \
+  do {                                         \
+    ::qdm::Status qdm_status_ = (expr);        \
+    if (!qdm_status_.ok()) return qdm_status_; \
   } while (false)
 
 /// Evaluates `rexpr` (a Result<T> expression); on error returns the status,
 /// otherwise assigns the value to `lhs`.
-#define QDM_ASSIGN_OR_RETURN(lhs, rexpr)                        \
+#define QDM_ASSIGN_OR_RETURN(lhs, rexpr) \
   QDM_ASSIGN_OR_RETURN_IMPL_(QDM_CONCAT_(qdm_result_, __LINE__), lhs, rexpr)
 
 #define QDM_ASSIGN_OR_RETURN_IMPL_(tmp, lhs, rexpr) \

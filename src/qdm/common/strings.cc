@@ -1,8 +1,8 @@
 #include "qdm/common/strings.h"
 
+#include <cctype>
 #include <cstdarg>
 #include <cstdio>
-#include <cctype>
 
 namespace qdm {
 

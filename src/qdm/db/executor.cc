@@ -50,14 +50,12 @@ Result<Table> ExecuteNode(const JoinTreeRef& tree, const JoinGraph& graph,
       continue;
     }
     if (left_col.empty() || right_col.empty()) {
-      return Status::FailedPrecondition(StrFormat(
-          "edge %d-%d has no physical column binding; cannot execute", e.a,
-          e.b));
+      return Status::FailedPrecondition(
+          StrFormat("edge %d-%d has no physical column binding; cannot execute",
+                    e.a, e.b));
     }
-    const std::string lq =
-        graph.relations()[left_rel].name + "." + left_col;
-    const std::string rq =
-        graph.relations()[right_rel].name + "." + right_col;
+    const std::string lq = graph.relations()[left_rel].name + "." + left_col;
+    const std::string rq = graph.relations()[right_rel].name + "." + right_col;
     QDM_ASSIGN_OR_RETURN(size_t li, left.schema().ColumnIndex(lq));
     QDM_ASSIGN_OR_RETURN(size_t ri, right.schema().ColumnIndex(rq));
     predicates.emplace_back(li, ri);

@@ -94,8 +94,8 @@ double RandomCardinality(Rng* rng) {
 /// Selectivity ~ 1/max(card_a, card_b) scaled by a random factor, the
 /// standard "key-foreign key-ish" regime from the JO literature.
 double RandomSelectivity(const JoinGraph& g, int a, int b, Rng* rng) {
-  const double larger = std::max(g.relations()[a].cardinality,
-                                 g.relations()[b].cardinality);
+  const double larger =
+      std::max(g.relations()[a].cardinality, g.relations()[b].cardinality);
   const double sel = rng->Uniform(0.5, 2.0) / larger;
   return std::min(1.0, std::max(1e-7, sel));
 }
@@ -150,20 +150,28 @@ JoinGraph JoinGraph::RandomClique(int n, Rng* rng) {
 
 const char* QueryShapeToString(QueryShape shape) {
   switch (shape) {
-    case QueryShape::kChain: return "chain";
-    case QueryShape::kStar: return "star";
-    case QueryShape::kCycle: return "cycle";
-    case QueryShape::kClique: return "clique";
+    case QueryShape::kChain:
+      return "chain";
+    case QueryShape::kStar:
+      return "star";
+    case QueryShape::kCycle:
+      return "cycle";
+    case QueryShape::kClique:
+      return "clique";
   }
   return "?";
 }
 
 JoinGraph MakeRandomQuery(QueryShape shape, int n, Rng* rng) {
   switch (shape) {
-    case QueryShape::kChain: return JoinGraph::RandomChain(n, rng);
-    case QueryShape::kStar: return JoinGraph::RandomStar(n, rng);
-    case QueryShape::kCycle: return JoinGraph::RandomCycle(n, rng);
-    case QueryShape::kClique: return JoinGraph::RandomClique(n, rng);
+    case QueryShape::kChain:
+      return JoinGraph::RandomChain(n, rng);
+    case QueryShape::kStar:
+      return JoinGraph::RandomStar(n, rng);
+    case QueryShape::kCycle:
+      return JoinGraph::RandomCycle(n, rng);
+    case QueryShape::kClique:
+      return JoinGraph::RandomClique(n, rng);
   }
   QDM_CHECK(false);
   return JoinGraph();

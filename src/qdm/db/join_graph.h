@@ -38,8 +38,8 @@ class JoinGraph {
   int AddRelation(std::string name, double cardinality);
 
   /// Adds a join predicate (a != b; at most one edge per pair).
-  void AddEdge(int a, int b, double selectivity,
-               std::string left_column = "", std::string right_column = "");
+  void AddEdge(int a, int b, double selectivity, std::string left_column = "",
+               std::string right_column = "");
 
   int num_relations() const { return static_cast<int>(relations_.size()); }
   const std::vector<RelationInfo>& relations() const { return relations_; }

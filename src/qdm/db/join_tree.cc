@@ -41,8 +41,8 @@ bool IsLeftDeep(const JoinTreeRef& tree) {
 double CoutCost(const JoinTreeRef& tree, const JoinGraph& graph) {
   QDM_CHECK(tree != nullptr);
   if (tree->is_leaf()) return 0.0;
-  return graph.SubsetCardinality(TreeMask(tree)) +
-         CoutCost(tree->left, graph) + CoutCost(tree->right, graph);
+  return graph.SubsetCardinality(TreeMask(tree)) + CoutCost(tree->left, graph) +
+         CoutCost(tree->right, graph);
 }
 
 JoinTreeRef LeftDeepFromPermutation(const std::vector<int>& order) {

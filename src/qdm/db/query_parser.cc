@@ -53,9 +53,8 @@ struct Tokenizer {
   Status Expect(const std::string& expected) {
     QDM_ASSIGN_OR_RETURN(std::string token, Next());
     if (ToLower(token) != ToLower(expected)) {
-      return Status::InvalidArgument(
-          StrFormat("expected '%s', got '%s'", expected.c_str(),
-                    token.c_str()));
+      return Status::InvalidArgument(StrFormat(
+          "expected '%s', got '%s'", expected.c_str(), token.c_str()));
     }
     return Status::Ok();
   }

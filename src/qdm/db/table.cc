@@ -61,11 +61,10 @@ Status Table::Append(Row row) {
   }
   for (size_t i = 0; i < row.size(); ++i) {
     if (!row[i].is_null() && row[i].type() != schema_.column(i).type) {
-      return Status::InvalidArgument(
-          StrFormat("column %s expects %s, got %s",
-                    schema_.column(i).name.c_str(),
-                    ValueTypeToString(schema_.column(i).type),
-                    ValueTypeToString(row[i].type())));
+      return Status::InvalidArgument(StrFormat(
+          "column %s expects %s, got %s", schema_.column(i).name.c_str(),
+          ValueTypeToString(schema_.column(i).type),
+          ValueTypeToString(row[i].type())));
     }
   }
   rows_.push_back(std::move(row));

@@ -10,20 +10,28 @@ namespace db {
 
 const char* ValueTypeToString(ValueType type) {
   switch (type) {
-    case ValueType::kNull: return "NULL";
-    case ValueType::kInt64: return "INT64";
-    case ValueType::kDouble: return "DOUBLE";
-    case ValueType::kString: return "STRING";
+    case ValueType::kNull:
+      return "NULL";
+    case ValueType::kInt64:
+      return "INT64";
+    case ValueType::kDouble:
+      return "DOUBLE";
+    case ValueType::kString:
+      return "STRING";
   }
   return "?";
 }
 
 ValueType Value::type() const {
   switch (data_.index()) {
-    case 0: return ValueType::kNull;
-    case 1: return ValueType::kInt64;
-    case 2: return ValueType::kDouble;
-    default: return ValueType::kString;
+    case 0:
+      return ValueType::kNull;
+    case 1:
+      return ValueType::kInt64;
+    case 2:
+      return ValueType::kDouble;
+    default:
+      return ValueType::kString;
   }
 }
 
@@ -50,18 +58,22 @@ const std::string& Value::AsString() const {
 
 std::string Value::ToString() const {
   switch (type()) {
-    case ValueType::kNull: return "NULL";
+    case ValueType::kNull:
+      return "NULL";
     case ValueType::kInt64:
       return StrFormat("%lld", static_cast<long long>(AsInt64()));
-    case ValueType::kDouble: return StrFormat("%g", std::get<double>(data_));
-    case ValueType::kString: return "'" + AsString() + "'";
+    case ValueType::kDouble:
+      return StrFormat("%g", std::get<double>(data_));
+    case ValueType::kString:
+      return "'" + AsString() + "'";
   }
   return "?";
 }
 
 size_t Value::Hash() const {
   switch (type()) {
-    case ValueType::kNull: return 0x9e3779b9;
+    case ValueType::kNull:
+      return 0x9e3779b9;
     case ValueType::kInt64:
       return std::hash<int64_t>{}(std::get<int64_t>(data_));
     case ValueType::kDouble:

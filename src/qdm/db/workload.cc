@@ -38,8 +38,8 @@ GeneratedWorkload GenerateJoinWorkload(QueryShape shape, int n,
   std::vector<PhysicalEdge> physical_edges;
   for (const JoinEdge& e : topology.edges()) {
     const int smaller = std::min(rows[e.a], rows[e.b]);
-    const double fraction = rng->Uniform(options.min_domain_fraction,
-                                         options.max_domain_fraction);
+    const double fraction =
+        rng->Uniform(options.min_domain_fraction, options.max_domain_fraction);
     const int domain = std::max(2, static_cast<int>(smaller * fraction));
     const std::string col_a = StrFormat("j%d_%d", e.a, e.b);
     const std::string col_b = StrFormat("j%d_%d", e.a, e.b);

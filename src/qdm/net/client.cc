@@ -68,9 +68,9 @@ Result<std::string> QdmClient::RoundTrip(const std::string& method,
   Status remote;
   const Status decode = DecodeErrorBody(response.body, &remote);
   if (!decode.ok()) {
-    return Status::Internal(StrFormat(
-        "HTTP %d with undecodable error body (%s)", response.status,
-        decode.message().c_str()));
+    return Status::Internal(
+        StrFormat("HTTP %d with undecodable error body (%s)", response.status,
+                  decode.message().c_str()));
   }
   return remote;
 }
@@ -126,13 +126,12 @@ Status QdmClient::Cancel(service::JobId id) {
 Result<anneal::SampleSet> QdmClient::Solve(
     const std::string& solver, const anneal::Qubo& qubo,
     const anneal::SolverOptions& options) {
-  QDM_ASSIGN_OR_RETURN(const service::JobId id,
-                       Submit(solver, qubo, options));
+  QDM_ASSIGN_OR_RETURN(const service::JobId id, Submit(solver, qubo, options));
   QDM_ASSIGN_OR_RETURN(std::vector<anneal::SampleSet> results, Wait(id));
   if (results.size() != 1) {
-    return Status::Internal(StrFormat(
-        "submit job resolved with %zu sample sets (expected 1)",
-        results.size()));
+    return Status::Internal(
+        StrFormat("submit job resolved with %zu sample sets (expected 1)",
+                  results.size()));
   }
   return std::move(results[0]);
 }

@@ -48,8 +48,8 @@ std::string TrimSpace(const std::string& text) {
 bool WriteAll(int fd, const std::string& data) {
   size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -97,9 +97,8 @@ bool ParseHead(const std::string& head, bool expect_request, ParsedHead* out,
 
   if (expect_request) {
     const size_t sp1 = start_line.find(' ');
-    const size_t sp2 =
-        sp1 == std::string::npos ? std::string::npos
-                                 : start_line.find(' ', sp1 + 1);
+    const size_t sp2 = sp1 == std::string::npos ? std::string::npos
+                                                : start_line.find(' ', sp1 + 1);
     if (sp1 == std::string::npos || sp2 == std::string::npos) {
       *error = "malformed request line '" + start_line + "'";
       return false;
@@ -130,9 +129,8 @@ bool ParseHead(const std::string& head, bool expect_request, ParsedHead* out,
   size_t pos = line_end + 2;
   while (pos < head.size()) {
     const size_t next = head.find("\r\n", pos);
-    const std::string line =
-        head.substr(pos, next == std::string::npos ? std::string::npos
-                                                   : next - pos);
+    const std::string line = head.substr(
+        pos, next == std::string::npos ? std::string::npos : next - pos);
     pos = next == std::string::npos ? head.size() : next + 2;
     if (line.empty()) continue;
     const size_t colon = line.find(':');
@@ -150,8 +148,7 @@ bool ParseHead(const std::string& head, bool expect_request, ParsedHead* out,
       saw_content_length = true;
       char* end = nullptr;
       errno = 0;
-      const unsigned long long parsed =
-          std::strtoull(value.c_str(), &end, 10);
+      const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
       if (errno != 0 || end == value.c_str() || *end != '\0' ||
           value[0] == '-') {
         *error = "malformed Content-Length '" + value + "'";
@@ -266,8 +263,8 @@ bool HttpConnection::WriteResponse(const HttpResponse& response,
   std::string head = StrFormat(
       "HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
       "Content-Length: %zu\r\nConnection: %s\r\n\r\n",
-      response.status, HttpReasonPhrase(response.status),
-      response.body.size(), keep_alive ? "keep-alive" : "close");
+      response.status, HttpReasonPhrase(response.status), response.body.size(),
+      keep_alive ? "keep-alive" : "close");
   head += response.body;
   return WriteAll(fd_, head);
 }
@@ -282,8 +279,8 @@ Result<int> HttpConnect(int port) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
     const Status status = Status::Internal(StrFormat(
         "connect to 127.0.0.1:%d failed: %s", port, std::strerror(errno)));
     ::close(fd);

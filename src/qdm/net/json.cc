@@ -536,8 +536,7 @@ void JsonAppendQuoted(const std::string& value, std::string* out) {
 }
 
 void JsonAppendDouble(double value, std::string* out) {
-  QDM_CHECK(std::isfinite(value))
-      << "the wire format cannot represent NaN/Inf";
+  QDM_CHECK(std::isfinite(value)) << "the wire format cannot represent NaN/Inf";
   // C++17 defines this overload as printf's "%.17g" with the same bytes.
   char buffer[32];  // "%.17g" needs at most 24: "-d.<16 digits>e-308".
   const std::to_chars_result result = std::to_chars(

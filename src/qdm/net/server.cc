@@ -66,9 +66,8 @@ Result<std::unique_ptr<QdmServer>> QdmServer::Start(
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    const std::string message = StrFormat(
-        "bind to 127.0.0.1:%d failed: %s", config.port,
-        std::strerror(errno));
+    const std::string message = StrFormat("bind to 127.0.0.1:%d failed: %s",
+                                          config.port, std::strerror(errno));
     ::close(fd);
     return Status::Internal(message);
   }
@@ -78,8 +77,8 @@ Result<std::unique_ptr<QdmServer>> QdmServer::Start(
   }
 
   socklen_t addr_len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                    &addr_len) != 0) {
+  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &addr_len) !=
+      0) {
     ::close(fd);
     return Status::Internal("getsockname() failed");
   }
@@ -188,8 +187,7 @@ void QdmServer::ServeConnection(int fd) {
       case HttpConnection::ReadOutcome::kStopped:
         return;
       case HttpConnection::ReadOutcome::kBad: {
-        HttpResponse response =
-            ErrorResponse(Status::InvalidArgument(error));
+        HttpResponse response = ErrorResponse(Status::InvalidArgument(error));
         connection.WriteResponse(response, /*keep_alive=*/false);
         return;
       }
@@ -240,8 +238,7 @@ HttpResponse QdmServer::HandleSubmit(const std::string& body) {
   switch (request.type) {
     case JobRequest::Type::kSubmit: {
       Result<service::SubmittedJob> job = service_->Submit(
-          request.solver, std::move(request.qubos[0]), request.options,
-          submit);
+          request.solver, std::move(request.qubos[0]), request.options, submit);
       if (!job.ok()) return ErrorResponse(job.status());
       id = job->id;
       break;
@@ -266,23 +263,22 @@ HttpResponse QdmServer::HandleJobRoute(const std::string& method,
   if (slash != std::string::npos) {
     const std::string suffix = rest.substr(slash);
     if (suffix != "/wait") {
-      return ErrorResponse(
-          Status::NotFound(StrFormat("no route %s %s", method.c_str(),
-                                     target.c_str())));
+      return ErrorResponse(Status::NotFound(
+          StrFormat("no route %s %s", method.c_str(), target.c_str())));
     }
     wait = true;
     rest = rest.substr(0, slash);
   }
   service::JobId id = 0;
   if (!ParseJobId(rest, &id)) {
-    return ErrorResponse(Status::InvalidArgument(StrFormat(
-        "job id: '%s' is not a decimal job id", rest.c_str())));
+    return ErrorResponse(Status::InvalidArgument(
+        StrFormat("job id: '%s' is not a decimal job id", rest.c_str())));
   }
 
   if (wait) {
     if (method != "POST") {
-      return ErrorResponse(Status::NotFound(StrFormat(
-          "no route %s %s", method.c_str(), target.c_str())));
+      return ErrorResponse(Status::NotFound(
+          StrFormat("no route %s %s", method.c_str(), target.c_str())));
     }
     Result<std::vector<anneal::SampleSet>> results = service_->Wait(id);
     if (!results.ok()) return ErrorResponse(results.status());

@@ -119,10 +119,10 @@ Result<JsonValue> ParseEnvelope(const std::string& text) {
   }
   const JsonValue* version = value.Find("version");
   if (version == nullptr) {
-    return Status::InvalidArgument(StrFormat(
-        "version: missing required field (this endpoint speaks wire "
-        "version %d)",
-        kWireVersion));
+    return Status::InvalidArgument(
+        StrFormat("version: missing required field (this endpoint speaks wire "
+                  "version %d)",
+                  kWireVersion));
   }
   QDM_ASSIGN_OR_RETURN(const int64_t parsed, version->AsInt64("version"));
   if (parsed != kWireVersion) {
@@ -421,9 +421,8 @@ Result<SampleSet> DecodeSampleSet(const JsonValue& value,
   for (size_t s = decoded.size(); s > 0; --s) {
     set.Add(std::move(decoded[s - 1]));
   }
-  QDM_ASSIGN_OR_RETURN(
-      const double fidelity,
-      DecodeDoubleField(value, field, "noise_fidelity", 1.0));
+  QDM_ASSIGN_OR_RETURN(const double fidelity,
+                       DecodeDoubleField(value, field, "noise_fidelity", 1.0));
   set.set_noise_fidelity(fidelity);
   const JsonValue* decision = value.Find("decision");
   if (decision != nullptr) {
@@ -441,8 +440,7 @@ std::string EncodeJobRequest(const JobRequest& request) {
   std::string fields;
   switch (request.type) {
     case JobRequest::Type::kSubmit: {
-      QDM_CHECK(request.qubos.size() == 1)
-          << "submit carries exactly one qubo";
+      QDM_CHECK(request.qubos.size() == 1) << "submit carries exactly one qubo";
       fields += "\"type\":\"submit\",\"solver\":";
       JsonAppendQuoted(request.solver, &fields);
       fields += ",\"qubo\":";
@@ -472,10 +470,10 @@ std::string EncodeJobRequest(const JobRequest& request) {
 
 Result<JobRequest> DecodeJobRequest(const std::string& body) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
-  QDM_RETURN_IF_ERROR(RejectUnknownFields(
-      envelope, "request",
-      {"version", "type", "solver", "members", "qubo", "qubos", "options",
-       "deadline_ns"}));
+  QDM_RETURN_IF_ERROR(
+      RejectUnknownFields(envelope, "request",
+                          {"version", "type", "solver", "members", "qubo",
+                           "qubos", "options", "deadline_ns"}));
 
   JobRequest request;
   const JsonValue* type = envelope.Find("type");
@@ -489,10 +487,10 @@ Result<JobRequest> DecodeJobRequest(const std::string& body) {
   } else if (type_name == "submit_batch") {
     request.type = JobRequest::Type::kSubmitBatch;
   } else {
-    return Status::InvalidArgument(StrFormat(
-        "request.type: unknown type '%s' (submit | submit_batch | "
-        "submit_race)",
-        type_name.c_str()));
+    return Status::InvalidArgument(
+        StrFormat("request.type: unknown type '%s' (submit | submit_batch | "
+                  "submit_race)",
+                  type_name.c_str()));
   }
 
   if (type_name == "submit_race") {
@@ -582,9 +580,8 @@ Status DecodeErrorBody(const std::string& body, Status* remote) {
   if (!code->is_string()) return TypeError("error.code", "a string", *code);
   StatusCode parsed = StatusCode::kInternal;
   if (!StatusCodeFromString(code->string_value(), &parsed)) {
-    return Status::InvalidArgument(
-        StrFormat("error.code: unknown status code '%s'",
-                  code->string_value().c_str()));
+    return Status::InvalidArgument(StrFormat(
+        "error.code: unknown status code '%s'", code->string_value().c_str()));
   }
   const JsonValue* message = error->Find("message");
   if (message == nullptr) return MissingError("error.message");
@@ -667,8 +664,7 @@ std::string EncodeResultsResponse(const std::vector<SampleSet>& results) {
   return WrapEnvelope(fields);
 }
 
-Result<std::vector<SampleSet>> DecodeResultsResponse(
-    const std::string& body) {
+Result<std::vector<SampleSet>> DecodeResultsResponse(const std::string& body) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
   const JsonValue* results = envelope.Find("results");
   if (results == nullptr) return MissingError("response.results");

@@ -150,8 +150,7 @@ std::string EncodeCancelResponse(service::JobId id);
 
 /// {"version": 1, "solvers": ["...", ...]} — RegisteredNames().
 std::string EncodeSolversResponse(const std::vector<std::string>& names);
-Result<std::vector<std::string>> DecodeSolversResponse(
-    const std::string& body);
+Result<std::vector<std::string>> DecodeSolversResponse(const std::string& body);
 
 /// {"version": 1, "stats": {<ServiceStats counters>},
 ///  "accepting": bool, "num_workers": n} — GET /v1/stats.

@@ -180,8 +180,8 @@ double ClassicalValueThreePlayer(const ThreePlayerGame& game) {
           const int c = (s2 >> q[2]) & 1;
           if (game.predicate(q, a, b, c)) ++wins;
         }
-        best = std::max(best,
-                        static_cast<double>(wins) / game.questions.size());
+        best =
+            std::max(best, static_cast<double>(wins) / game.questions.size());
       }
     }
   }

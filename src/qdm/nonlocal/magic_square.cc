@@ -109,8 +109,8 @@ MagicSquareRound PlayMagicSquareRound(int row, int col, Rng* rng) {
         &state, MagicSquareObservable(r, col), {2, 3}, rng);
   }
 
-  const int alice_product = result.alice_signs[0] * result.alice_signs[1] *
-                            result.alice_signs[2];
+  const int alice_product =
+      result.alice_signs[0] * result.alice_signs[1] * result.alice_signs[2];
   const int bob_product =
       result.bob_signs[0] * result.bob_signs[1] * result.bob_signs[2];
   result.won = alice_product == kRowProduct[row] &&

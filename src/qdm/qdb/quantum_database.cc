@@ -10,7 +10,9 @@ namespace qdb {
 
 namespace {
 
-bool IsPowerOfTwo(size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+bool IsPowerOfTwo(size_t n) {
+  return n != 0 && (n & (n - 1)) == 0;
+}
 
 int Log2(size_t n) {
   int k = 0;
@@ -60,10 +62,9 @@ SearchStats QuantumDatabase::GroverSearchEqual(int64_t key, Rng* rng) const {
 
 SearchStats QuantumDatabase::GroverSearchWhere(
     const std::function<bool(int64_t)>& predicate, Rng* rng) const {
-  algo::CountingOracle oracle(
-      [this, &predicate](uint64_t index) {
-        return predicate(records_[index]);
-      });
+  algo::CountingOracle oracle([this, &predicate](uint64_t index) {
+    return predicate(records_[index]);
+  });
   algo::GroverResult r = algo::BbhtSearch(num_qubits_, &oracle, rng);
   SearchStats stats;
   stats.found = r.found;
@@ -75,10 +76,9 @@ SearchStats QuantumDatabase::GroverSearchWhere(
 
 SearchStats QuantumDatabase::ClassicalSearchWhere(
     const std::function<bool(int64_t)>& predicate, Rng* rng) const {
-  algo::CountingOracle oracle(
-      [this, &predicate](uint64_t index) {
-        return predicate(records_[index]);
-      });
+  algo::CountingOracle oracle([this, &predicate](uint64_t index) {
+    return predicate(records_[index]);
+  });
   algo::ClassicalSearchResult r =
       algo::ClassicalLinearSearch(records_.size(), &oracle, rng);
   SearchStats stats;
@@ -115,22 +115,22 @@ SetOpStats RunSetOpSearch(const MembershipOracle& combined, int universe_qubits,
 SetOpStats QuantumIntersectionSearch(const MembershipOracle& in_a,
                                      const MembershipOracle& in_b,
                                      int universe_qubits, Rng* rng) {
-  return RunSetOpSearch(
-      [&](uint64_t x) { return in_a(x) && in_b(x); }, universe_qubits, rng);
+  return RunSetOpSearch([&](uint64_t x) { return in_a(x) && in_b(x); },
+                        universe_qubits, rng);
 }
 
 SetOpStats QuantumUnionSearch(const MembershipOracle& in_a,
-                              const MembershipOracle& in_b,
-                              int universe_qubits, Rng* rng) {
-  return RunSetOpSearch(
-      [&](uint64_t x) { return in_a(x) || in_b(x); }, universe_qubits, rng);
+                              const MembershipOracle& in_b, int universe_qubits,
+                              Rng* rng) {
+  return RunSetOpSearch([&](uint64_t x) { return in_a(x) || in_b(x); },
+                        universe_qubits, rng);
 }
 
 SetOpStats QuantumDifferenceSearch(const MembershipOracle& in_a,
                                    const MembershipOracle& in_b,
                                    int universe_qubits, Rng* rng) {
-  return RunSetOpSearch(
-      [&](uint64_t x) { return in_a(x) && !in_b(x); }, universe_qubits, rng);
+  return RunSetOpSearch([&](uint64_t x) { return in_a(x) && !in_b(x); },
+                        universe_qubits, rng);
 }
 
 namespace {
@@ -155,8 +155,7 @@ JoinPairStats QuantumJoinSearch(const std::vector<int64_t>& left,
     const uint64_t j = z >> left_bits;
     return i < left.size() && j < right.size() && left[i] == right[j];
   });
-  algo::GroverResult r =
-      algo::BbhtSearch(left_bits + right_bits, &oracle, rng);
+  algo::GroverResult r = algo::BbhtSearch(left_bits + right_bits, &oracle, rng);
   JoinPairStats stats;
   stats.found = r.found;
   stats.left_index = r.measured & left_mask;

@@ -67,8 +67,8 @@ class QuantumDatabase {
 struct SetOpStats {
   bool found = false;
   uint64_t witness = 0;
-  int64_t quantum_queries = 0;   // Combined-oracle applications.
-  int64_t classical_queries = 0; // Scan of the same combined oracle.
+  int64_t quantum_queries = 0;    // Combined-oracle applications.
+  int64_t classical_queries = 0;  // Scan of the same combined oracle.
 };
 
 using MembershipOracle = std::function<bool(uint64_t)>;
@@ -80,8 +80,8 @@ SetOpStats QuantumIntersectionSearch(const MembershipOracle& in_a,
 
 /// Finds an element of A union B (oracle OR).
 SetOpStats QuantumUnionSearch(const MembershipOracle& in_a,
-                              const MembershipOracle& in_b,
-                              int universe_qubits, Rng* rng);
+                              const MembershipOracle& in_b, int universe_qubits,
+                              Rng* rng);
 
 /// Finds an element of A minus B (oracle AND NOT).
 SetOpStats QuantumDifferenceSearch(const MembershipOracle& in_a,

@@ -28,8 +28,8 @@ VqcJoinOrderAgent::VqcJoinOrderAgent(const db::JoinGraph& graph,
   // single-step reward lies in [-1, 0].
   reward_scale_ = 1.0;
   for (uint32_t mask = 1; mask < (uint32_t{1} << n_); ++mask) {
-    reward_scale_ = std::max(
-        reward_scale_, std::log(graph_.SubsetCardinality(mask) + 2.0));
+    reward_scale_ =
+        std::max(reward_scale_, std::log(graph_.SubsetCardinality(mask) + 2.0));
   }
 }
 

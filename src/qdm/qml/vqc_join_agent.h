@@ -28,8 +28,8 @@ class VqcJoinOrderAgent {
  public:
   struct Options {
     int layers = 2;
-    double gamma = 0.7;          // Discount.
-    double epsilon = 0.25;       // Exploration rate (decays over training).
+    double gamma = 0.7;     // Discount.
+    double epsilon = 0.25;  // Exploration rate (decays over training).
     double learning_rate = 0.08;
     int episodes = 150;
   };

@@ -59,17 +59,16 @@ Status DistributedQuantumStore::ReplicateClassical(const std::string& key,
   // encrypted payload classically.
   const double needed_bits = 8.0 * it->second.payload.size();
   Bb84Config qkd;
-  qkd.channel_error =
-      std::min(0.5, options_.qkd_error_per_km * best_length);
+  qkd.channel_error = std::min(0.5, options_.qkd_error_per_km * best_length);
   // Sifting keeps ~1/2 and sampling costs more: over-provision raw bits.
   qkd.num_raw_bits = static_cast<int>(needed_bits * 4) + 512;
   Bb84Result session = RunBb84(qkd, rng_);
   ++stats_.qkd_sessions;
   if (session.aborted || session.secure_key_bits < needed_bits) {
-    return Status::FailedPrecondition(StrFormat(
-        "QKD could not establish %d secure bits (got %.0f%s)",
-        static_cast<int>(needed_bits), session.secure_key_bits,
-        session.aborted ? ", aborted" : ""));
+    return Status::FailedPrecondition(
+        StrFormat("QKD could not establish %d secure bits (got %.0f%s)",
+                  static_cast<int>(needed_bits), session.secure_key_bits,
+                  session.aborted ? ", aborted" : ""));
   }
   stats_.qkd_secure_bits += session.secure_key_bits;
   ++stats_.replications;
@@ -137,15 +136,13 @@ Status DistributedQuantumStore::MigrateQuantum(const std::string& key,
 
   QDM_ASSIGN_OR_RETURN(std::vector<int> route,
                        network_.Route(it->second.location, target_node));
-  QDM_ASSIGN_OR_RETURN(
-      EprPair pair,
-      network_.DistributeEntanglement(route, options_.memory_t_s,
-                                      options_.swap_success, &now_s_, rng_));
+  QDM_ASSIGN_OR_RETURN(EprPair pair, network_.DistributeEntanglement(
+                                         route, options_.memory_t_s,
+                                         options_.swap_success, &now_s_, rng_));
   ++stats_.epr_pairs_consumed;
 
-  TeleportResult teleported =
-      Teleport(std::move(it->second.qubit), pair,
-               network_.RouteLength(route), rng_);
+  TeleportResult teleported = Teleport(std::move(it->second.qubit), pair,
+                                       network_.RouteLength(route), rng_);
   ++stats_.teleports;
   now_s_ += teleported.classical_latency_s;
 

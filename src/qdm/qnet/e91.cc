@@ -85,8 +85,8 @@ E91Result RunE91(const E91Config& config, Rng* rng) {
     return counts[ai][bi] > 0 ? corr[ai][bi] / counts[ai][bi] : 0.0;
   };
   // S = E(0, pi/4) - E(0, 3pi/4) + E(pi/2, pi/4) + E(pi/2, 3pi/4).
-  result.s_value = expectation(0, 0) - expectation(0, 1) +
-                   expectation(1, 0) + expectation(1, 1);
+  result.s_value = expectation(0, 0) - expectation(0, 1) + expectation(1, 0) +
+                   expectation(1, 1);
   result.key_bits = key_bits;
   result.qber = key_bits > 0 ? static_cast<double>(key_errors) / key_bits : 0.0;
   result.aborted = result.s_value <= config.s_threshold;

@@ -14,8 +14,8 @@ FiberLink::FiberLink(FiberLinkConfig config) : config_(config) {
 }
 
 double FiberLink::SuccessProbability() const {
-  const double transmission = std::pow(
-      10.0, -config_.attenuation_db_per_km * config_.length_km / 10.0);
+  const double transmission =
+      std::pow(10.0, -config_.attenuation_db_per_km * config_.length_km / 10.0);
   return config_.base_efficiency * transmission;
 }
 

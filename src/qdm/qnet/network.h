@@ -41,9 +41,8 @@ class QuantumNetwork {
   /// per-hop generation, memory decay while waiting, swapping at each
   /// intermediate node. Advances *now_s.
   Result<EprPair> DistributeEntanglement(const std::vector<int>& route,
-                                         double memory_t_s,
-                                         double swap_success, double* now_s,
-                                         Rng* rng) const;
+                                         double memory_t_s, double swap_success,
+                                         double* now_s, Rng* rng) const;
 
  private:
   const FiberLinkConfig* LinkConfig(int a, int b) const;

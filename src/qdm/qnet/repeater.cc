@@ -29,8 +29,8 @@ bool DeliverOnePair(const ChainConfig& config, double max_seconds,
       if (config.purify_segments) {
         // One BBPSSW round with a second pair from the same segment.
         EprPair sacrifice = link.GenerateEntanglement(*now_s, rng);
-        sacrifice.created_at_s = std::max(sacrifice.created_at_s,
-                                          pairs[s].created_at_s);
+        sacrifice.created_at_s =
+            std::max(sacrifice.created_at_s, pairs[s].created_at_s);
         if (AttemptPurification(&pairs[s], sacrifice, rng)) {
           pairs[s].created_at_s = sacrifice.created_at_s;
         } else {
@@ -46,9 +46,9 @@ bool DeliverOnePair(const ChainConfig& config, double max_seconds,
     f = DecayedFidelity(f, ready_at - pairs[0].created_at_s, config.memory_t_s);
     bool all_swaps_ok = true;
     for (int r = 1; r < segments; ++r) {
-      double fr = DecayedFidelity(pairs[r].fidelity,
-                                  ready_at - pairs[r].created_at_s,
-                                  config.memory_t_s);
+      double fr =
+          DecayedFidelity(pairs[r].fidelity, ready_at - pairs[r].created_at_s,
+                          config.memory_t_s);
       if (!rng->Bernoulli(config.swap_success)) {
         all_swaps_ok = false;
         break;

@@ -142,9 +142,8 @@ BilpSolution SolveBilpBranchAndBound(const BilpProblem& problem) {
                         std::vector<double>(n + 1, 0.0));
   state.objective_free_min.assign(n + 1, 0.0);
   for (int depth = n - 1; depth >= 0; --depth) {
-    state.objective_free_min[depth] =
-        state.objective_free_min[depth + 1] +
-        std::min(0.0, problem.objective[depth]);
+    state.objective_free_min[depth] = state.objective_free_min[depth + 1] +
+                                      std::min(0.0, problem.objective[depth]);
     for (size_t r = 0; r < problem.constraints.size(); ++r) {
       const double a = problem.constraints[r].coefficients[depth];
       state.free_min[r][depth] =
@@ -168,7 +167,9 @@ BilpSolution SolveBilpBranchAndBound(const BilpProblem& problem) {
 
 namespace {
 
-bool IsIntegral(double v) { return std::abs(v - std::round(v)) < 1e-9; }
+bool IsIntegral(double v) {
+  return std::abs(v - std::round(v)) < 1e-9;
+}
 
 }  // namespace
 
@@ -192,8 +193,8 @@ Result<anneal::Qubo> BilpToQubo(const BilpProblem& problem, double penalty) {
     double min_lhs = 0.0, max_lhs = 0.0;
     for (double a : c.coefficients) {
       if (!IsIntegral(a)) {
-        return Status::InvalidArgument(StrFormat(
-            "inequality row %zu needs integer coefficients", r));
+        return Status::InvalidArgument(
+            StrFormat("inequality row %zu needs integer coefficients", r));
       }
       min_lhs += std::min(0.0, a);
       max_lhs += std::max(0.0, a);
@@ -238,9 +239,9 @@ Result<anneal::Qubo> BilpToQubo(const BilpProblem& problem, double penalty) {
     }
     if (slacks[r].first_bit >= 0) {
       for (int bit = 0; bit < slacks[r].num_bits; ++bit) {
-        terms.emplace_back(problem.num_variables + slacks[r].first_bit + bit,
-                           slacks[r].sign *
-                               static_cast<double>(int64_t{1} << bit));
+        terms.emplace_back(
+            problem.num_variables + slacks[r].first_bit + bit,
+            slacks[r].sign * static_cast<double>(int64_t{1} << bit));
       }
     }
     const double b = c.bound;

@@ -54,8 +54,8 @@ MqoProblem GenerateMqoProblem(int num_queries, int plans_per_query,
       for (int pa = 0; pa < plans_per_query; ++pa) {
         for (int pb = 0; pb < plans_per_query; ++pb) {
           if (!rng->Bernoulli(sharing_density)) continue;
-          const double cheaper = std::min(problem.plan_costs[qa][pa],
-                                          problem.plan_costs[qb][pb]);
+          const double cheaper =
+              std::min(problem.plan_costs[qa][pa], problem.plan_costs[qb][pb]);
           problem.savings.push_back(MqoProblem::Sharing{
               qa, pa, qb, pb, rng->Uniform(0.1, 0.4) * cheaper});
         }

@@ -47,9 +47,9 @@ anneal::Qubo TxnScheduleToQubo(const TxnScheduleProblem& problem,
 
 struct Schedule {
   std::vector<int> slot_of_txn;
-  bool feasible = false;                 // Exactly one slot per txn.
-  int conflicting_pairs_same_slot = 0;   // 0 == blocking-free under 2PL.
-  int makespan = 0;                      // Highest used slot + 1.
+  bool feasible = false;                // Exactly one slot per txn.
+  int conflicting_pairs_same_slot = 0;  // 0 == blocking-free under 2PL.
+  int makespan = 0;                     // Highest used slot + 1.
 };
 
 Schedule DecodeSchedule(const TxnScheduleProblem& problem,

@@ -91,10 +91,11 @@ struct SolverService::Impl {
   /// Validates, builds the backend, and enqueues — every submission-time
   /// error (unknown name, malformed spec, bad options, admission refusal,
   /// shutdown) surfaces HERE, before the job exists.
-  static Result<std::shared_ptr<Job>> Enqueue(
-      const std::shared_ptr<Impl>& impl, const std::string& solver_name,
-      std::vector<Qubo> qubos, const SolverOptions& options,
-      const SubmitOptions& submit);
+  static Result<std::shared_ptr<Job>> Enqueue(const std::shared_ptr<Impl>& impl,
+                                              const std::string& solver_name,
+                                              std::vector<Qubo> qubos,
+                                              const SolverOptions& options,
+                                              const SubmitOptions& submit);
 
   /// Worker task body: pulls queued jobs until the queue is empty, then
   /// retires itself. At most `num_workers` instances are in flight; they
@@ -241,9 +242,9 @@ void SolverService::Impl::DrainLoop(const std::shared_ptr<Impl>& impl) {
         if (candidate->state != JobState::kQueued) continue;
         if (candidate->has_deadline && Clock::now() >= candidate->deadline) {
           Transition(*impl, *candidate, JobState::kDeadlineExceeded,
-                     Status::DeadlineExceeded(StrFormat(
-                         "job %llu deadline expired while queued",
-                         AsULL(candidate->id))));
+                     Status::DeadlineExceeded(
+                         StrFormat("job %llu deadline expired while queued",
+                                   AsULL(candidate->id))));
           expired = std::move(candidate);
           break;  // Resolve outside the lock, then keep draining.
         }
@@ -335,7 +336,9 @@ void SolverService::Impl::RunJob(const std::shared_ptr<Impl>& impl,
 SolverService::SolverService(ServiceConfig config)
     : impl_(std::make_shared<Impl>(config)) {}
 
-SolverService::~SolverService() { Shutdown(); }
+SolverService::~SolverService() {
+  Shutdown();
+}
 
 Result<SubmittedJob> SolverService::Submit(const std::string& solver_name,
                                            Qubo qubo,
@@ -353,9 +356,8 @@ Result<SubmittedJob> SolverService::Submit(const std::string& solver_name,
   submitted.future = job->promise.future().Then<SampleSet>(
       [](const Result<std::vector<SampleSet>>& result) -> Result<SampleSet> {
         if (!result.ok()) return result.status();
-        QDM_CHECK(result->size() == 1)
-            << "single-qubo job resolved with " << result->size()
-            << " sample sets";
+        QDM_CHECK(result->size() == 1) << "single-qubo job resolved with "
+                                       << result->size() << " sample sets";
         return result->front();
       });
   return submitted;
@@ -414,9 +416,8 @@ Status SolverService::Cancel(JobId id) {
     }
     Impl::Job& job = *it->second;
     if (IsTerminalJobState(job.state)) {
-      return Status::FailedPrecondition(
-          StrFormat("job %llu is already %s", AsULL(id),
-                    JobStateToString(job.state)));
+      return Status::FailedPrecondition(StrFormat(
+          "job %llu is already %s", AsULL(id), JobStateToString(job.state)));
     }
     job.cancel.Cancel();
     if (job.state == JobState::kQueued) {
@@ -472,7 +473,9 @@ bool SolverService::accepting() const {
          static_cast<int>(impl_->stats.queued) < impl_->high_watermark;
 }
 
-int SolverService::num_workers() const { return impl_->num_workers; }
+int SolverService::num_workers() const {
+  return impl_->num_workers;
+}
 
 void SolverService::Shutdown() {
   std::vector<std::shared_ptr<Impl::Job>> to_resolve;
@@ -482,10 +485,10 @@ void SolverService::Shutdown() {
     for (const std::shared_ptr<Impl::Job>& job : impl_->queue) {
       if (job->state != JobState::kQueued) continue;
       job->cancel.Cancel();
-      Impl::Transition(*impl_, *job, JobState::kCancelled,
-                       Status::Cancelled(StrFormat(
-                           "job %llu cancelled by service shutdown",
-                           AsULL(job->id))));
+      Impl::Transition(
+          *impl_, *job, JobState::kCancelled,
+          Status::Cancelled(StrFormat("job %llu cancelled by service shutdown",
+                                      AsULL(job->id))));
       to_resolve.push_back(job);
     }
     impl_->queue.clear();

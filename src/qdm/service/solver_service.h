@@ -76,8 +76,7 @@ class SolverService {
   /// (any registry-resolvable name, including "embedded:*" and "race:*").
   /// On acceptance the returned future resolves with the SampleSet that
   /// the synchronous Solve(qubo, options) produces for the same seed.
-  Result<SubmittedJob> Submit(const std::string& solver_name,
-                              anneal::Qubo qubo,
+  Result<SubmittedJob> Submit(const std::string& solver_name, anneal::Qubo qubo,
                               const anneal::SolverOptions& options,
                               const SubmitOptions& submit = {});
 

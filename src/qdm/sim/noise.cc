@@ -28,8 +28,7 @@ void TrajectorySimulator::ApplyChannels(Statevector* sv, int qubit,
   if (depol_p > 0.0) {
     const double u = rng->Uniform();
     if (u < depol_p) {
-      const int index =
-          std::min(2, static_cast<int>(3.0 * u / depol_p));
+      const int index = std::min(2, static_cast<int>(3.0 * u / depol_p));
       sv->Apply1Q(PauliMatrix(index), qubit);
     }
   }

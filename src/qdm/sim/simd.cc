@@ -94,12 +94,10 @@ __attribute__((target("avx2"))) void Apply1QRunAvx2(Complex* lo, Complex* hi,
   for (; k + 2 <= n; k += 2) {
     const __m256d a0 = _mm256_loadu_pd(lod + 2 * k);
     const __m256d a1 = _mm256_loadu_pd(hid + 2 * k);
-    _mm256_storeu_pd(lod + 2 * k,
-                     _mm256_add_pd(ComplexMul(u00r, u00i, a0),
-                                   ComplexMul(u01r, u01i, a1)));
-    _mm256_storeu_pd(hid + 2 * k,
-                     _mm256_add_pd(ComplexMul(u10r, u10i, a0),
-                                   ComplexMul(u11r, u11i, a1)));
+    _mm256_storeu_pd(lod + 2 * k, _mm256_add_pd(ComplexMul(u00r, u00i, a0),
+                                                ComplexMul(u01r, u01i, a1)));
+    _mm256_storeu_pd(hid + 2 * k, _mm256_add_pd(ComplexMul(u10r, u10i, a0),
+                                                ComplexMul(u11r, u11i, a1)));
   }
   if (k < n) {  // Odd run length: one trailing pair, reference arithmetic.
     const Complex a0 = lo[k];
@@ -109,12 +107,9 @@ __attribute__((target("avx2"))) void Apply1QRunAvx2(Complex* lo, Complex* hi,
   }
 }
 
-__attribute__((target("avx2"))) void Apply1QPairsRunAvx2(Complex* amp,
-                                                         uint64_t n,
-                                                         Complex u00,
-                                                         Complex u01,
-                                                         Complex u10,
-                                                         Complex u11) {
+__attribute__((target("avx2"))) void Apply1QPairsRunAvx2(
+    Complex* amp, uint64_t n, Complex u00, Complex u01, Complex u10,
+    Complex u11) {
   // One full (a0, a1) pair per 256-bit register: lanes 0-1 produce the new
   // a0 with row (u00, u01), lanes 2-3 the new a1 with row (u10, u11).
   double* ad = reinterpret_cast<double*>(amp);
@@ -147,10 +142,10 @@ __attribute__((target("avx2"))) void DiagonalPhaseRunAvx2(Complex* amp,
     // complex multiply runs on vector lanes.
     const Complex p0 = std::polar(1.0, scale * phases[z]);
     const Complex p1 = std::polar(1.0, scale * phases[z + 1]);
-    const __m256d pr = _mm256_setr_pd(p0.real(), p0.real(), p1.real(),
-                                      p1.real());
-    const __m256d pi = _mm256_setr_pd(p0.imag(), p0.imag(), p1.imag(),
-                                      p1.imag());
+    const __m256d pr =
+        _mm256_setr_pd(p0.real(), p0.real(), p1.real(), p1.real());
+    const __m256d pi =
+        _mm256_setr_pd(p0.imag(), p0.imag(), p1.imag(), p1.imag());
     const __m256d a = _mm256_loadu_pd(ad + 2 * z);
     const __m256d a_swap = _mm256_permute_pd(a, 0x5);
     _mm256_storeu_pd(ad + 2 * z, _mm256_addsub_pd(_mm256_mul_pd(a, pr),

@@ -13,7 +13,9 @@ namespace sim {
 
 namespace {
 
-bool IsPowerOfTwo(size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+bool IsPowerOfTwo(size_t n) {
+  return n != 0 && (n & (n - 1)) == 0;
+}
 
 int Log2(size_t n) {
   int k = 0;
@@ -172,8 +174,7 @@ void Statevector::Apply1Q(const linalg::Matrix& u, int q) {
 }
 
 void Statevector::ApplyControlled1Q(const std::vector<int>& controls,
-                                    int target,
-                                    const linalg::Matrix& u) {
+                                    int target, const linalg::Matrix& u) {
   uint64_t control_mask = 0;
   for (int c : controls) {
     QDM_CHECK(c != target);

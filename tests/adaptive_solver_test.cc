@@ -74,8 +74,7 @@ TEST(AdaptiveSolverTest, ArbitrarySpecsResolveThroughThePrefixFactory) {
         "adaptive:simulated_annealing+"
         "embedded:simulated_annealing:chimera:4x4x4"}) {
     const auto names = registry.RegisteredNames();
-    EXPECT_EQ(std::find(names.begin(), names.end(), name), names.end())
-        << name;
+    EXPECT_EQ(std::find(names.begin(), names.end(), name), names.end()) << name;
     EXPECT_TRUE(registry.Contains(name)) << name;
     auto solver = registry.Create(name);
     ASSERT_TRUE(solver.ok()) << name << ": " << solver.status();
@@ -96,8 +95,7 @@ TEST(AdaptiveSolverTest, ScheduleExploresThenCommitsWithAccessorsToMatch) {
       SmallBatch(PortfolioSolver::kExploreInstances + 4);
   const SolverOptions options = FastOptions(11);
   for (size_t i = 0; i < qubos.size(); ++i) {
-    auto samples =
-        solver->Solve(qubos[i], DeriveBatchOptions(options, i));
+    auto samples = solver->Solve(qubos[i], DeriveBatchOptions(options, i));
     ASSERT_TRUE(samples.ok()) << "solve " << i << ": " << samples.status();
     if (i < static_cast<size_t>(PortfolioSolver::kExploreInstances)) {
       EXPECT_EQ(samples->decision().rfind("explore:", 0), 0u)
@@ -141,8 +139,7 @@ TEST(AdaptiveSolverTest, BatchIsBitIdenticalAcrossThreadCounts) {
     auto fresh = SolverRegistry::Global().Create(name);
     ASSERT_TRUE(fresh.ok()) << name << ": " << fresh.status();
     for (size_t i = 0; i < qubos.size(); ++i) {
-      auto single =
-          (*fresh)->Solve(qubos[i], DeriveBatchOptions(options, i));
+      auto single = (*fresh)->Solve(qubos[i], DeriveBatchOptions(options, i));
       ASSERT_TRUE(single.ok()) << name << ": " << single.status();
       EXPECT_TRUE(BitIdentical((*one)[i], *single))
           << name << " instance " << i
@@ -169,8 +166,8 @@ TEST(AdaptiveSolverTest, CommitPhaseRunsOnlyTheWinner) {
   const Qubo qubo = SmallBatch(1)[0];
   auto committed = solver->Solve(qubo, options);
   ASSERT_TRUE(committed.ok()) << committed.status();
-  auto bare = SolveWith(solver->members()[w], qubo,
-                        DeriveBatchOptions(options, w));
+  auto bare =
+      SolveWith(solver->members()[w], qubo, DeriveBatchOptions(options, w));
   ASSERT_TRUE(bare.ok()) << bare.status();
   ASSERT_EQ(committed->size(), bare->size());
   for (size_t s = 0; s < bare->size(); ++s) {
@@ -223,7 +220,8 @@ TEST(AdaptiveSolverTest, MalformedDecisionsAreRejectedOnReplay) {
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
 }
 
-// -- Error taxonomy ------------------------------------------------------------
+// -- Error taxonomy
+// ------------------------------------------------------------
 
 void ExpectCreateFails(const std::string& name, StatusCode code,
                        const std::string& needle) {
@@ -261,8 +259,7 @@ TEST(AdaptiveSolverTest, EmptyMembersAreRejectedByPosition) {
 
 TEST(AdaptiveSolverTest, NestedSelectorCompositionsAreRejected) {
   ExpectCreateFails(
-      "adaptive:adaptive:exact+tabu_search+vqe",
-      StatusCode::kInvalidArgument,
+      "adaptive:adaptive:exact+tabu_search+vqe", StatusCode::kInvalidArgument,
       "nested adaptive backends are not supported ('adaptive:exact' inside "
       "'adaptive:adaptive:exact+tabu_search+vqe'): '+' would be ambiguous");
   ExpectCreateFails(
@@ -288,7 +285,8 @@ TEST(AdaptiveSolverTest, MemberDiagnosesSurviveTheWrapping) {
       StatusCode::kInvalidArgument, "torus");
 }
 
-// -- Composition ---------------------------------------------------------------
+// -- Composition
+// ---------------------------------------------------------------
 
 TEST(AdaptiveSolverTest, ComposesWithEmbeddedAndNoisyMembers) {
   const std::string name =

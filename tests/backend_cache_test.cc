@@ -83,8 +83,7 @@ TEST(BackendCacheTest, ConcurrentFirstTouchEmbeddingConstructsOnce) {
   }
   for (std::thread& thread : threads) thread.join();
   const BackendCacheStats after = GetBackendCacheStats();
-  EXPECT_EQ(after.embedding_constructions - before.embedding_constructions,
-            1u);
+  EXPECT_EQ(after.embedding_constructions - before.embedding_constructions, 1u);
   EXPECT_EQ(after.embedding_hits - before.embedding_hits, 7u);
   for (int i = 1; i < 8; ++i) EXPECT_EQ(seen[i].get(), seen[0].get());
   EXPECT_EQ(seen[0]->num_logical(), num_logical);
@@ -144,12 +143,12 @@ TEST(BackendCacheTest, OversizedEmbeddingPassesThroughUncached) {
 TEST(BackendCacheTest, EmbeddedBackendCreationSharesTopology) {
   // Two embedded:* backends over the same spec share one cached topology:
   // creating the second must not construct.
-  auto probe = SolverRegistry::Global().Create(
-      "embedded:simulated_annealing:pegasus:6");
+  auto probe =
+      SolverRegistry::Global().Create("embedded:simulated_annealing:pegasus:6");
   ASSERT_TRUE(probe.ok()) << probe.status();
   const BackendCacheStats before = GetBackendCacheStats();
-  auto again = SolverRegistry::Global().Create(
-      "embedded:tabu_search:pegasus:6");
+  auto again =
+      SolverRegistry::Global().Create("embedded:tabu_search:pegasus:6");
   ASSERT_TRUE(again.ok()) << again.status();
   const BackendCacheStats after = GetBackendCacheStats();
   EXPECT_EQ(after.topology_constructions, before.topology_constructions);

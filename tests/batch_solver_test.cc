@@ -86,8 +86,7 @@ TEST(BatchSolverTest, BatchOfOneReportsTheBareUnderlyingError) {
   auto result = SolveBatchParallel("exact", {oversized}, FastOptions(3), 1);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(result.status().message().find("batch instance"),
-            std::string::npos)
+  EXPECT_EQ(result.status().message().find("batch instance"), std::string::npos)
       << result.status().message();
 }
 
@@ -195,8 +194,8 @@ TEST(BatchSolverTest, SolveTxnScheduleEpochsSolvesEveryEpochDeterministically) {
   options.num_reads = 10;
   options.num_sweeps = 400;
   options.seed = 21;
-  auto one = SolveTxnScheduleEpochs(epochs, "simulated_annealing", options,
-                                    0.0, 1.0, 1);
+  auto one = SolveTxnScheduleEpochs(epochs, "simulated_annealing", options, 0.0,
+                                    1.0, 1);
   ASSERT_TRUE(one.ok()) << one.status();
   ASSERT_EQ(one->size(), epochs.size());
   for (const Schedule& schedule : *one) {

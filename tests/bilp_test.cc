@@ -171,9 +171,9 @@ TEST(BilpApplicationsTest, FullPipelineBilpToQuboToAnnealer) {
   Result<anneal::SampleSet> set =
       anneal::SolveWith("tabu_search", *qubo, options);
   ASSERT_TRUE(set.ok()) << set.status();
-  anneal::Assignment decision(set->best().assignment.begin(),
-                              set->best().assignment.begin() +
-                                  bilp.num_variables);
+  anneal::Assignment decision(
+      set->best().assignment.begin(),
+      set->best().assignment.begin() + bilp.num_variables);
   BilpSolution reference = SolveBilpBranchAndBound(bilp);
   ASSERT_TRUE(bilp.IsFeasible(decision));
   EXPECT_NEAR(bilp.Objective(decision), reference.objective, 1e-9);

@@ -97,8 +97,7 @@ TEST(CatalogTest, StatsComputedOnRegistration) {
   Catalog catalog;
   Table t("t", Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}));
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        t.Append({Value(int64_t{i}), Value(int64_t{i % 3})}).ok());
+    ASSERT_TRUE(t.Append({Value(int64_t{i}), Value(int64_t{i % 3})}).ok());
   }
   ASSERT_TRUE(catalog.AddTable(std::move(t)).ok());
   auto stats = catalog.GetStats("t");

@@ -240,9 +240,9 @@ void CheckStatevectorTrajectoryAgreement(int num_threads) {
   TrajectorySimulator noiseless{NoiseModel{}};
   Rng rng(31);
   const Statevector trajectory = noiseless.RunTrajectory(c, &rng);
-  EXPECT_NEAR(DensityMatrix::FromStatevector(trajectory)
-                  .FidelityWithPure(exact),
-              1.0, 1e-10)
+  EXPECT_NEAR(
+      DensityMatrix::FromStatevector(trajectory).FidelityWithPure(exact), 1.0,
+      1e-10)
       << num_threads << " threads";
 
   // Under noise, the trajectory-ensemble fidelity against the evolved

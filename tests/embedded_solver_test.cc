@@ -44,8 +44,7 @@ TEST(EmbeddedSolverTest, DefaultBackendsAreRegisteredForEveryFamily) {
        }) {
     EXPECT_TRUE(registry.Contains(name)) << name;
     const auto names = registry.RegisteredNames();
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
-        << name;
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end()) << name;
   }
 }
 
@@ -78,9 +77,8 @@ TEST(EmbeddedSolverTest, MalformedNamesAreRejectedWithClearErrors) {
   ASSERT_FALSE(bad_spec.ok());
   EXPECT_EQ(bad_spec.status().code(), StatusCode::kInvalidArgument);
   // Missing pieces.
-  for (const std::string name :
-       {"embedded:", "embedded:simulated_annealing",
-        "embedded:simulated_annealing:"}) {
+  for (const std::string name : {"embedded:", "embedded:simulated_annealing",
+                                 "embedded:simulated_annealing:"}) {
     auto result = registry.Create(name);
     ASSERT_FALSE(result.ok()) << name;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
@@ -134,8 +132,7 @@ TEST(EmbeddedSolverTest, BaseFailureIsAnnotatedWithBaseAndTopology) {
   // failed on which topology.
   Qubo wide(16);
   for (int i = 0; i < 16; ++i) wide.AddLinear(i, -1.0);
-  auto result =
-      SolveWith("embedded:exact:pegasus:6", wide, {.num_reads = 1});
+  auto result = SolveWith("embedded:exact:pegasus:6", wide, {.num_reads = 1});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("base 'exact' on pegasus:6"),
@@ -248,8 +245,8 @@ TEST(ChainBreakPolicyTest, DiscardDropsBrokenSamplesButNeverReturnsEmpty) {
   SampleSet physical;
   physical.Add(f.BrokenSample());
   physical.Add(f.AlignedSample());
-  SampleSet kept = UnembedAll(f.logical, f.embedded, physical,
-                              ChainBreakPolicy::kDiscard);
+  SampleSet kept =
+      UnembedAll(f.logical, f.embedded, physical, ChainBreakPolicy::kDiscard);
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept.best().assignment, (Assignment{1, 1, 0}));
   EXPECT_EQ(kept.best().chain_break_fraction, 0.0);
@@ -257,8 +254,8 @@ TEST(ChainBreakPolicyTest, DiscardDropsBrokenSamplesButNeverReturnsEmpty) {
   // All-broken input: documented fallback to majority vote on everything.
   SampleSet all_broken;
   all_broken.Add(f.BrokenSample());
-  SampleSet fallback = UnembedAll(f.logical, f.embedded, all_broken,
-                                  ChainBreakPolicy::kDiscard);
+  SampleSet fallback =
+      UnembedAll(f.logical, f.embedded, all_broken, ChainBreakPolicy::kDiscard);
   ASSERT_EQ(fallback.size(), 1u);
   EXPECT_EQ(fallback.best().assignment, (Assignment{1, 0, 0}));
   EXPECT_GT(fallback.best().chain_break_fraction, 0.0);
@@ -277,8 +274,8 @@ TEST(ChainBreakPolicyTest, PoliciesAgreeWhenChainsHold) {
        {ChainBreakPolicy::kMajorityVote, ChainBreakPolicy::kMinimizeEnergy,
         ChainBreakPolicy::kDiscard}) {
     options.chain_break_policy = policy;
-    auto result = SolveWith("embedded:simulated_annealing:chimera:2x2x4", q,
-                            options);
+    auto result =
+        SolveWith("embedded:simulated_annealing:chimera:2x2x4", q, options);
     ASSERT_TRUE(result.ok()) << result.status();
     for (const Sample& s : result->samples()) {
       EXPECT_EQ(s.chain_break_fraction, 0.0) << ToString(policy);

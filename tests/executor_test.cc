@@ -85,8 +85,8 @@ TEST(ExecutorTest, AllJoinOrdersProduceTheSameRelation) {
   // The core optimizer-correctness invariant: plan choice changes cost, not
   // semantics.
   Rng rng(3);
-  for (QueryShape shape : {QueryShape::kChain, QueryShape::kStar,
-                           QueryShape::kCycle}) {
+  for (QueryShape shape :
+       {QueryShape::kChain, QueryShape::kStar, QueryShape::kCycle}) {
     GeneratedWorkload w = GenerateJoinWorkload(
         shape, 4, WorkloadOptions{.min_rows = 10, .max_rows = 40}, &rng);
 
@@ -104,8 +104,8 @@ TEST(ExecutorTest, AllJoinOrdersProduceTheSameRelation) {
     } while (std::next_permutation(order.begin(), order.end()) && plans < 8);
 
     EXPECT_EQ(fingerprints.size(), 1u)
-        << QueryShapeToString(shape) << ": plans disagree on output ("
-        << rows << " rows)";
+        << QueryShapeToString(shape) << ": plans disagree on output (" << rows
+        << " rows)";
   }
 }
 
@@ -114,13 +114,11 @@ TEST(ExecutorTest, BushyPlanMatchesLeftDeepOutput) {
   GeneratedWorkload w = GenerateJoinWorkload(
       QueryShape::kChain, 4, WorkloadOptions{.min_rows = 15, .max_rows = 30},
       &rng);
-  auto left_deep =
-      ExecuteJoinTree(LeftDeepFromPermutation({0, 1, 2, 3}), w.graph,
-                      w.catalog);
-  auto bushy = ExecuteJoinTree(
-      MakeJoin(MakeJoin(MakeLeaf(0), MakeLeaf(1)),
-               MakeJoin(MakeLeaf(2), MakeLeaf(3))),
-      w.graph, w.catalog);
+  auto left_deep = ExecuteJoinTree(LeftDeepFromPermutation({0, 1, 2, 3}),
+                                   w.graph, w.catalog);
+  auto bushy = ExecuteJoinTree(MakeJoin(MakeJoin(MakeLeaf(0), MakeLeaf(1)),
+                                        MakeJoin(MakeLeaf(2), MakeLeaf(3))),
+                               w.graph, w.catalog);
   ASSERT_TRUE(left_deep.ok());
   ASSERT_TRUE(bushy.ok());
   EXPECT_EQ(left_deep->num_rows(), bushy->num_rows());
@@ -141,9 +139,8 @@ TEST(EstimatorTest, EstimatesTrackActualJoinSizes) {
       auto result = ExecuteJoinTree(MakeJoin(MakeLeaf(e.a), MakeLeaf(e.b)),
                                     w.graph, w.catalog);
       ASSERT_TRUE(result.ok());
-      const double estimated =
-          w.graph.SubsetCardinality((uint32_t{1} << e.a) |
-                                    (uint32_t{1} << e.b));
+      const double estimated = w.graph.SubsetCardinality((uint32_t{1} << e.a) |
+                                                         (uint32_t{1} << e.b));
       const double actual = std::max<size_t>(result->num_rows(), 1);
       log_error_total += std::abs(std::log(estimated / actual));
       ++joins;

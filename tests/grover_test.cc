@@ -170,8 +170,8 @@ TEST(DurrHoyerTest, FindsGlobalMinimum) {
     const uint64_t planted = static_cast<uint64_t>(rng.UniformInt(0, size - 1));
     f[planted] = -1.0;
 
-    MinimumResult r =
-        DurrHoyerMinimum(n, [&](uint64_t z) { return f[z]; }, &rng);
+    MinimumResult r = DurrHoyerMinimum(
+        n, [&](uint64_t z) { return f[z]; }, &rng);
     if (r.argmin == planted) ++exact_hits;
   }
   EXPECT_GE(exact_hits, 9) << "Durr-Hoyer should locate the planted minimum";
@@ -183,12 +183,11 @@ TEST(DurrHoyerTest, QueryCountScalesAsSqrtN) {
     const uint64_t size = uint64_t{1} << n;
     std::vector<double> f(size);
     for (auto& v : f) v = rng.Uniform(0, 1);
-    MinimumResult r =
-        DurrHoyerMinimum(n, [&](uint64_t z) { return f[z]; }, &rng);
+    MinimumResult r = DurrHoyerMinimum(
+        n, [&](uint64_t z) { return f[z]; }, &rng);
     const auto bound =
         static_cast<int64_t>(23.0 * std::sqrt(static_cast<double>(size)));
-    EXPECT_LE(r.oracle_queries, bound + 64)
-        << "n=" << n;
+    EXPECT_LE(r.oracle_queries, bound + 64) << "n=" << n;
   }
 }
 

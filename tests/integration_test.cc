@@ -132,8 +132,9 @@ TEST(IntegrationTest, QuantumTokenLifecycle) {
 
   // Encode the sampled member in a qubit phase.
   const double theta = (*sampled % 8) * M_PI / 8.0;
-  ASSERT_TRUE(store.PutQuantum(a, "row-token",
-                               qnet::Qubit::FromAngles(theta, 0.0)).ok());
+  ASSERT_TRUE(
+      store.PutQuantum(a, "row-token", qnet::Qubit::FromAngles(theta, 0.0))
+          .ok());
   EXPECT_EQ(store.ReplicateQuantum("row-token", b).code(),
             StatusCode::kFailedPrecondition);
   ASSERT_TRUE(store.MigrateQuantum("row-token", b).ok());

@@ -97,8 +97,7 @@ TEST(OptimalLeftDeepTest, MatchesExhaustivePermutationSearch) {
 TEST(OptimalBushyTest, NeverWorseThanLeftDeep) {
   Rng rng(11);
   for (int trial = 0; trial < 12; ++trial) {
-    JoinGraph g = MakeRandomQuery(
-        static_cast<QueryShape>(trial % 4), 7, &rng);
+    JoinGraph g = MakeRandomQuery(static_cast<QueryShape>(trial % 4), 7, &rng);
     PlanResult bushy = OptimalBushyPlan(g);
     PlanResult left_deep = OptimalLeftDeepPlan(g);
     EXPECT_LE(bushy.cost, left_deep.cost * (1 + 1e-9));
@@ -123,7 +122,7 @@ TEST(OptimalBushyTest, BushyBeatsLeftDeepOnDumbbellChain) {
 
   PlanResult bushy = OptimalBushyPlan(g);
   PlanResult left_deep = OptimalLeftDeepPlan(g);
-  EXPECT_DOUBLE_EQ(bushy.cost, 3.0);      // 1 + 1 + 1.
+  EXPECT_DOUBLE_EQ(bushy.cost, 3.0);         // 1 + 1 + 1.
   EXPECT_DOUBLE_EQ(left_deep.cost, 1002.0);  // 1 + 1000 + 1.
   EXPECT_LT(bushy.cost, left_deep.cost);
   EXPECT_FALSE(IsLeftDeep(bushy.tree));

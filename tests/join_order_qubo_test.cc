@@ -35,8 +35,8 @@ TEST(JoinOrderQuboTest, FeasibleEnergiesEqualLogProxy) {
 TEST(JoinOrderQuboTest, GroundStateIsProxyOptimalPermutation) {
   Rng rng(5);
   for (int trial = 0; trial < 4; ++trial) {
-    db::JoinGraph g = db::MakeRandomQuery(
-        static_cast<db::QueryShape>(trial % 4), 4, &rng);
+    db::JoinGraph g =
+        db::MakeRandomQuery(static_cast<db::QueryShape>(trial % 4), 4, &rng);
     JoinOrderQubo encoding(g);
     anneal::Sample ground = anneal::ExactSolver::Solve(encoding.qubo());
     std::vector<int> order = encoding.Decode(ground.assignment);
@@ -99,8 +99,8 @@ TEST(JoinOrderQuboTest, ProxyOptimumTracksCoutOptimum) {
   Rng rng(13);
   double worst_ratio = 1.0;
   for (int trial = 0; trial < 12; ++trial) {
-    db::JoinGraph g = db::MakeRandomQuery(
-        static_cast<db::QueryShape>(trial % 4), 6, &rng);
+    db::JoinGraph g =
+        db::MakeRandomQuery(static_cast<db::QueryShape>(trial % 4), 6, &rng);
     std::vector<int> proxy_best = OptimalOrderUnderProxy(g);
     const double proxy_cout = db::PermutationCost(proxy_best, g);
     const double true_cout = db::OptimalLeftDeepPlan(g).cost;

@@ -108,9 +108,8 @@ TEST(MagicSquareTest, ParityConstraintsHoldPerRound) {
     const int row = static_cast<int>(rng.UniformInt(0, 2));
     const int col = static_cast<int>(rng.UniformInt(0, 2));
     MagicSquareRound round = PlayMagicSquareRound(row, col, &rng);
-    EXPECT_EQ(round.alice_signs[0] * round.alice_signs[1] *
-                  round.alice_signs[2],
-              1);
+    EXPECT_EQ(
+        round.alice_signs[0] * round.alice_signs[1] * round.alice_signs[2], 1);
     const int expected_col_product = col == 2 ? -1 : 1;
     EXPECT_EQ(round.bob_signs[0] * round.bob_signs[1] * round.bob_signs[2],
               expected_col_product);

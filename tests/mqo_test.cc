@@ -124,8 +124,7 @@ TEST(MqoEndToEndTest, AnnealerSolvesGeneratedInstances) {
     MqoProblem p = GenerateMqoProblem(5, 3, 0.3, &rng);
     Result<MqoSolution> decoded = SolveMqo(p, "simulated_annealing", options);
     ASSERT_TRUE(decoded.ok()) << decoded.status();
-    if (decoded->feasible &&
-        decoded->cost <= ExhaustiveMqo(p).cost + 1e-9) {
+    if (decoded->feasible && decoded->cost <= ExhaustiveMqo(p).cost + 1e-9) {
       ++solved;
     }
   }

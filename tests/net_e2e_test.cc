@@ -164,8 +164,8 @@ TEST(NetParityTest, RemoteBatchBitIdenticalToSolveBatchParallel) {
   for (uint64_t i = 0; i < 5; ++i) qubos.push_back(MakeQubo(4, 100 + i));
   const SolverOptions options = FastOptions(7);
 
-  auto sync = anneal::SolveBatchParallel("simulated_annealing", qubos,
-                                         options, /*num_threads=*/1);
+  auto sync = anneal::SolveBatchParallel("simulated_annealing", qubos, options,
+                                         /*num_threads=*/1);
   ASSERT_TRUE(sync.ok()) << sync.status();
 
   std::unique_ptr<QdmServer> server = StartServer(2);
@@ -181,8 +181,8 @@ TEST(NetParityTest, RemoteBatchBitIdenticalToSolveBatchParallel) {
 TEST(NetParityTest, RemoteRaceBitIdenticalToSyncRace) {
   const Qubo qubo = MakeQubo(5, 33);
   const SolverOptions options = FastOptions(55);
-  auto sync = anneal::SolveWith("race:simulated_annealing+tabu_search",
-                                qubo, options);
+  auto sync =
+      anneal::SolveWith("race:simulated_annealing+tabu_search", qubo, options);
   ASSERT_TRUE(sync.ok()) << sync.status();
 
   std::unique_ptr<QdmServer> server = StartServer(2);
@@ -281,8 +281,8 @@ TEST(NetIntrospectionTest, SolversStatsHealthz) {
   ASSERT_TRUE(solvers.ok()) << solvers.status();
   EXPECT_EQ(*solvers, anneal::SolverRegistry::Global().RegisteredNames());
 
-  auto id = client.Submit("simulated_annealing", MakeQubo(3, 1),
-                          FastOptions(2));
+  auto id =
+      client.Submit("simulated_annealing", MakeQubo(3, 1), FastOptions(2));
   ASSERT_TRUE(id.ok()) << id.status();
   ASSERT_TRUE(client.Wait(*id).ok());
 
@@ -359,8 +359,7 @@ TEST(NetTaxonomyTest, MalformedBodyIs400NamingTheProblem) {
   const Status truncated = RawExpectHttp(server->port(), "POST", "/v1/jobs",
                                          "{\"version\":1,\"ty", 400);
   EXPECT_EQ(truncated.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(truncated.message().find("JSON parse error"),
-            std::string::npos);
+  EXPECT_NE(truncated.message().find("JSON parse error"), std::string::npos);
 
   const Status unknown_version = RawExpectHttp(
       server->port(), "POST", "/v1/jobs", "{\"version\":99}", 400);
@@ -443,8 +442,7 @@ TEST(NetTaxonomyTest, QueueFullIs429AndCancelledIs409) {
   EXPECT_EQ(snapshot->status, waited.status());
   EXPECT_EQ(RawExpectHttp(server->port(), "POST",
                           StrFormat("/v1/jobs/%llu/wait",
-                                    static_cast<unsigned long long>(
-                                        *queued)),
+                                    static_cast<unsigned long long>(*queued)),
                           "", 409),
             waited.status());
 
@@ -490,8 +488,7 @@ TEST(NetTaxonomyTest, ExpiredDeadlineIs504WithTheServiceMessage) {
   EXPECT_EQ(snapshot->status, waited.status());
   EXPECT_EQ(RawExpectHttp(server->port(), "POST",
                           StrFormat("/v1/jobs/%llu/wait",
-                                    static_cast<unsigned long long>(
-                                        *doomed)),
+                                    static_cast<unsigned long long>(*doomed)),
                           "", 504),
             waited.status());
 
@@ -521,8 +518,8 @@ TEST(NetLifecycleTest, StopDrainsAndStopsAccepting) {
   std::unique_ptr<QdmServer> server = StartServer(2);
   const int port = server->port();
   QdmClient client(port);
-  auto id = client.Submit("simulated_annealing", MakeQubo(3, 2),
-                          FastOptions(3));
+  auto id =
+      client.Submit("simulated_annealing", MakeQubo(3, 2), FastOptions(3));
   ASSERT_TRUE(id.ok()) << id.status();
   ASSERT_TRUE(client.Wait(*id).ok());
 

@@ -87,8 +87,7 @@ TEST(NoisySolverTest, ArbitrarySpecsResolveThroughThePrefixFactory) {
         "noisy:phase@0.2:qaoa", "noisy:readout@0.1:simulated_annealing"}) {
     // Not eagerly registered...
     const auto names = registry.RegisteredNames();
-    EXPECT_EQ(std::find(names.begin(), names.end(), name), names.end())
-        << name;
+    EXPECT_EQ(std::find(names.begin(), names.end(), name), names.end()) << name;
     // ...but still resolvable, reporting the name it was created under.
     EXPECT_TRUE(registry.Contains(name)) << name;
     auto solver = registry.Create(name);
@@ -163,8 +162,7 @@ TEST(NoisySolverTest, PresetOptionsNoiseIsRejected) {
   ASSERT_TRUE(spec.ok());
   SolverOptions options = FastOptions(1);
   options.noise = *spec;
-  auto result =
-      SolveWith("noisy:depol@0.01:qaoa", SmallBatch(1)[0], options);
+  auto result = SolveWith("noisy:depol@0.01:qaoa", SmallBatch(1)[0], options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find(
@@ -210,8 +208,7 @@ TEST(NoisySolverTest, BaseFailuresReadTheSameOnEveryBatchPath) {
 TEST(NoisySolverTest, ZeroRateWrapperIsBitIdenticalToEveryBareBackend) {
   const Qubo q = SmallBatch(1)[0];
   const SolverOptions options = FastOptions(7);
-  for (const std::string& name :
-       SolverRegistry::Global().RegisteredNames()) {
+  for (const std::string& name : SolverRegistry::Global().RegisteredNames()) {
     if (name.rfind("noisy:", 0) == 0) continue;  // One wrapper per backend.
     auto bare = SolveWith(name, q, options);
     ASSERT_TRUE(bare.ok()) << name << ": " << bare.status();
@@ -227,9 +224,9 @@ TEST(NoisySolverTest, ZeroRateWrapperIsBitIdenticalToEveryBareBackend) {
 TEST(NoisySolverTest, BatchIsBitIdenticalAcrossThreadCountsForEveryChannel) {
   const std::vector<Qubo> qubos = SmallBatch(4);
   const SolverOptions options = FastOptions(17);
-  const std::vector<std::string> models = {
-      "depol@0.05", "damp@0.1", "pauli@0.02,0.01,0.03", "phase@0.1",
-      "readout@0.05"};
+  const std::vector<std::string> models = {"depol@0.05", "damp@0.1",
+                                           "pauli@0.02,0.01,0.03", "phase@0.1",
+                                           "readout@0.05"};
   const std::vector<std::string> bases = {"qaoa", "vqe", "grover_min"};
   for (const std::string& model : models) {
     for (const std::string& base : bases) {
@@ -248,8 +245,7 @@ TEST(NoisySolverTest, BatchIsBitIdenticalAcrossThreadCountsForEveryChannel) {
       }
       // Batch instance i == a standalone solve at seed + i.
       for (size_t i = 0; i < qubos.size(); ++i) {
-        auto single =
-            SolveWith(name, qubos[i], DeriveBatchOptions(options, i));
+        auto single = SolveWith(name, qubos[i], DeriveBatchOptions(options, i));
         ASSERT_TRUE(single.ok()) << name << ": " << single.status();
         EXPECT_TRUE(BitIdentical((*one)[i], *single))
             << name << " instance " << i << " vs derived single solve";
@@ -287,8 +283,7 @@ TEST(NoisySolverTest, NoiseFidelityIsReportedOnBothPaths) {
   SolverOptions options = FastOptions(3);
   options.num_reads = 8;
   // Density path (3 qubits).
-  auto density = SolveWith("noisy:depol@0.05:qaoa", SmallBatch(1)[0],
-                           options);
+  auto density = SolveWith("noisy:depol@0.05:qaoa", SmallBatch(1)[0], options);
   ASSERT_TRUE(density.ok()) << density.status();
   EXPECT_GT(density->noise_fidelity(), 0.0);
   EXPECT_LT(density->noise_fidelity(), 1.0);
@@ -299,8 +294,8 @@ TEST(NoisySolverTest, NoiseFidelityIsReportedOnBothPaths) {
   EXPECT_GT(trajectory->noise_fidelity(), 0.0);
   EXPECT_LT(trajectory->noise_fidelity(), 1.0);
   // Grover's classical-corruption fallback.
-  auto grover = SolveWith("noisy:depol@0.05:grover_min", SmallBatch(1)[0],
-                          options);
+  auto grover =
+      SolveWith("noisy:depol@0.05:grover_min", SmallBatch(1)[0], options);
   ASSERT_TRUE(grover.ok()) << grover.status();
   EXPECT_GT(grover->noise_fidelity(), 0.0);
   EXPECT_LT(grover->noise_fidelity(), 1.0);
@@ -316,13 +311,13 @@ TEST(NoisySolverTest, ComposesWithRaceAndEmbeddedFamilies) {
   const Qubo q = SmallBatch(1)[0];
   const SolverOptions options = FastOptions(13);
   // A noisy bridge can race a classical backend.
-  auto race = SolveWith("race:noisy:depol@0.01:qaoa+simulated_annealing", q,
-                        options);
+  auto race =
+      SolveWith("race:noisy:depol@0.01:qaoa+simulated_annealing", q, options);
   ASSERT_TRUE(race.ok()) << race.status();
   EXPECT_FALSE(race->empty());
   // And a noisy wrapper can sit on top of an embedded gate-based base.
-  auto embedded = SolveWith("noisy:depol@0.01:embedded:qaoa:chimera:1x1x4",
-                            q, options);
+  auto embedded =
+      SolveWith("noisy:depol@0.01:embedded:qaoa:chimera:1x1x4", q, options);
   ASSERT_TRUE(embedded.ok()) << embedded.status();
   EXPECT_FALSE(embedded->empty());
 }

@@ -130,8 +130,7 @@ TEST(PortfolioSolverTest, WinnerMatchesBestMemberUnderDerivedSeeds) {
   // Member i races with seed options.seed + i; reproduce each solo.
   std::vector<SampleSet> solo;
   for (size_t i = 0; i < members.size(); ++i) {
-    auto result =
-        SolveWith(members[i], qubo, DeriveBatchOptions(options, i));
+    auto result = SolveWith(members[i], qubo, DeriveBatchOptions(options, i));
     ASSERT_TRUE(result.ok()) << members[i] << ": " << result.status();
     solo.push_back(*result);
   }
@@ -153,8 +152,8 @@ TEST(PortfolioSolverTest, EqualBestEnergiesKeepTheEarlierMember) {
   // supply the returned set, in both orders.
   const Qubo qubo = SmallQubo();
   const SolverOptions options = FastOptions(5);
-  SampleSet sa = *SolveWith("simulated_annealing", qubo,
-                            DeriveBatchOptions(options, 0));
+  SampleSet sa =
+      *SolveWith("simulated_annealing", qubo, DeriveBatchOptions(options, 0));
   SampleSet exact_first =
       *SolveWith("exact", qubo, DeriveBatchOptions(options, 0));
   ASSERT_EQ(sa.best().energy, exact_first.best().energy)
@@ -178,8 +177,7 @@ TEST(PortfolioSolverTest, FailingMembersAreDroppedWhileAnySurvives) {
   // returns the tabu survivor (solved with its derived seed + 1).
   const Qubo qubo = OversizedQubo();
   const SolverOptions options = FastOptions(9);
-  auto raced =
-      SolveRaceParallel({"exact", "tabu_search"}, qubo, options, 2);
+  auto raced = SolveRaceParallel({"exact", "tabu_search"}, qubo, options, 2);
   ASSERT_TRUE(raced.ok()) << raced.status();
   SampleSet tabu =
       *SolveWith("tabu_search", qubo, DeriveBatchOptions(options, 1));

@@ -31,12 +31,20 @@ circuit::Circuit RandomCircuit(int qubits, int gates, Rng* rng) {
   circuit::Circuit c(qubits);
   for (int g = 0; g < gates; ++g) {
     switch (rng->UniformInt(0, 5)) {
-      case 0: c.H(static_cast<int>(rng->UniformInt(0, qubits - 1))); break;
-      case 1: c.T(static_cast<int>(rng->UniformInt(0, qubits - 1))); break;
-      case 2: c.RY(static_cast<int>(rng->UniformInt(0, qubits - 1)),
-                   rng->Uniform(-3, 3)); break;
-      case 3: c.RZ(static_cast<int>(rng->UniformInt(0, qubits - 1)),
-                   rng->Uniform(-3, 3)); break;
+      case 0:
+        c.H(static_cast<int>(rng->UniformInt(0, qubits - 1)));
+        break;
+      case 1:
+        c.T(static_cast<int>(rng->UniformInt(0, qubits - 1)));
+        break;
+      case 2:
+        c.RY(static_cast<int>(rng->UniformInt(0, qubits - 1)),
+             rng->Uniform(-3, 3));
+        break;
+      case 3:
+        c.RZ(static_cast<int>(rng->UniformInt(0, qubits - 1)),
+             rng->Uniform(-3, 3));
+        break;
       default: {
         int a = static_cast<int>(rng->UniformInt(0, qubits - 1));
         int b = static_cast<int>(rng->UniformInt(0, qubits - 2));
@@ -135,11 +143,10 @@ TEST_P(SeededProperty, GroverSuccessMatchesSineFormula) {
   while (marked.size() < marked_count) {
     marked.insert(static_cast<uint64_t>(rng.UniformInt(0, size - 1)));
   }
-  algo::CountingOracle oracle(
-      [&](uint64_t x) { return marked.count(x) > 0; });
+  algo::CountingOracle oracle([&](uint64_t x) { return marked.count(x) > 0; });
   algo::GroverResult r = algo::GroverSearch(n, &oracle, marked.size(), &rng);
-  const double theta = std::asin(std::sqrt(
-      static_cast<double>(marked.size()) / size));
+  const double theta =
+      std::asin(std::sqrt(static_cast<double>(marked.size()) / size));
   EXPECT_NEAR(r.success_probability,
               std::pow(std::sin((2 * r.iterations + 1) * theta), 2), 1e-9);
 }
@@ -148,8 +155,8 @@ TEST_P(SeededProperty, GroverSuccessMatchesSineFormula) {
 
 TEST_P(SeededProperty, JoinOrderQuboEnergyEqualsProxyOnPermutations) {
   Rng rng(GetParam());
-  db::JoinGraph g = db::MakeRandomQuery(
-      static_cast<db::QueryShape>(GetParam() % 4), 5, &rng);
+  db::JoinGraph g =
+      db::MakeRandomQuery(static_cast<db::QueryShape>(GetParam() % 4), 5, &rng);
   qopt::JoinOrderQubo encoding(g);
   std::vector<int> order{0, 1, 2, 3, 4};
   rng.Shuffle(&order);

@@ -88,9 +88,9 @@ TEST(SetOpsTest, IntersectionFindsCommonElement) {
   Rng rng(17);
   // A = multiples of 3, B = multiples of 5 in [0, 256): witnesses are
   // multiples of 15.
-  SetOpStats stats = QuantumIntersectionSearch(
-      [](uint64_t x) { return x % 3 == 0; },
-      [](uint64_t x) { return x % 5 == 0; }, 8, &rng);
+  SetOpStats stats =
+      QuantumIntersectionSearch([](uint64_t x) { return x % 3 == 0; },
+                                [](uint64_t x) { return x % 5 == 0; }, 8, &rng);
   EXPECT_TRUE(stats.found);
   EXPECT_EQ(stats.witness % 15, 0u);
   EXPECT_GT(stats.classical_queries, 0);
@@ -98,23 +98,23 @@ TEST(SetOpsTest, IntersectionFindsCommonElement) {
 
 TEST(SetOpsTest, EmptyIntersectionReportsNotFound) {
   Rng rng(19);
-  SetOpStats stats = QuantumIntersectionSearch(
-      [](uint64_t x) { return x % 2 == 0; },
-      [](uint64_t x) { return x % 2 == 1; }, 6, &rng);
+  SetOpStats stats =
+      QuantumIntersectionSearch([](uint64_t x) { return x % 2 == 0; },
+                                [](uint64_t x) { return x % 2 == 1; }, 6, &rng);
   EXPECT_FALSE(stats.found);
 }
 
 TEST(SetOpsTest, UnionAndDifference) {
   Rng rng(23);
-  SetOpStats u = QuantumUnionSearch(
-      [](uint64_t x) { return x == 40; },
-      [](uint64_t x) { return x == 41; }, 6, &rng);
+  SetOpStats u =
+      QuantumUnionSearch([](uint64_t x) { return x == 40; },
+                         [](uint64_t x) { return x == 41; }, 6, &rng);
   EXPECT_TRUE(u.found);
   EXPECT_TRUE(u.witness == 40 || u.witness == 41);
 
-  SetOpStats d = QuantumDifferenceSearch(
-      [](uint64_t x) { return x % 4 == 0; },
-      [](uint64_t x) { return x % 8 == 0; }, 6, &rng);
+  SetOpStats d =
+      QuantumDifferenceSearch([](uint64_t x) { return x % 4 == 0; },
+                              [](uint64_t x) { return x % 8 == 0; }, 6, &rng);
   EXPECT_TRUE(d.found);
   EXPECT_EQ(d.witness % 4, 0u);
   EXPECT_NE(d.witness % 8, 0u);

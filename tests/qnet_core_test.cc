@@ -185,8 +185,8 @@ TEST(TeleportTest, PerfectPairDeliversExactState) {
     const double phi = rng.Uniform(0, 2 * M_PI);
     Qubit payload = Qubit::FromAngles(theta, phi);
     const Complex a = payload.alpha(), b = payload.beta();
-    TeleportResult result = Teleport(std::move(payload), EprPair{1.0, 0.0},
-                                     100.0, &rng);
+    TeleportResult result =
+        Teleport(std::move(payload), EprPair{1.0, 0.0}, 100.0, &rng);
     EXPECT_NEAR(result.received.FidelityWith(a, b), 1.0, 1e-12);
     EXPECT_GT(result.classical_latency_s, 0.0);
   }

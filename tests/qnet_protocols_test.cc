@@ -302,8 +302,7 @@ TEST(DistributedStoreTest, KeyNamespaceIsShared) {
   ASSERT_TRUE(store.PutClassical(0, "k", "v").ok());
   EXPECT_EQ(store.PutQuantum(1, "k", Qubit::Zero()).code(),
             StatusCode::kAlreadyExists);
-  EXPECT_EQ(store.PutClassical(1, "k", "w").code(),
-            StatusCode::kAlreadyExists);
+  EXPECT_EQ(store.PutClassical(1, "k", "w").code(), StatusCode::kAlreadyExists);
 }
 
 }  // namespace

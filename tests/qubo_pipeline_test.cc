@@ -61,8 +61,8 @@ QuboPipeline<PickOneProblem, PickOneSolution> TinyPipeline(
 }
 
 int ArgMin(const std::vector<double>& weights) {
-  return static_cast<int>(
-      std::min_element(weights.begin(), weights.end()) - weights.begin());
+  return static_cast<int>(std::min_element(weights.begin(), weights.end()) -
+                          weights.begin());
 }
 
 anneal::SolverOptions FastOptions(uint64_t seed) {
@@ -142,8 +142,7 @@ TEST(QuboPipelineTest, BatchFailureNamesTheInstanceButBatchOfOneStaysBare) {
 
   auto single = TinyPipeline("exact").Run(problems[1], FastOptions(2));
   ASSERT_FALSE(single.ok());
-  EXPECT_EQ(single.status().message().find("batch instance"),
-            std::string::npos)
+  EXPECT_EQ(single.status().message().find("batch instance"), std::string::npos)
       << single.status().message();
 }
 

@@ -22,8 +22,8 @@ TEST(ParserTest, ParsesSimpleJoin) {
 }
 
 TEST(ParserTest, KeywordsAreCaseInsensitive) {
-  auto query = ParseConjunctiveQuery(
-      "select * From A, B wHeRe A.x = B.y AnD A.z = B.w");
+  auto query =
+      ParseConjunctiveQuery("select * From A, B wHeRe A.x = B.y AnD A.z = B.w");
   ASSERT_TRUE(query.ok());
   EXPECT_EQ(query->predicates.size(), 2u);
 }

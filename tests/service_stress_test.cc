@@ -208,8 +208,7 @@ TEST(ServiceStressTest, ProducersTimesJobsAllMatchSync) {
         const SolverOptions options = FastOptions(seed);
         switch (j % 3) {
           case 0: {
-            auto sync =
-                anneal::SolveWith("simulated_annealing", qubo, options);
+            auto sync = anneal::SolveWith("simulated_annealing", qubo, options);
             ASSERT_TRUE(sync.ok()) << sync.status();
             auto submitted =
                 service.Submit("simulated_annealing", qubo, options);
@@ -220,8 +219,8 @@ TEST(ServiceStressTest, ProducersTimesJobsAllMatchSync) {
           }
           case 1: {
             std::vector<Qubo> qubos = {qubo, MakeQubo(4, seed + 7)};
-            auto sync = anneal::SolveBatchParallel("simulated_annealing",
-                                                   qubos, options, 1);
+            auto sync = anneal::SolveBatchParallel("simulated_annealing", qubos,
+                                                   options, 1);
             ASSERT_TRUE(sync.ok()) << sync.status();
             auto submitted =
                 service.SubmitBatch("simulated_annealing", qubos, options);
@@ -330,8 +329,8 @@ TEST(ServiceStressTest, ManyServicesShareOnePoolWithoutInterference) {
   for (int i = 0; i < 8; ++i) {
     const uint64_t seed = 4000 + i;
     const Qubo qubo = MakeQubo(4, seed);
-    auto sync = anneal::SolveWith("simulated_annealing", qubo,
-                                  FastOptions(seed));
+    auto sync =
+        anneal::SolveWith("simulated_annealing", qubo, FastOptions(seed));
     ASSERT_TRUE(sync.ok());
     auto sa = a.Submit("simulated_annealing", qubo, FastOptions(seed));
     auto sb = b.Submit("simulated_annealing", qubo, FastOptions(seed));
@@ -360,8 +359,8 @@ TEST(ServiceStressTest, CancellationStormMidQueue) {
   StressGate::Get().ResetStarted();
   StressGate::Get().Close();
   SolverService service(ServiceConfig{1, 0, 0});
-  auto blocker = service.Submit("stress_blocking", MakeQubo(4, 1),
-                                FastOptions(1));
+  auto blocker =
+      service.Submit("stress_blocking", MakeQubo(4, 1), FastOptions(1));
   ASSERT_TRUE(blocker.ok());
   StressGate::Get().WaitForStarted(1);
 
@@ -369,9 +368,8 @@ TEST(ServiceStressTest, CancellationStormMidQueue) {
   // worker is still parked.
   std::vector<JobId> ids;
   for (int i = 0; i < 30; ++i) {
-    auto submitted = service.Submit("simulated_annealing",
-                                    MakeQubo(4, 5000 + i),
-                                    FastOptions(5000 + i));
+    auto submitted = service.Submit(
+        "simulated_annealing", MakeQubo(4, 5000 + i), FastOptions(5000 + i));
     ASSERT_TRUE(submitted.ok());
     ids.push_back(submitted->id);
   }
@@ -405,10 +403,8 @@ TEST(ServiceStressTest, CancelMidRunStopsBatchAtInstanceBoundary) {
   StressGate::Get().ResetStarted();
   StressGate::Get().Close();
   SolverService service(ServiceConfig{1, 0, 0});
-  std::vector<Qubo> qubos = {MakeQubo(4, 10), MakeQubo(4, 11),
-                             MakeQubo(4, 12)};
-  auto batch =
-      service.SubmitBatch("stress_blocking", qubos, FastOptions(10));
+  std::vector<Qubo> qubos = {MakeQubo(4, 10), MakeQubo(4, 11), MakeQubo(4, 12)};
+  auto batch = service.SubmitBatch("stress_blocking", qubos, FastOptions(10));
   ASSERT_TRUE(batch.ok());
   StressGate::Get().WaitForStarted(1);  // Instance 0 is mid-Solve.
   ASSERT_TRUE(service.Cancel(batch->id).ok());
@@ -435,8 +431,8 @@ TEST(ServiceStressTest, DeadlineExceededJobsNeverReturnOk) {
   StressGate::Get().ResetStarted();
   StressGate::Get().Close();
   SolverService service(ServiceConfig{1, 0, 0});
-  auto blocker = service.Submit("stress_blocking", MakeQubo(4, 2),
-                                FastOptions(2));
+  auto blocker =
+      service.Submit("stress_blocking", MakeQubo(4, 2), FastOptions(2));
   ASSERT_TRUE(blocker.ok());
   StressGate::Get().WaitForStarted(1);
 
@@ -480,9 +476,8 @@ TEST(ServiceStressTest, DestructorUnderLoadCancelsQueuedAndJoinsRunning) {
   {
     SolverService service(ServiceConfig{2, 0, 0});
     for (int i = 0; i < 24; ++i) {
-      auto submitted =
-          service.Submit("simulated_annealing", MakeQubo(4, 7000 + i),
-                         FastOptions(7000 + i));
+      auto submitted = service.Submit(
+          "simulated_annealing", MakeQubo(4, 7000 + i), FastOptions(7000 + i));
       ASSERT_TRUE(submitted.ok());
       futures.push_back(submitted->future);
     }

@@ -216,15 +216,15 @@ TEST(FutureTest, ThenRunsInlineWhenAlreadyResolved) {
 
 TEST(FutureTest, ThenRunsOnResolutionAndPropagatesErrors) {
   Promise<int> promise;
-  Future<int> chained = promise.future().Then<int>(
-      [](const Result<int>& r) -> Result<int> {
+  Future<int> chained =
+      promise.future().Then<int>([](const Result<int>& r) -> Result<int> {
         if (!r.ok()) return r.status();
         return *r + 1;
       });
-  Future<int> error_chained = promise.future().Then<int>(
-      [](const Result<int>& r) -> Result<int> {
-        if (!r.ok()) return Status::Internal("remapped: " +
-                                             r.status().message());
+  Future<int> error_chained =
+      promise.future().Then<int>([](const Result<int>& r) -> Result<int> {
+        if (!r.ok())
+          return Status::Internal("remapped: " + r.status().message());
         return *r;
       });
   EXPECT_FALSE(chained.ready());
@@ -364,8 +364,8 @@ TEST(ServiceRoundTripTest, AsyncMatchesSyncAtOneTwoAndEightWorkers) {
 TEST(ServiceRoundTripTest, SubmitRaceMatchesSyncRace) {
   const Qubo qubo = MakeQubo(6, 33);
   const SolverOptions options = FastOptions(42);
-  auto sync = anneal::SolveWith("race:simulated_annealing+tabu_search", qubo,
-                                options);
+  auto sync =
+      anneal::SolveWith("race:simulated_annealing+tabu_search", qubo, options);
   ASSERT_TRUE(sync.ok()) << sync.status();
 
   SolverService service;
@@ -448,8 +448,7 @@ TEST(ServiceWaitTest, WaitAfterCancelOfQueuedJobReturnsCancelled) {
   EXPECT_EQ(poll->state, JobState::kCancelled);
   EXPECT_EQ(poll->status.code(), StatusCode::kCancelled);
   // A second Cancel of a terminal job is FailedPrecondition.
-  EXPECT_EQ(service.Cancel(queued->id).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service.Cancel(queued->id).code(), StatusCode::kFailedPrecondition);
 
   Gate::Get().Open();
   auto blocker_result = service.Wait(blocker->id);
@@ -542,8 +541,8 @@ TEST(ServiceDeadlineTest, SolveFinishingAfterTheDeadlineIsNeverOk) {
   SolverService service(ServiceConfig{1, 0, 0});
   SubmitOptions submit;
   submit.deadline = milliseconds(30);
-  auto doomed = service.Submit("test_sleepy", MakeQubo(4, 8), FastOptions(8),
-                               submit);
+  auto doomed =
+      service.Submit("test_sleepy", MakeQubo(4, 8), FastOptions(8), submit);
   ASSERT_TRUE(doomed.ok()) << doomed.status();
   auto result = service.Wait(doomed->id);
   ASSERT_FALSE(result.ok());
@@ -625,23 +624,23 @@ TEST(ServiceAdmissionTest, HighWatermarkRejectsAndLowWatermarkResumes) {
   Gate::Get().WaitForStarted(1);
   EXPECT_TRUE(service.accepting());
 
-  auto q1 = service.Submit("simulated_annealing", MakeQubo(4, 12),
-                           FastOptions(12));
-  auto q2 = service.Submit("simulated_annealing", MakeQubo(4, 13),
-                           FastOptions(13));
+  auto q1 =
+      service.Submit("simulated_annealing", MakeQubo(4, 12), FastOptions(12));
+  auto q2 =
+      service.Submit("simulated_annealing", MakeQubo(4, 13), FastOptions(13));
   ASSERT_TRUE(q1.ok());
   ASSERT_TRUE(q2.ok());  // Queue depth now 2 == high watermark.
 
-  auto rejected = service.Submit("simulated_annealing", MakeQubo(4, 14),
-                                 FastOptions(14));
+  auto rejected =
+      service.Submit("simulated_annealing", MakeQubo(4, 14), FastOptions(14));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(service.accepting());
   EXPECT_EQ(service.stats().rejected, 1u);
 
   // Still above the low watermark: rejections continue (hysteresis).
-  auto rejected_again = service.Submit("simulated_annealing", MakeQubo(4, 15),
-                                       FastOptions(15));
+  auto rejected_again =
+      service.Submit("simulated_annealing", MakeQubo(4, 15), FastOptions(15));
   ASSERT_FALSE(rejected_again.ok());
   EXPECT_EQ(rejected_again.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(service.stats().rejected, 2u);
@@ -649,8 +648,8 @@ TEST(ServiceAdmissionTest, HighWatermarkRejectsAndLowWatermarkResumes) {
   // Drain to the low watermark (cancel one queued job) -> admission resumes.
   ASSERT_TRUE(service.Cancel(q2->id).ok());
   EXPECT_TRUE(service.accepting());
-  auto accepted = service.Submit("simulated_annealing", MakeQubo(4, 16),
-                                 FastOptions(16));
+  auto accepted =
+      service.Submit("simulated_annealing", MakeQubo(4, 16), FastOptions(16));
   ASSERT_TRUE(accepted.ok()) << accepted.status();
 
   Gate::Get().Open();
@@ -703,8 +702,8 @@ TEST(ServiceErrorTest, UnknownSolverIsNotFoundBeforeEnqueue) {
       anneal::SolverRegistry::Global().Create("no_such_backend").status();
   ASSERT_EQ(sync_status.code(), StatusCode::kNotFound);
 
-  auto submitted = service.Submit("no_such_backend", MakeQubo(3, 1),
-                                  FastOptions(1));
+  auto submitted =
+      service.Submit("no_such_backend", MakeQubo(3, 1), FastOptions(1));
   ASSERT_FALSE(submitted.ok());
   EXPECT_EQ(submitted.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(submitted.status().message(), sync_status.message());
@@ -826,8 +825,8 @@ TEST(ServiceShutdownTest, ShutdownCancelsQueuedLetsRunningFinish) {
   ASSERT_FALSE(queued_result.ok());
   EXPECT_EQ(queued_result.status().code(), StatusCode::kCancelled);
 
-  auto late = service.Submit("simulated_annealing", MakeQubo(4, 21),
-                             FastOptions(21));
+  auto late =
+      service.Submit("simulated_annealing", MakeQubo(4, 21), FastOptions(21));
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(service.accepting());

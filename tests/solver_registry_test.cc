@@ -70,8 +70,8 @@ TEST(SolverRegistryTest, SolveWithPropagatesUnknownSolverError) {
 
 TEST(SolverRegistryTest, DuplicateRegistrationIsRejected) {
   auto& registry = SolverRegistry::Global();
-  Status status = registry.Register(
-      "exact", [] { return std::unique_ptr<QuboSolver>(); });
+  Status status =
+      registry.Register("exact", [] { return std::unique_ptr<QuboSolver>(); });
   EXPECT_EQ(status.code(), StatusCode::kAlreadyExists);
 }
 

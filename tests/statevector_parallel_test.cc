@@ -343,15 +343,33 @@ TEST(StatevectorParallelTest, RandomCircuitParity) {
       const int q = static_cast<int>(rng.UniformInt(0, n - 1));
       const double theta = rng.Uniform(-M_PI, M_PI);
       switch (rng.UniformInt(0, n >= 3 ? 8 : (n >= 2 ? 6 : 2))) {
-        case 0: c.H(q); break;
-        case 1: c.U3(q, theta, 0.2, -0.9); break;
-        case 2: c.RX(q, theta); break;
-        case 3: c.CX(q, (q + 1) % n); break;
-        case 4: c.Swap(q, (q + 1) % n); break;
-        case 5: c.CPhase(q, (q + 1) % n, theta); break;
-        case 6: c.RZZ(q, (q + 1) % n, theta); break;
-        case 7: c.CCX(q, (q + 1) % n, (q + 2) % n); break;
-        case 8: c.CSwap(q, (q + 1) % n, (q + 2) % n); break;
+        case 0:
+          c.H(q);
+          break;
+        case 1:
+          c.U3(q, theta, 0.2, -0.9);
+          break;
+        case 2:
+          c.RX(q, theta);
+          break;
+        case 3:
+          c.CX(q, (q + 1) % n);
+          break;
+        case 4:
+          c.Swap(q, (q + 1) % n);
+          break;
+        case 5:
+          c.CPhase(q, (q + 1) % n, theta);
+          break;
+        case 6:
+          c.RZZ(q, (q + 1) % n, theta);
+          break;
+        case 7:
+          c.CCX(q, (q + 1) % n, (q + 2) % n);
+          break;
+        case 8:
+          c.CSwap(q, (q + 1) % n, (q + 2) % n);
+          break;
       }
     }
     Statevector serial(n);

@@ -97,8 +97,8 @@ void ExpectValidCliqueChains(const HardwareTopology& g, int n) {
       for (int a : chains[i]) {
         for (int b : chains[j]) coupled |= g.HasEdge(a, b);
       }
-      EXPECT_TRUE(coupled)
-          << g.name() << ": chains " << i << "," << j << " not adjacent";
+      EXPECT_TRUE(coupled) << g.name() << ": chains " << i << "," << j
+                           << " not adjacent";
     }
   }
 }
@@ -173,9 +173,8 @@ TEST(ZephyrTest, DegreeBoundIs4tPlus4AndIsAttained) {
 }
 
 TEST(TopologyFactoryTest, SpecStringsRoundTrip) {
-  for (const std::string spec :
-       {"chimera:4x4x4", "chimera:2x3x2", "pegasus:2", "pegasus:6",
-        "zephyr:4x4", "zephyr:2x2"}) {
+  for (const std::string spec : {"chimera:4x4x4", "chimera:2x3x2", "pegasus:2",
+                                 "pegasus:6", "zephyr:4x4", "zephyr:2x2"}) {
     auto topology = MakeTopology(spec);
     ASSERT_TRUE(topology.ok()) << spec << ": " << topology.status();
     EXPECT_EQ((*topology)->name(), spec);
@@ -260,8 +259,7 @@ TEST(CliqueChainsTest, OverCapacityIsResourceExhausted) {
     ASSERT_FALSE(chains.ok()) << spec;
     EXPECT_EQ(chains.status().code(), StatusCode::kResourceExhausted) << spec;
     // At capacity it must still succeed.
-    EXPECT_TRUE(
-        (*topology)->CliqueChains((*topology)->CliqueCapacity()).ok())
+    EXPECT_TRUE((*topology)->CliqueChains((*topology)->CliqueCapacity()).ok())
         << spec;
   }
 }

@@ -99,8 +99,7 @@ TEST(VqcAgentTest, TrainedAgentBeatsRandomAverage) {
   EXPECT_LT(best_proxy, random_total / kRandomTrials);
   // And should in fact have located the proxy optimum on this small query.
   EXPECT_NEAR(best_proxy,
-              qopt::LogCostProxy(qopt::OptimalOrderUnderProxy(g), g),
-              1e-9);
+              qopt::LogCostProxy(qopt::OptimalOrderUnderProxy(g), g), 1e-9);
 }
 
 TEST(VqcAgentTest, GreedyOrderIsDeterministicGivenParameters) {

@@ -196,8 +196,8 @@ TEST(WireIntegerTest, Uint64ExtremesRoundTripExactly) {
   // must carry 64-bit integers as raw tokens, never through a double.
   const uint64_t values[] = {0, 1, (1ull << 53) + 1, UINT64_MAX};
   for (const uint64_t value : values) {
-    std::string text = StrFormat("{\"x\":%llu}",
-                                 static_cast<unsigned long long>(value));
+    std::string text =
+        StrFormat("{\"x\":%llu}", static_cast<unsigned long long>(value));
     Result<JsonValue> parsed = JsonParse(text);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
     Result<uint64_t> decoded = parsed->Find("x")->AsUint64("x");
@@ -491,8 +491,7 @@ TEST(WireResponseTest, SubmitSolversStatsHealthRoundTrip) {
   EXPECT_EQ(decoded->stats.running, stats.stats.running);
   EXPECT_EQ(decoded->stats.completed, stats.stats.completed);
   EXPECT_EQ(decoded->stats.cancelled, stats.stats.cancelled);
-  EXPECT_EQ(decoded->stats.deadline_exceeded,
-            stats.stats.deadline_exceeded);
+  EXPECT_EQ(decoded->stats.deadline_exceeded, stats.stats.deadline_exceeded);
   EXPECT_EQ(decoded->accepting, stats.accepting);
   EXPECT_EQ(decoded->num_workers, stats.num_workers);
 
@@ -524,11 +523,9 @@ TEST(WireStringTest, EscapesAndUnicodeRoundTrip) {
   EXPECT_EQ(parsed->Find("s")->string_value(), awkward);
 
   // Escaped-unicode forms decode too (surrogate pair -> 4-byte UTF-8).
-  Result<JsonValue> unicode =
-      JsonParse("{\"s\":\"\\u00e9 \\ud83d\\ude00\"}");
+  Result<JsonValue> unicode = JsonParse("{\"s\":\"\\u00e9 \\ud83d\\ude00\"}");
   ASSERT_TRUE(unicode.ok()) << unicode.status();
-  EXPECT_EQ(unicode->Find("s")->string_value(),
-            "\xC3\xA9 \xF0\x9F\x98\x80");
+  EXPECT_EQ(unicode->Find("s")->string_value(), "\xC3\xA9 \xF0\x9F\x98\x80");
 }
 
 // ---------------------------------------------------------------------------
@@ -545,8 +542,8 @@ std::string ValidSubmitBody() {
 
 TEST(WireTaxonomyTest, TruncatedJsonIsInvalidArgument) {
   const std::string body = ValidSubmitBody();
-  for (const size_t keep : {size_t{0}, size_t{1}, body.size() / 2,
-                            body.size() - 1}) {
+  for (const size_t keep :
+       {size_t{0}, size_t{1}, body.size() / 2, body.size() - 1}) {
     Result<JobRequest> decoded = DecodeJobRequest(body.substr(0, keep));
     ASSERT_FALSE(decoded.ok()) << "keep=" << keep;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
@@ -568,24 +565,20 @@ TEST(WireTaxonomyTest, WrongTypesNameTheOffendingField) {
       DecodeJobRequest(
           "{\"version\":1,\"type\":\"submit\",\"solver\":7,\"qubo\":{}}"),
       "request.solver");
+  ExpectRejected(DecodeJobRequest("{\"version\":1,\"type\":\"submit\","
+                                  "\"solver\":\"x\",\"qubo\":[]}"),
+                 "request.qubo");
   ExpectRejected(
-      DecodeJobRequest("{\"version\":1,\"type\":\"submit\","
-                       "\"solver\":\"x\",\"qubo\":[]}"),
-      "request.qubo");
-  ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":\"three\"}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":\"three\"}}"),
       "request.qubo.num_variables");
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":1,\"linear\":[0]},"
-          "\"options\":{\"num_reads\":\"many\"}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":1,\"linear\":[0]},"
+                       "\"options\":{\"num_reads\":\"many\"}}"),
       "request.options.num_reads");
   {
-    Result<JsonValue> parsed =
-        JsonParse("{\"samples\":[],\"decision\":7}");
+    Result<JsonValue> parsed = JsonParse("{\"samples\":[],\"decision\":7}");
     ASSERT_TRUE(parsed.ok()) << parsed.status();
     ExpectRejected(DecodeSampleSet(*parsed, "set"), "set.decision");
   }
@@ -593,20 +586,17 @@ TEST(WireTaxonomyTest, WrongTypesNameTheOffendingField) {
 
 TEST(WireTaxonomyTest, UnknownFieldsAreRejected) {
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":1},\"surprise\":1}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":1},\"surprise\":1}"),
       "request.surprise");
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":0,\"bias\":[]}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":0,\"bias\":[]}}"),
       "request.qubo.bias");
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":1},"
-          "\"options\":{\"temperature\":3}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":1},"
+                       "\"options\":{\"temperature\":3}}"),
       "request.options.temperature");
 }
 
@@ -619,9 +609,8 @@ TEST(WireTaxonomyTest, NanAndInfAreNotRepresentable) {
   // An overflowing literal parses as JSON but is rejected at the double
   // boundary, naming the field.
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":1,\"linear\":[1e999]}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":1,\"linear\":[1e999]}}"),
       "request.qubo.linear[0]");
 }
 
@@ -630,8 +619,7 @@ TEST(WireTaxonomyTest, OversizedPayloadIsRejectedAtTheEnvelope) {
   Result<JobRequest> decoded = DecodeJobRequest(oversized);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(decoded.status().message().find("wire limit"),
-            std::string::npos)
+  EXPECT_NE(decoded.status().message().find("wire limit"), std::string::npos)
       << decoded.status();
 }
 
@@ -649,19 +637,16 @@ TEST(WireTaxonomyTest, QuboIndexRangesAreValidatedBeforeConstruction) {
           "\"qubo\":{\"num_variables\":2,\"quadratic\":[[1,1,1.0]]}}"),
       "request.qubo.quadratic[0]");
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":-1}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":-1}}"),
       "request.qubo.num_variables");
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":99999999}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":99999999}}"),
       "request.qubo.num_variables");
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":2,\"linear\":[0.0]}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":2,\"linear\":[0.0]}}"),
       "request.qubo.linear");
 }
 
@@ -677,14 +662,13 @@ TEST(WireTaxonomyTest, MiscellaneousFieldValidation) {
       "request.options.seed");
   // Unknown chain-break policy.
   ExpectRejected(
-      DecodeJobRequest(
-          "{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
-          "\"qubo\":{\"num_variables\":1},"
-          "\"options\":{\"chain_break_policy\":\"vote\"}}"),
+      DecodeJobRequest("{\"version\":1,\"type\":\"submit\",\"solver\":\"x\","
+                       "\"qubo\":{\"num_variables\":1},"
+                       "\"options\":{\"chain_break_policy\":\"vote\"}}"),
       "request.options.chain_break_policy");
   // Assignment entries must be bits.
-  Result<JsonValue> parsed = JsonParse(
-      "{\"samples\":[{\"assignment\":[0,2],\"energy\":0.0}]}");
+  Result<JsonValue> parsed =
+      JsonParse("{\"samples\":[{\"assignment\":[0,2],\"energy\":0.0}]}");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ExpectRejected(DecodeSampleSet(*parsed, "set"), "set.samples[0]");
 }
