@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
             prefix.c_str(), flags, &metrics);
 
     // Chain geometry + break statistics of the 1-thread reference — gated
-    // as EXACT metrics (perf_gate compares them for equality, not ratio):
+    // as EXACT metrics (perf_gate compares them for equality, not speed):
     // they are pure functions of the seeds and topology, so any drift in
     // either direction is a real behavior change.
     auto embedding =
@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
   // --sweep-only (the CI invocation — the gated JSON is only written
   // there), so the construction/hit deltas are recorded as EXACT metrics.
   // A regression back to per-instance construction shows up as a
-  // constructions jump (and hits drop) against the pinned baseline.
+  // constructions jump (and hits drop) against the checked-in values.
   const qdm::anneal::BackendCacheStats cache_after =
       qdm::anneal::GetBackendCacheStats();
   const double topo_constructions = static_cast<double>(

@@ -4,7 +4,6 @@
 // not paper experiments; they track the substrate's raw speed.
 
 #include <benchmark/benchmark.h>
-#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
@@ -112,9 +111,9 @@ class ScopedExecutionConfig {
 // Thread sweep over the parallel gate kernels on a 20-qubit state (the
 // regime the QAOA/Grover workloads bottleneck in). Serial cutoff is forced
 // low so every row times the same dispatch path; threads=1 is the serial
-// baseline the perf gate compares the parallel rows against. Each sweep
-// first asserts the parallel state is bit-identical to the serial one —
-// the kernel-level determinism guarantee, measured where it is claimed.
+// reference for the parallel rows. Each sweep first asserts the parallel
+// state is bit-identical to the serial one — the kernel-level determinism
+// guarantee, measured where it is claimed.
 void BM_Hadamard1QThreads(benchmark::State& state) {
   const int n = 20;
   const int threads = static_cast<int>(state.range(0));
@@ -324,9 +323,9 @@ std::unique_ptr<qdm::anneal::QuboSolver> CreateCachedEmbedded() {
 // The acceptance contract of the cache — cached creation at least 5x the
 // cold items/s — asserted at bench runtime on a short timed pass, so a
 // regression to per-creation plan construction aborts the bench run
-// instead of waiting for the baseline comparison. Each arm is timed as the
-// minimum over interleaved blocks, which discards scheduler interference
-// instead of averaging it in.
+// instead of waiting for the perf gate. Each arm is timed as the minimum
+// over interleaved blocks, which discards scheduler interference instead
+// of averaging it in.
 void CheckCachedCreationSpeedup() {
   static const bool checked = [] {
     (void)CreateCachedEmbedded();  // Warm the cache.
@@ -684,30 +683,4 @@ BENCHMARK(BM_HashJoinExecution);
 
 }  // namespace
 
-// Custom main so the report carries the SIMD tier the binary actually
-// selected (CMake option + CPUID), the compiler and the number of CPUs the
-// process may run on (1 when pinned): the perf-gate CI step logs
-// context.qdm_simd_tier next to the numbers, and perf_gate.py records the
-// context with a baseline and prints it beside a regressed row, so a
-// regression caused by a dispatch, toolchain or pinning change (e.g. the
-// runner losing AVX2) is visible at a glance.
-int main(int argc, char** argv) {
-  benchmark::AddCustomContext(
-      "qdm_simd_tier",
-      qdm::sim::simd::TierName(qdm::sim::simd::DetectedTier()));
-#if defined(__clang__)
-  benchmark::AddCustomContext("compiler", "clang " __clang_version__);
-#elif defined(__GNUC__)
-  benchmark::AddCustomContext("compiler", "gcc " __VERSION__);
-#endif
-  cpu_set_t allowed;
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
-    benchmark::AddCustomContext("cpus_allowed",
-                                std::to_string(CPU_COUNT(&allowed)));
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -9,10 +9,10 @@
 // Each client thread's QdmClient keeps one keep-alive connection, and each
 // job is two RPCs on it: the submit, then a blocking wait. The metric
 // prices the full remote loop: JSON encode, HTTP parse, service
-// scheduling, JSON decode, plus one TCP connect per client thread and the
-// server's start and Stop() (which its wake fd makes prompt).
+// scheduling, JSON decode, plus one TCP connect per client thread. The one
+// server starts before the sweep and stops after it, outside every pass.
 //
-// Perf-gate metrics (scripts/perf_gate.py, ratio-compared):
+// Perf-gate metrics (scripts/perf_gate.py, timed against the parent):
 //   net_jobs_per_s_t<N>  completed remote jobs/s with N client threads.
 //
 // Usage mirrors the other sweeps: --sweep-only --json PATH for CI.
@@ -42,7 +42,9 @@ using qdm::net::QdmClient;
 using qdm::net::QdmServer;
 using qdm::net::ServerConfig;
 
-constexpr int kJobs = 48;
+// Enough jobs that the fastest pass (8 clients, about 5,300 jobs/s on a
+// 4-vCPU VM) lasts over 100 ms.
+constexpr int kJobs = 640;
 constexpr int kVariables = 24;
 constexpr int kServerWorkers = 4;
 
@@ -66,22 +68,15 @@ SolverOptions JobOptions(uint64_t seed) {
   return options;
 }
 
-// One timed pass: a fresh loopback server, `clients` client threads
-// splitting kJobs round-robin, each job a full remote Solve (submit +
+// One timed pass: `clients` client threads splitting kJobs round-robin
+// against the server on `port`, each job a full remote Solve (submit +
 // wait). Results land in job order, so passes compare index by index.
-std::vector<SampleSet> RunPass(int clients) {
-  ServerConfig config;
-  config.port = 0;
-  config.service.num_workers = kServerWorkers;
-  config.service.max_queue_depth = 0;  // Unbounded: the bench never sheds.
-  auto server = QdmServer::Start(config);
-  QDM_CHECK(server.ok()) << server.status();
-
+std::vector<SampleSet> RunPass(int port, int clients) {
   std::vector<SampleSet> results(kJobs);
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&server, &results, c, clients] {
-      QdmClient client((*server)->port());
+    threads.emplace_back([&results, port, c, clients] {
+      QdmClient client(port);
       for (int j = c; j < kJobs; j += clients) {
         auto result =
             client.Solve("simulated_annealing", MakeQubo(kVariables, 17 + j),
@@ -92,7 +87,6 @@ std::vector<SampleSet> RunPass(int clients) {
     });
   }
   for (auto& thread : threads) thread.join();
-  (*server)->Stop();
   return results;
 }
 
@@ -101,13 +95,24 @@ std::vector<SampleSet> RunPass(int clients) {
 int main(int argc, char** argv) {
   const qdm_bench::SweepFlags flags = qdm_bench::ParseSweepFlags(argc, argv);
 
+  // The server's config does not depend on the client count, so one
+  // server serves every pass.
+  ServerConfig config;
+  config.port = 0;
+  config.service.num_workers = kServerWorkers;
+  config.service.max_queue_depth = 0;  // Unbounded: the bench never sheds.
+  auto server = QdmServer::Start(config);
+  QDM_CHECK(server.ok()) << server.status();
+  const int port = (*server)->port();
+
   qdm_bench::RunThreadSweep<std::vector<SampleSet>>(
       "Network front-end throughput (loopback qdmd, 4 server workers, "
-      "48 remote simulated-annealing jobs, 24 variables)",
-      kJobs, "jobs/s", [](int clients) { return RunPass(clients); },
+      "640 remote simulated-annealing jobs, 24 variables)",
+      kJobs, "jobs/s", [port](int clients) { return RunPass(port, clients); },
       [](const std::vector<SampleSet>& a, const std::vector<SampleSet>& b) {
         return std::equal(a.begin(), a.end(), b.begin(), b.end(), BitIdentical);
       },
       "net_jobs_per_s", flags);
+  (*server)->Stop();
   return 0;
 }

@@ -5,7 +5,7 @@
 // SampleSet is bit-identical to the 1-worker reference batch (which itself
 // matches the synchronous path — service_test.cc proves that leg).
 //
-// Perf-gate metrics (scripts/perf_gate.py, ratio-compared):
+// Perf-gate metrics (scripts/perf_gate.py, timed against the parent):
 //   service_jobs_per_s_t<W>  completed jobs/s with W service workers.
 //
 // Usage mirrors the other sweeps: --sweep-only --json PATH for CI.
@@ -34,7 +34,9 @@ using qdm::service::ServiceConfig;
 using qdm::service::ServiceStats;
 using qdm::service::SolverService;
 
-constexpr int kJobs = 48;
+// Enough jobs that the fastest pass (4 or 8 workers, about 12,500 jobs/s
+// on a 4-vCPU VM) lasts over 100 ms.
+constexpr int kJobs = 1536;
 constexpr int kProducers = 2;
 constexpr int kVariables = 24;
 
@@ -104,7 +106,7 @@ int main(int argc, char** argv) {
 
   qdm_bench::RunThreadSweep<std::vector<SampleSet>>(
       "Async solver service throughput "
-      "(2 producers x 48 simulated-annealing jobs, 24 variables)",
+      "(2 producers x 1536 simulated-annealing jobs, 24 variables)",
       kJobs, "jobs/s", [](int workers) { return RunPass(workers); },
       [](const std::vector<SampleSet>& a, const std::vector<SampleSet>& b) {
         return std::equal(a.begin(), a.end(), b.begin(), b.end(), BitIdentical);

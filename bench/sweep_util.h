@@ -39,11 +39,12 @@ inline SweepFlags ParseSweepFlags(int argc, char** argv) {
 
 /// Accumulates metrics across several sweeps (e.g. one RunThreadSweep per
 /// hardware topology) and writes them as one perf-gate JSON document. Two
-/// classes of metric: Add() for throughput numbers the gate compares as
-/// ratios (only regressions fail), AddExact() for deterministic quantities
-/// (chain lengths, break fractions) the gate compares for EQUALITY — any
-/// drift, in either direction, is a behavior change and fails CI. Keeps
-/// insertion order; names must be unique per run (the gate keys on them).
+/// classes of metric: Add() for throughput numbers the gate times against
+/// the parent build (only slowdowns fail), AddExact() for deterministic
+/// quantities (chain lengths, break fractions) the gate compares for
+/// EQUALITY — any drift, in either direction, is a behavior change and
+/// fails CI. Keeps insertion order; names must be unique per run (the gate
+/// keys on them).
 class MetricsJson {
  public:
   void Add(const std::string& name, double value) {

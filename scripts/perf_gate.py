@@ -1,186 +1,186 @@
 #!/usr/bin/env python3
-"""CI performance gate for qdm benchmarks.
+"""Paired performance gate for qdm benchmarks.
 
-Compares current numbers against a checked-in baseline and fails (exit 1)
-on a regression. Two metric classes:
+Runs the same benches on two builds of the tree, the parent and the change,
+on one machine, and fails (exit 1) when the change is slower than the
+parent's own spread allows. ROUNDS rounds alternate the two sides bench by
+bench, and the side that goes first flips every round: the randomized
+multiple interleaved trials of Abedi & Brecht, "Conducting Repeatable
+Experiments in Highly Variable Cloud Computing Environments" (ICPE 2017).
 
-  * "metrics" — throughput (items/s), gated as a RATIO: fails when current
-    < baseline / --max-regression (default 2x). Improvements always pass.
-  * "exact_metrics" — deterministic quantities (embedding chain lengths,
-    chain-break fractions), gated for EQUALITY (tolerance 1e-9): any drift,
-    in either direction, fails. These are pure functions of seeds and code,
-    so a change means behavior changed and the baseline must be
-    consciously refreshed.
+Throughput rows (items/s, higher is better):
+  * every bench_micro row that reports items_per_second, run at one fixed
+    short --benchmark_min_time;
+  * every throughput metric of the SWEEPS, run with --sweep-only.
+A row fails when the change's median is below the parent's median by more
+than the larger of the parent's interquartile range and the row's floor (a
+fraction of the parent's median: FLOOR, or the row's entry in ROW_FLOORS).
+Rows that only one side prints are listed by name and not gated.
 
-Two input formats are understood and may be mixed freely:
-
-  * google-benchmark JSON (bench_micro --benchmark_format=json): entries of
-    "benchmarks" that report "items_per_second" are gated under their "name".
-  * qdm sweep JSON ({"metrics": {...}, "exact_metrics": {...}}), written by
-    bench_mqo_speedup / bench_txn_scheduling / bench_hardware_constraints
-    with --sweep-only --json PATH (the exact_metrics section is optional).
-
-Override knob: set the environment variable QDM_PERF_GATE=off to turn the
-gate into a no-op (exit 0 with a notice) — for machines whose absolute
-throughput is not comparable to the recorded baseline. To refresh the
-baseline after an intentional change, re-run with --update.
-
-Run context: --update also stores a "context" object describing where the
-rows came from — num_cpus and mhz_per_cpu from google-benchmark, and the
-qdm_simd_tier, compiler and cpus_allowed (1 when pinned) that bench_micro
-adds. A gate run prints the baseline's and the current context beside any
-REGRESSED row, so a machine, toolchain or pinning change is visible there.
+Exact metrics (chain lengths, noise fidelities, cache counts) are pure
+functions of seeds and code: every change-side round must print the values
+checked in at bench/baselines/perf_baseline.json, to within 1e-9. A change
+that moves one on purpose edits that file by hand and says why.
 
 Usage:
-  python3 scripts/perf_gate.py --baseline bench/baselines/perf_baseline.json \
-      --current bench_micro.json mqo_batch.json txn_batch.json hw_embed.json \
-      [--update]
+  python3 scripts/perf_gate.py --parent PARENT_BUILD --change CHANGE_BUILD
+where each build directory is a CMake build of the tree with its benches.
 """
 
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
+import tempfile
 
+ROUNDS = 10
+MIN_TIME = "0.03"  # bench_micro's --benchmark_min_time, in seconds.
+# Two builds of one tree on a shared 4-vCPU VM: medians of rows whose IQR
+# read under 15% moved by up to 11% (BM_TabuReads/4).
+FLOOR = 0.15
+# Rows whose spread between two builds of one tree needs a wider floor.
+# BM_TemperingSweeps: the second build's median read 14-23% below the
+# first's at a parent IQR under 10%.
+ROW_FLOORS = {"BM_TemperingSweeps/64": 0.3, "BM_TemperingSweeps/256": 0.3,
+              "BM_TemperingSweeps/1024": 0.3}
+SWEEPS = ("bench_mqo_speedup", "bench_txn_scheduling",
+          "bench_hardware_constraints", "bench_service_throughput",
+          "bench_net_throughput", "bench_join_ordering")
+EXACT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "bench", "baselines", "perf_baseline.json")
 EXACT_TOLERANCE = 1e-9
-# The google-benchmark context fields a baseline records.
-CONTEXT_KEYS = ("num_cpus", "mhz_per_cpu", "qdm_simd_tier", "compiler",
-                "cpus_allowed")
 
 
-def load_metrics(path):
-    """Returns ({name: items/s}, {name: exact_value}, context) from either
-    format; context holds the CONTEXT_KEYS the file reports."""
-    with open(path) as f:
-        data = json.load(f)
-    metrics = {}
-    exact = {}
-    context = {key: value for key, value in data.get("context", {}).items()
-               if key in CONTEXT_KEYS}
-    if "benchmarks" in data:  # google-benchmark format.
-        for entry in data["benchmarks"]:
-            if "items_per_second" in entry:
-                metrics[entry["name"]] = float(entry["items_per_second"])
-    if "metrics" in data:  # qdm sweep format.
-        for name, value in data["metrics"].items():
-            metrics[name] = float(value)
-    if "exact_metrics" in data:
-        for name, value in data["exact_metrics"].items():
-            exact[name] = float(value)
-    if not metrics and not exact:
-        sys.exit(f"perf_gate: no metrics found in {path}")
-    return metrics, exact, context
+def run(command):
+    result = subprocess.run(command, capture_output=True, text=True)
+    if result.returncode != 0:
+        sys.exit(f"perf_gate: {' '.join(command)} failed:\n{result.stderr}")
+    return result.stdout
 
 
-def load_all(paths):
-    metrics = {}
-    exact = {}
-    context = {}
-    for path in paths:
-        m, e, c = load_metrics(path)
-        metrics.update(m)
-        exact.update(e)
-        context.update(c)
-    return metrics, exact, context
+def run_bench(build, bench, tmp):
+    """Runs one bench of `build` (a sweep, or one bench_micro row):
+    ({row: items/s}, {name: exact value})."""
+    if bench in SWEEPS:
+        json_path = os.path.join(tmp, bench + ".json")
+        run([os.path.join(build, "bench", bench), "--sweep-only", "--json",
+             json_path])
+        with open(json_path) as f:
+            doc = json.load(f)
+        return doc["metrics"], doc.get("exact_metrics", {})
+    entries = json.loads(run([
+        os.path.join(build, "bench", "bench_micro"), "--benchmark_format=json",
+        "--benchmark_min_time=" + MIN_TIME, f"--benchmark_filter=^{bench}$"
+    ]))["benchmarks"]
+    return {entry["name"]: float(entry["items_per_second"])
+            for entry in entries if "items_per_second" in entry}, {}
 
 
-def format_context(context):
-    if not context:
-        return "(none recorded)"
-    return ", ".join(f"{key}={context[key]}" for key in CONTEXT_KEYS
-                     if key in context)
+def benches(build):
+    """The benches `build` has: each bench_micro row, then the sweeps."""
+    micro = os.path.join(build, "bench", "bench_micro")
+    rows = run([micro, "--benchmark_list_tests"]).split() if os.path.exists(
+        micro) else []
+    return rows + [sweep for sweep in SWEEPS
+                   if os.path.exists(os.path.join(build, "bench", sweep))]
+
+
+def collect(parent, change):
+    """Runs ROUNDS rounds; in each, every bench runs on both sides in turn,
+    the side that goes first flipping every round. Returns ({side: {row:
+    [items/s]}}, [the change side's {name: exact value}, one per round])."""
+    samples = {"parent": {}, "change": {}}
+    has = {"parent": benches(parent), "change": benches(change)}
+    exact_rounds = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for round_index in range(ROUNDS):
+            exact_round = {}
+            sides = [("parent", parent), ("change", change)]
+            if round_index % 2:
+                sides.reverse()
+            for bench in dict.fromkeys(has["parent"] + has["change"]):
+                for side, build in sides:
+                    if bench not in has[side]:
+                        continue
+                    rows, exact = run_bench(build, bench, tmp)
+                    if not rows and not exact:
+                        has[side].remove(bench)  # No items/s: not a row.
+                    for name, value in rows.items():
+                        samples[side].setdefault(name, []).append(value)
+                    if side == "change":
+                        exact_round.update(exact)
+            exact_rounds.append(exact_round)
+    return samples, exact_rounds
+
+
+def judge(parent, change, floor):
+    """The decision rule for one row of items/s samples. Returns (slowdown,
+    margin) as fractions of the parent's median; the row fails when
+    slowdown > margin."""
+    q1, parent_median, q3 = statistics.quantiles(parent, n=4,
+                                                 method="inclusive")
+    slowdown = (parent_median - statistics.median(change)) / parent_median
+    return slowdown, max((q3 - q1) / parent_median, floor)
+
+
+def gate(samples, exact_rounds, checked_in):
+    """Prints one line per row and returns the failures."""
+    failures = []
+    parent, change = samples["parent"], samples["change"]
+    for name in sorted(set(parent) & set(change)):
+        slowdown, margin = judge(parent[name], change[name],
+                                 ROW_FLOORS.get(name, FLOOR))
+        line = (f"{name}: parent {statistics.median(parent[name]):.4g} -> "
+                f"change {statistics.median(change[name]):.4g} items/s "
+                f"({-slowdown:+.1%}, margin -{margin:.1%})")
+        print(f"perf_gate: {line} {'SLOWER' if slowdown > margin else 'OK'}")
+        if slowdown > margin:
+            failures.append(line)
+    unpaired = sorted(set(parent) ^ set(change))
+    if unpaired:
+        print(f"perf_gate: {len(unpaired)} rows printed by one side only "
+              f"(not gated): {', '.join(unpaired)}")
+
+    for round_index, exact in enumerate(exact_rounds, 1):
+        for name, want in sorted(checked_in.items()):
+            got = exact.get(name)
+            if got is None:
+                failures.append(f"{name}: missing from change round "
+                                f"{round_index} (exact)")
+            elif abs(got - want) > EXACT_TOLERANCE:
+                failures.append(f"{name}: exact metric drifted {want:.17g} "
+                                f"-> {got:.17g} in change round {round_index}")
+    unchecked = sorted({name for exact in exact_rounds for name in exact}
+                       - set(checked_in))
+    if unchecked:
+        print(f"perf_gate: {len(unchecked)} exact metrics not checked in "
+              f"(not gated): {', '.join(unchecked)}")
+    return failures
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True,
-                        help="checked-in baseline JSON ({'metrics': {...}, "
-                             "'exact_metrics': {...}})")
-    parser.add_argument("--current", nargs="+", required=True,
-                        help="one or more result JSON files to gate")
-    parser.add_argument("--max-regression", type=float, default=2.0,
-                        help="fail when current < baseline / this (default 2)")
-    parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from the current results")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--parent", required=True,
+                        help="build directory of the parent")
+    parser.add_argument("--change", required=True,
+                        help="build directory of the change")
     args = parser.parse_args()
+    with open(EXACT_PATH) as f:
+        checked_in = json.load(f)["exact_metrics"]
 
-    # --update must work even where the gate itself is switched off (the
-    # knob disables the comparison, not baseline maintenance).
-    if args.update:
-        current, current_exact, current_context = load_all(args.current)
-        with open(args.baseline, "w") as f:
-            json.dump({"schema": 2, "context": current_context,
-                       "metrics": current, "exact_metrics": current_exact},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"perf_gate: baseline updated with {len(current)} metrics + "
-              f"{len(current_exact)} exact metrics -> {args.baseline}")
-        return 0
-
-    if os.environ.get("QDM_PERF_GATE", "on").lower() in ("off", "0", "false"):
-        print("perf_gate: QDM_PERF_GATE=off, skipping (override knob)")
-        return 0
-
-    current, current_exact, current_context = load_all(args.current)
-
-    with open(args.baseline) as f:
-        baseline_doc = json.load(f)
-    baseline = baseline_doc["metrics"]
-    baseline_exact = baseline_doc.get("exact_metrics", {})
-    baseline_context = baseline_doc.get("context", {})
-
-    failures = []
-    for name in sorted(baseline):
-        base = float(baseline[name])
-        if name not in current:
-            failures.append(f"{name}: missing from current results")
-            continue
-        now = current[name]
-        ratio = now / base if base > 0 else float("inf")
-        status = "OK" if ratio >= 1.0 / args.max_regression else "REGRESSED"
-        print(f"perf_gate: {name}: baseline {base:.1f} -> current {now:.1f} "
-              f"items/s ({ratio:.2f}x) {status}")
-        if status == "REGRESSED":
-            print(f"perf_gate:   baseline context: "
-                  f"{format_context(baseline_context)}")
-            print(f"perf_gate:   current context:  "
-                  f"{format_context(current_context)}")
-            failures.append(
-                f"{name}: {now:.1f} vs baseline {base:.1f} items/s "
-                f"({ratio:.2f}x < 1/{args.max_regression:g})")
-
-    for name in sorted(baseline_exact):
-        base = float(baseline_exact[name])
-        if name not in current_exact:
-            failures.append(f"{name}: missing from current results (exact)")
-            continue
-        now = current_exact[name]
-        drifted = abs(now - base) > EXACT_TOLERANCE
-        status = "DRIFTED" if drifted else "OK"
-        # Full precision: the comparison tolerance is 1e-9, so rounded
-        # output could report two identical-looking numbers as drifted.
-        print(f"perf_gate: {name}: baseline {base:.17g} -> current "
-              f"{now:.17g} (exact) {status}")
-        if drifted:
-            failures.append(
-                f"{name}: exact metric drifted {base:.17g} -> {now:.17g} "
-                f"(deterministic value; a change means behavior changed)")
-
-    extra = sorted((set(current) - set(baseline))
-                   | (set(current_exact) - set(baseline_exact)))
-    if extra:
-        print(f"perf_gate: {len(extra)} metrics not in baseline (ignored): "
-              + ", ".join(extra))
-
+    samples, exact_rounds = collect(args.parent, args.change)
+    failures = gate(samples, exact_rounds, checked_in)
     if failures:
-        print("perf_gate: FAILED (set QDM_PERF_GATE=off to bypass, or rerun "
-              "with --update after an intentional change):")
+        print("perf_gate: FAILED:")
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print(f"perf_gate: all {len(baseline)} ratio metrics within "
-          f"{args.max_regression:g}x and {len(baseline_exact)} exact metrics "
-          f"unchanged")
+    rows = len(set(samples["parent"]) & set(samples["change"]))
+    print(f"perf_gate: {rows} rows within their margins over {ROUNDS} "
+          f"rounds; {len(checked_in)} exact metrics unchanged")
     return 0
 
 
