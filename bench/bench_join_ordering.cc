@@ -9,7 +9,7 @@
 // --sweep-only / --json additionally run the NISQ noise sweep: join-order
 // QUBOs through the "noisy:<model>:qaoa" family (docs/noise.md) at rising
 // depolarizing rates, with the seed-exact noise_fidelity values fed to the
-// CI perf gate and monotone degradation checked in-binary.
+// perf gate and monotone degradation checked in-binary.
 
 #include <chrono>
 #include <cmath>

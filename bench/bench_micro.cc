@@ -5,10 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -320,44 +317,7 @@ std::unique_ptr<qdm::anneal::QuboSolver> CreateCachedEmbedded() {
   return std::move(solver).value();
 }
 
-// The acceptance contract of the cache — cached creation at least 5x the
-// cold items/s — asserted at bench runtime on a short timed pass, so a
-// regression to per-creation plan construction aborts the bench run
-// instead of waiting for the perf gate. Each arm is timed as the minimum
-// over interleaved blocks, which discards scheduler interference instead
-// of averaging it in.
-void CheckCachedCreationSpeedup() {
-  static const bool checked = [] {
-    (void)CreateCachedEmbedded();  // Warm the cache.
-    const int kBlocks = 8;
-    const int kRepsPerBlock = 16;
-    double cold_ns = std::numeric_limits<double>::infinity();
-    double cached_ns = std::numeric_limits<double>::infinity();
-    for (int b = 0; b < kBlocks; ++b) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kRepsPerBlock; ++i) {
-        benchmark::DoNotOptimize(CreateColdEmbedded().get());
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kRepsPerBlock; ++i) {
-        benchmark::DoNotOptimize(CreateCachedEmbedded().get());
-      }
-      const auto t2 = std::chrono::steady_clock::now();
-      cold_ns = std::min(
-          cold_ns, std::chrono::duration<double, std::nano>(t1 - t0).count());
-      cached_ns = std::min(
-          cached_ns, std::chrono::duration<double, std::nano>(t2 - t1).count());
-    }
-    QDM_CHECK(cold_ns >= 5.0 * cached_ns)
-        << "cached embedded-backend creation is only " << cold_ns / cached_ns
-        << "x the cold path (contract: >= 5x)";
-    return true;
-  }();
-  (void)checked;
-}
-
 void BM_BackendCreateCold(benchmark::State& state) {
-  CheckCachedCreationSpeedup();
   for (auto _ : state) {
     benchmark::DoNotOptimize(CreateColdEmbedded().get());
   }
@@ -366,7 +326,6 @@ void BM_BackendCreateCold(benchmark::State& state) {
 BENCHMARK(BM_BackendCreateCold);
 
 void BM_BackendCreateCached(benchmark::State& state) {
-  CheckCachedCreationSpeedup();
   for (auto _ : state) {
     benchmark::DoNotOptimize(CreateCachedEmbedded().get());
   }

@@ -2,7 +2,7 @@
 // bench_txn_scheduling): flag parsing, the thread-count timing loop with its
 // identical-results assertion, the report table, and the perf-gate JSON.
 // Keeping this in one place means the sweep protocol and the JSON metric
-// schema the CI gate consumes cannot drift between benches.
+// schema the perf gate consumes cannot drift between benches.
 
 #ifndef QDM_BENCH_SWEEP_UTIL_H_
 #define QDM_BENCH_SWEEP_UTIL_H_
@@ -43,8 +43,8 @@ inline SweepFlags ParseSweepFlags(int argc, char** argv) {
 /// the parent build (only slowdowns fail), AddExact() for deterministic
 /// quantities (chain lengths, break fractions) the gate compares for
 /// EQUALITY — any drift, in either direction, is a behavior change and
-/// fails CI. Keeps insertion order; names must be unique per run (the gate
-/// keys on them).
+/// fails the gate. Keeps insertion order; names must be unique per run (the
+/// gate keys on them).
 class MetricsJson {
  public:
   void Add(const std::string& name, double value) {

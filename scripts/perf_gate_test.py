@@ -11,7 +11,7 @@ import unittest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import perf_gate  # noqa: E402
 
-# Eight rounds of a row whose parent IQR (1.25%) is below the floor.
+# Eight rounds of one row's items/s on the parent.
 STEADY = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0]
 EXACT = {"chain_len": 4.0, "fidelity": 0.9069727497240636}
 
@@ -36,24 +36,37 @@ class DecisionRuleTest(unittest.TestCase):
         failures, out = run_gate({"row": STEADY}, {"row": slower})
         self.assertEqual(len(failures), 1)
         self.assertTrue(failures[0].startswith("row:"))
-        self.assertIn("(-20.0%, margin -15.0%) SLOWER", out)
+        self.assertIn("(paired -20.0%, margin -15.0%) SLOWER", out)
 
-    def test_slower_inside_parent_iqr_passes(self):
-        # Parent IQR 70..130 is 60% of its median: a 25% drop is noise.
-        parent = [50.0, 70.0, 70.0, 100.0, 100.0, 130.0, 130.0, 150.0]
-        change = [0.75 * value for value in parent]
-        failures, out = run_gate({"row": parent}, {"row": change})
+    def test_slower_inside_iqr_of_ratios_passes(self):
+        # Per-round ratios with an IQR of 0.45..1.05: a 25% drop is noise.
+        ratios = [0.3, 0.45, 0.45, 0.75, 0.75, 1.05, 1.05, 1.2]
+        change = [r * value for r, value in zip(ratios, STEADY)]
+        failures, out = run_gate({"row": STEADY}, {"row": change})
         self.assertEqual(failures, [])
-        self.assertIn("(-25.0%, margin -60.0%) OK", out)
+        self.assertIn("(paired -25.0%, margin -60.0%) OK", out)
 
-    def test_row_floor_widens_margin(self):
+    def test_slowdown_under_shared_load_fails(self):
+        # Load halves both sides in every other round; the pairs cancel it.
+        loaded = [value / (1 + i % 2) for i, value in enumerate(STEADY)]
+        slower = [0.8 * value for value in loaded]
+        failures, out = run_gate({"row": loaded}, {"row": slower})
+        self.assertEqual(len(failures), 1)
+        self.assertIn("(paired -20.0%, margin -15.0%) SLOWER", out)
+
+    def test_bench_floor_widens_margin(self):
         slower = [0.8 * value for value in STEADY]
-        perf_gate.ROW_FLOORS["row"] = 0.25
+        perf_gate.ROW_FLOORS["BM_Row"] = 0.25
         try:
-            failures, _ = run_gate({"row": STEADY}, {"row": slower})
+            failures, out = run_gate({"BM_Row/4": STEADY, "BM_Other": STEADY},
+                                     {"BM_Row/4": slower, "BM_Other": slower})
         finally:
-            del perf_gate.ROW_FLOORS["row"]
-        self.assertEqual(failures, [])
+            del perf_gate.ROW_FLOORS["BM_Row"]
+        self.assertEqual(failures, [
+            "BM_Other: parent 100 -> change 80 items/s "
+            "(paired -20.0%, margin -15.0%)"])
+        self.assertIn("BM_Row/4: parent 100 -> change 80 items/s "
+                      "(paired -20.0%, margin -25.0%) OK", out)
 
     def test_one_sided_row_is_listed_not_failed(self):
         failures, out = run_gate({"row": STEADY, "old_row": STEADY},
