@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 
 #include "qdm/common/strings.h"
@@ -20,16 +21,34 @@ Status ParseError(size_t offset, const std::string& what) {
       StrFormat("JSON parse error at offset %zu: %s", offset, what.c_str()));
 }
 
-/// Recursive-descent parser over [text_, text_ + size_). Error statuses
-/// carry the current byte offset.
-class Parser {
+bool TokenIsInteger(const std::string& token) {
+  return token.find('.') == std::string::npos &&
+         token.find('e') == std::string::npos &&
+         token.find('E') == std::string::npos;
+}
+
+/// True when std::from_chars takes the whole token. A JSON integer token
+/// it refuses is out of range; AsDouble retries any refused token with
+/// strtod.
+template <typename T>
+bool FromCharsWhole(const std::string& token, T* value) {
+  const char* const end = token.data() + token.size();
+  const std::from_chars_result result =
+      std::from_chars(token.data(), end, *value);
+  return result.ec == std::errc() && result.ptr == end;
+}
+
+}  // namespace
+
+/// Recursive-descent parser over `text_`; error statuses carry the current
+/// byte offset. A friend of JsonValue, it fills each value in place.
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   Result<JsonValue> Parse() {
     JsonValue value;
-    Status status = ParseValue(&value, 0);
-    if (!status.ok()) return status;
+    QDM_RETURN_IF_ERROR(ParseValue(&value, 0));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return ParseError(pos_, "trailing content after the JSON document");
@@ -38,6 +57,8 @@ class Parser {
   }
 
  private:
+  using Type = JsonValue::Type;
+
   void SkipWhitespace() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -56,113 +77,86 @@ class Parser {
     if (AtEnd()) return ParseError(pos_, "unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return ParseObject(out, depth);
       case '[':
-        return ParseArray(out, depth);
+        return ParseContainer(out, depth);
       case '"':
-        return ParseStringValue(out);
+        out->type_ = Type::kString;
+        return ParseString(&out->scalar_);
       case 't':
       case 'f':
-        return ParseBool(out);
       case 'n':
-        return ParseNull(out);
+        return ParseLiteral(out);
       default:
         return ParseNumber(out);
     }
   }
 
-  Status ParseObject(JsonValue* out, int depth) {
-    ++pos_;  // '{'
-    JsonValue::Members members;
+  /// One loop for objects and arrays: an object's members are
+  /// "key": value pairs, an array's items bare values.
+  Status ParseContainer(JsonValue* out, int depth) {
+    const bool object = text_[pos_++] == '{';
+    const char close = object ? '}' : ']';
+    out->type_ = object ? Type::kObject : Type::kArray;
     SkipWhitespace();
-    if (!AtEnd() && text_[pos_] == '}') {
+    if (!AtEnd() && text_[pos_] == close) {
       ++pos_;
-      *out = JsonValue::MakeObject(std::move(members));
       return Status::Ok();
     }
     for (;;) {
-      SkipWhitespace();
-      if (AtEnd() || text_[pos_] != '"') {
-        return ParseError(pos_, "expected a quoted object key");
+      JsonValue* value = nullptr;
+      if (object) {
+        SkipWhitespace();
+        if (AtEnd() || text_[pos_] != '"') {
+          return ParseError(pos_, "expected a quoted object key");
+        }
+        std::string key;
+        QDM_RETURN_IF_ERROR(ParseString(&key));
+        SkipWhitespace();
+        if (AtEnd() || text_[pos_] != ':') {
+          return ParseError(pos_, "expected ':' after object key");
+        }
+        ++pos_;
+        value = &out->members_.emplace_back(std::move(key), JsonValue()).second;
+      } else {
+        value = &out->array_.emplace_back();
       }
-      std::string key;
-      QDM_RETURN_IF_ERROR(ParseStringLiteral(&key));
+      QDM_RETURN_IF_ERROR(ParseValue(value, depth + 1));
       SkipWhitespace();
-      if (AtEnd() || text_[pos_] != ':') {
-        return ParseError(pos_, "expected ':' after object key");
+      if (AtEnd()) {
+        return ParseError(
+            pos_, object ? "unterminated object" : "unterminated array");
       }
-      ++pos_;
-      JsonValue value;
-      QDM_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      members.emplace_back(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (AtEnd()) return ParseError(pos_, "unterminated object");
       if (text_[pos_] == ',') {
         ++pos_;
         continue;
       }
-      if (text_[pos_] == '}') {
+      if (text_[pos_] == close) {
         ++pos_;
-        *out = JsonValue::MakeObject(std::move(members));
         return Status::Ok();
       }
-      return ParseError(pos_, "expected ',' or '}' in object");
+      return ParseError(pos_, object ? "expected ',' or '}' in object"
+                                     : "expected ',' or ']' in array");
     }
   }
 
-  Status ParseArray(JsonValue* out, int depth) {
-    ++pos_;  // '['
-    std::vector<JsonValue> items;
-    SkipWhitespace();
-    if (!AtEnd() && text_[pos_] == ']') {
-      ++pos_;
-      *out = JsonValue::MakeArray(std::move(items));
-      return Status::Ok();
-    }
-    for (;;) {
-      JsonValue value;
-      QDM_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      items.push_back(std::move(value));
-      SkipWhitespace();
-      if (AtEnd()) return ParseError(pos_, "unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        *out = JsonValue::MakeArray(std::move(items));
-        return Status::Ok();
-      }
-      return ParseError(pos_, "expected ',' or ']' in array");
-    }
-  }
-
-  Status ParseStringValue(JsonValue* out) {
-    std::string value;
-    QDM_RETURN_IF_ERROR(ParseStringLiteral(&value));
-    *out = JsonValue::MakeString(std::move(value));
-    return Status::Ok();
-  }
-
-  Status ParseStringLiteral(std::string* out) {
+  /// Reads a quoted string at pos_ (an object key or a string value),
+  /// unescaped, into the empty `*out`.
+  Status ParseString(std::string* out) {
     ++pos_;  // opening '"'
-    std::string value;
     while (!AtEnd()) {
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
         ++pos_;
-        *out = std::move(value);
         return Status::Ok();
       }
       if (c == '\\') {
-        QDM_RETURN_IF_ERROR(ParseEscape(&value));
+        QDM_RETURN_IF_ERROR(ParseEscape(out));
         continue;
       }
       if (c < 0x20) {
         return ParseError(pos_, "unescaped control character in string");
       }
-      value.push_back(static_cast<char>(c));
+      out->push_back(static_cast<char>(c));
       ++pos_;
     }
     return ParseError(pos_, "unterminated string");
@@ -264,25 +258,22 @@ class Parser {
     }
   }
 
-  Status ParseBool(JsonValue* out) {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      *out = JsonValue::MakeBool(true);
-      return Status::Ok();
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      *out = JsonValue::MakeBool(false);
-      return Status::Ok();
-    }
-    return ParseError(pos_, "invalid literal");
-  }
-
-  Status ParseNull(JsonValue* out) {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      *out = JsonValue();
-      return Status::Ok();
+  /// true, false and null.
+  Status ParseLiteral(JsonValue* out) {
+    static constexpr struct {
+      std::string_view text;
+      Type type;
+      bool value;
+    } kLiterals[] = {{"true", Type::kBool, true},
+                     {"false", Type::kBool, false},
+                     {"null", Type::kNull, false}};
+    for (const auto& literal : kLiterals) {
+      if (text_.compare(pos_, literal.text.size(), literal.text) == 0) {
+        pos_ += literal.text.size();
+        out->type_ = literal.type;
+        out->bool_ = literal.value;
+        return Status::Ok();
+      }
     }
     return ParseError(pos_, "invalid literal");
   }
@@ -314,32 +305,14 @@ class Parser {
       }
       while (!AtEnd() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
-    *out = JsonValue::MakeNumberToken(text_.substr(start, pos_ - start));
+    out->type_ = Type::kNumber;
+    out->scalar_.assign(text_, start, pos_ - start);
     return Status::Ok();
   }
 
   const std::string& text_;
   size_t pos_ = 0;
 };
-
-bool TokenIsInteger(const std::string& token) {
-  return token.find('.') == std::string::npos &&
-         token.find('e') == std::string::npos &&
-         token.find('E') == std::string::npos;
-}
-
-/// True when std::from_chars takes the whole token. A JSON integer token
-/// it refuses is out of range; AsDouble retries any refused token with
-/// strtod.
-template <typename T>
-bool FromCharsWhole(const std::string& token, T* value) {
-  const char* const end = token.data() + token.size();
-  const std::from_chars_result result =
-      std::from_chars(token.data(), end, *value);
-  return result.ec == std::errc() && result.ptr == end;
-}
-
-}  // namespace
 
 std::string JsonPath::ToString() const {
   if (parent_ == nullptr) return text_;
@@ -353,41 +326,6 @@ std::string JsonPath::ToString() const {
     path += ']';
   }
   return path;
-}
-
-JsonValue JsonValue::MakeBool(bool value) {
-  JsonValue v;
-  v.type_ = Type::kBool;
-  v.bool_ = value;
-  return v;
-}
-
-JsonValue JsonValue::MakeNumberToken(std::string token) {
-  JsonValue v;
-  v.type_ = Type::kNumber;
-  v.scalar_ = std::move(token);
-  return v;
-}
-
-JsonValue JsonValue::MakeString(std::string value) {
-  JsonValue v;
-  v.type_ = Type::kString;
-  v.scalar_ = std::move(value);
-  return v;
-}
-
-JsonValue JsonValue::MakeArray(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.type_ = Type::kArray;
-  v.array_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::MakeObject(Members members) {
-  JsonValue v;
-  v.type_ = Type::kObject;
-  v.members_ = std::move(members);
-  return v;
 }
 
 const char* JsonValue::TypeName() const {
@@ -409,32 +347,27 @@ const char* JsonValue::TypeName() const {
 }
 
 bool JsonValue::bool_value() const {
-  QDM_CHECK(is_bool()) << "bool_value() on a " << TypeName();
+  QDM_CHECK(type_ == Type::kBool) << "bool_value() on a " << TypeName();
   return bool_;
 }
 
-const std::string& JsonValue::number_token() const {
-  QDM_CHECK(is_number()) << "number_token() on a " << TypeName();
-  return scalar_;
-}
-
 const std::string& JsonValue::string_value() const {
-  QDM_CHECK(is_string()) << "string_value() on a " << TypeName();
+  QDM_CHECK(type_ == Type::kString) << "string_value() on a " << TypeName();
   return scalar_;
 }
 
 const std::vector<JsonValue>& JsonValue::array() const {
-  QDM_CHECK(is_array()) << "array() on a " << TypeName();
+  QDM_CHECK(type_ == Type::kArray) << "array() on a " << TypeName();
   return array_;
 }
 
 const JsonValue::Members& JsonValue::members() const {
-  QDM_CHECK(is_object()) << "members() on a " << TypeName();
+  QDM_CHECK(type_ == Type::kObject) << "members() on a " << TypeName();
   return members_;
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
-  if (!is_object()) return nullptr;
+  if (type_ != Type::kObject) return nullptr;
   for (const auto& [name, value] : members_) {
     if (name == key) return &value;
   }
@@ -442,7 +375,7 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 }
 
 Result<double> JsonValue::AsDouble(const JsonPath& field) const {
-  if (!is_number()) {
+  if (type_ != Type::kNumber) {
     return Status::InvalidArgument(StrFormat(
         "%s: expected a number, got %s", field.ToString().c_str(), TypeName()));
   }
@@ -459,44 +392,37 @@ Result<double> JsonValue::AsDouble(const JsonPath& field) const {
   return value;
 }
 
-Result<int64_t> JsonValue::AsInt64(const JsonPath& field) const {
-  if (!is_number()) {
-    return Status::InvalidArgument(StrFormat("%s: expected an integer, got %s",
-                                             field.ToString().c_str(),
+template <typename Int>
+Result<Int> JsonValue::AsInteger(const JsonPath& field,
+                                 const char* expected) const {
+  if (type_ != Type::kNumber) {
+    return Status::InvalidArgument(StrFormat("%s: expected %s, got %s",
+                                             field.ToString().c_str(), expected,
                                              TypeName()));
   }
-  int64_t value = 0;
+  Int value = 0;
   if (FromCharsWhole(scalar_, &value)) return value;
-  if (!TokenIsInteger(scalar_)) {
-    return Status::InvalidArgument(
-        StrFormat("%s: expected an integer, got '%s'", field.ToString().c_str(),
-                  scalar_.c_str()));
+  if (!TokenIsInteger(scalar_) ||
+      (std::is_unsigned_v<Int> && scalar_[0] == '-')) {
+    return Status::InvalidArgument(StrFormat("%s: expected %s, got '%s'",
+                                             field.ToString().c_str(), expected,
+                                             scalar_.c_str()));
   }
   return Status::InvalidArgument(
-      StrFormat("%s: integer '%s' out of int64 range", field.ToString().c_str(),
-                scalar_.c_str()));
+      StrFormat("%s: integer '%s' out of %s range", field.ToString().c_str(),
+                scalar_.c_str(), std::is_signed_v<Int> ? "int64" : "uint64"));
+}
+
+Result<int64_t> JsonValue::AsInt64(const JsonPath& field) const {
+  return AsInteger<int64_t>(field, "an integer");
 }
 
 Result<uint64_t> JsonValue::AsUint64(const JsonPath& field) const {
-  if (!is_number()) {
-    return Status::InvalidArgument(
-        StrFormat("%s: expected an unsigned integer, got %s",
-                  field.ToString().c_str(), TypeName()));
-  }
-  uint64_t value = 0;
-  if (FromCharsWhole(scalar_, &value)) return value;
-  if (!TokenIsInteger(scalar_) || scalar_[0] == '-') {
-    return Status::InvalidArgument(
-        StrFormat("%s: expected an unsigned integer, got '%s'",
-                  field.ToString().c_str(), scalar_.c_str()));
-  }
-  return Status::InvalidArgument(
-      StrFormat("%s: integer '%s' out of uint64 range",
-                field.ToString().c_str(), scalar_.c_str()));
+  return AsInteger<uint64_t>(field, "an unsigned integer");
 }
 
 Result<JsonValue> JsonParse(const std::string& text) {
-  return Parser(text).Parse();
+  return JsonParser(text).Parse();
 }
 
 void JsonAppendQuoted(const std::string& value, std::string* out) {

@@ -29,6 +29,10 @@ class JsonPath {
   JsonPath Key(const char* key) const { return JsonPath(this, key, 0); }
   JsonPath Index(size_t index) const { return JsonPath(this, nullptr, index); }
 
+  /// The key this path ends in: the last ".key" step, or the root (nullptr
+  /// after an "[index]" step).
+  const char* key() const { return text_; }
+
   std::string ToString() const;
 
  private:
@@ -60,28 +64,13 @@ class JsonValue {
   /// Object members keep their textual order (encode/decode stability).
   using Members = std::vector<std::pair<std::string, JsonValue>>;
 
-  JsonValue() : type_(Type::kNull) {}
-
-  static JsonValue MakeBool(bool value);
-  static JsonValue MakeNumberToken(std::string token);
-  static JsonValue MakeString(std::string value);
-  static JsonValue MakeArray(std::vector<JsonValue> items);
-  static JsonValue MakeObject(Members members);
-
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
 
   /// Stable lowercase name of the value's type ("object", "number", ...)
   /// for error messages.
   const char* TypeName() const;
 
   bool bool_value() const;
-  const std::string& number_token() const;
   const std::string& string_value() const;
   const std::vector<JsonValue>& array() const;
   const Members& members() const;
@@ -103,7 +92,13 @@ class JsonValue {
   Result<uint64_t> AsUint64(const JsonPath& field) const;
 
  private:
-  Type type_;
+  friend class JsonParser;  // Fills each value in place.
+
+  /// AsInt64 and AsUint64: `expected` names the type in their messages.
+  template <typename Int>
+  Result<Int> AsInteger(const JsonPath& field, const char* expected) const;
+
+  Type type_ = Type::kNull;
   bool bool_ = false;
   std::string scalar_;  // Number token or string payload.
   std::vector<JsonValue> array_;

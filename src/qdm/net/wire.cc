@@ -1,6 +1,7 @@
 #include "qdm/net/wire.h"
 
 #include <initializer_list>
+#include <type_traits>
 #include <utility>
 
 #include "qdm/common/strings.h"
@@ -19,16 +20,64 @@ using service::JobId;
 using service::JobSnapshot;
 using service::JobState;
 
-Status TypeError(const JsonPath& field, const char* expected,
-                 const JsonValue& value) {
+using Type = JsonValue::Type;
+
+/// Whether a decoder needs a member to be present.
+enum Presence { kRequired, kOptional };
+
+/// `value`, at `path`, must be of `type`: the one type check of objects,
+/// arrays, strings and booleans. Numbers are checked by the As* conversions.
+Status CheckType(const JsonValue& value, const JsonPath& path, Type type) {
+  if (value.type() == type) return Status::Ok();
+  const char* expected = type == Type::kObject   ? "a JSON object"
+                         : type == Type::kArray  ? "an array"
+                         : type == Type::kString ? "a string"
+                                                 : "a boolean";
   return Status::InvalidArgument(StrFormat("%s: expected %s, got %s",
-                                           field.ToString().c_str(), expected,
+                                           path.ToString().c_str(), expected,
                                            value.TypeName()));
 }
 
-Status MissingError(const JsonPath& field) {
-  return Status::InvalidArgument(
-      StrFormat("%s: missing required field", field.ToString().c_str()));
+/// The member of `object` that the last key of `path` names. An absent
+/// member is an error when `presence` is kRequired and nullptr otherwise. A
+/// present one must be of `type`, unless that is kNumber: the As*
+/// conversions check numbers.
+Result<const JsonValue*> Member(const JsonValue& object, const JsonPath& path,
+                                Presence presence, Type type = Type::kNumber) {
+  const JsonValue* member = object.Find(path.key());
+  if (member == nullptr) {
+    if (presence == kOptional) return member;
+    return Status::InvalidArgument(
+        StrFormat("%s: missing required field", path.ToString().c_str()));
+  }
+  if (type != Type::kNumber) {
+    QDM_RETURN_IF_ERROR(CheckType(*member, path, type));
+  }
+  return member;
+}
+
+/// Reads the number member at `path` into `*out` (double, int64_t, uint64_t
+/// or int, which must also fit in int). An absent optional member leaves
+/// `*out` as it is.
+template <typename T>
+Status NumberMember(const JsonValue& object, const JsonPath& path,
+                    Presence presence, T* out) {
+  QDM_ASSIGN_OR_RETURN(const JsonValue* value, Member(object, path, presence));
+  if (value == nullptr) return Status::Ok();
+  if constexpr (std::is_same_v<T, double>) {
+    QDM_ASSIGN_OR_RETURN(*out, value->AsDouble(path));
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    QDM_ASSIGN_OR_RETURN(*out, value->AsUint64(path));
+  } else {
+    QDM_ASSIGN_OR_RETURN(const int64_t wide, value->AsInt64(path));
+    if (std::is_same_v<T, int> && (wide < INT32_MIN || wide > INT32_MAX)) {
+      return Status::InvalidArgument(
+          StrFormat("%s: integer %lld out of int range",
+                    path.ToString().c_str(), static_cast<long long>(wide)));
+    }
+    *out = static_cast<T>(wide);
+  }
+  return Status::Ok();
 }
 
 /// Strict-decode guard: every member of `value` must be in `allowed`.
@@ -50,25 +99,26 @@ Status RejectUnknownFields(const JsonValue& value, const JsonPath& field,
   return Status::Ok();
 }
 
-Result<int> DecodeIntField(const JsonValue& object, const JsonPath& field,
-                           const char* key, int fallback) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr) return fallback;
-  const JsonPath path = field.Key(key);
-  QDM_ASSIGN_OR_RETURN(const int64_t wide, value->AsInt64(path));
-  if (wide < INT32_MIN || wide > INT32_MAX) {
-    return Status::InvalidArgument(
-        StrFormat("%s: integer %lld out of int range", path.ToString().c_str(),
-                  static_cast<long long>(wide)));
+/// Decodes the {"code", "message"} object at `path` (an error body's
+/// "error", a snapshot's "status") into `*out`.
+Status DecodeStatus(const JsonValue& object, const JsonPath& path,
+                    Status* out) {
+  QDM_ASSIGN_OR_RETURN(const JsonValue* status,
+                       Member(object, path, kRequired, Type::kObject));
+  const JsonPath code_path = path.Key("code");
+  QDM_ASSIGN_OR_RETURN(const JsonValue* code,
+                       Member(*status, code_path, kRequired, Type::kString));
+  StatusCode parsed = StatusCode::kOk;
+  if (!StatusCodeFromString(code->string_value(), &parsed)) {
+    return Status::InvalidArgument(StrFormat("%s: unknown status code '%s'",
+                                             code_path.ToString().c_str(),
+                                             code->string_value().c_str()));
   }
-  return static_cast<int>(wide);
-}
-
-Result<double> DecodeDoubleField(const JsonValue& object, const JsonPath& field,
-                                 const char* key, double fallback) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr) return fallback;
-  return value->AsDouble(field.Key(key));
+  QDM_ASSIGN_OR_RETURN(
+      const JsonValue* message,
+      Member(*status, path.Key("message"), kRequired, Type::kString));
+  *out = Status(parsed, message->string_value());
+  return Status::Ok();
 }
 
 const char* ChainBreakPolicyName(ChainBreakPolicy policy) {
@@ -97,14 +147,6 @@ std::string WrapEnvelope(const std::string& fields) {
   return out;
 }
 
-Result<JobId> DecodeJobIdField(const JsonValue& envelope, const JsonPath& field,
-                               const char* key) {
-  const JsonValue* id = envelope.Find(key);
-  if (id == nullptr) return MissingError(field.Key(key));
-  QDM_ASSIGN_OR_RETURN(const uint64_t value, id->AsUint64(field.Key(key)));
-  return static_cast<JobId>(value);
-}
-
 }  // namespace
 
 Result<JsonValue> ParseEnvelope(const std::string& text) {
@@ -114,10 +156,9 @@ Result<JsonValue> ParseEnvelope(const std::string& text) {
                   text.size(), kMaxPayloadBytes));
   }
   QDM_ASSIGN_OR_RETURN(JsonValue value, JsonParse(text));
-  if (!value.is_object()) {
-    return TypeError("envelope", "a JSON object", value);
-  }
-  const JsonValue* version = value.Find("version");
+  QDM_RETURN_IF_ERROR(CheckType(value, "envelope", Type::kObject));
+  QDM_ASSIGN_OR_RETURN(const JsonValue* version,
+                       Member(value, "version", kOptional));
   if (version == nullptr) {
     return Status::InvalidArgument(
         StrFormat("version: missing required field (this endpoint speaks wire "
@@ -162,15 +203,13 @@ void AppendQuboJson(const Qubo& qubo, std::string* out) {
 }
 
 Result<Qubo> DecodeQubo(const JsonValue& value, const JsonPath& field) {
-  if (!value.is_object()) return TypeError(field, "a JSON object", value);
+  QDM_RETURN_IF_ERROR(CheckType(value, field, Type::kObject));
   QDM_RETURN_IF_ERROR(RejectUnknownFields(
       value, field, {"num_variables", "offset", "linear", "quadratic"}));
 
-  const JsonValue* num_variables = value.Find("num_variables");
   const JsonPath num_variables_path = field.Key("num_variables");
-  if (num_variables == nullptr) return MissingError(num_variables_path);
-  QDM_ASSIGN_OR_RETURN(const int64_t n,
-                       num_variables->AsInt64(num_variables_path));
+  int64_t n = 0;
+  QDM_RETURN_IF_ERROR(NumberMember(value, num_variables_path, kRequired, &n));
   if (n < 1 || n > kMaxWireVariables) {
     return Status::InvalidArgument(StrFormat(
         "%s: %lld outside [1, %d]", num_variables_path.ToString().c_str(),
@@ -178,37 +217,37 @@ Result<Qubo> DecodeQubo(const JsonValue& value, const JsonPath& field) {
   }
   Qubo qubo(static_cast<int>(n));
 
-  QDM_ASSIGN_OR_RETURN(const double offset,
-                       DecodeDoubleField(value, field, "offset", 0.0));
+  double offset = 0.0;
+  QDM_RETURN_IF_ERROR(
+      NumberMember(value, field.Key("offset"), kOptional, &offset));
   qubo.AddOffset(offset);
 
-  const JsonValue* linear = value.Find("linear");
+  const JsonPath linear_path = field.Key("linear");
+  QDM_ASSIGN_OR_RETURN(const JsonValue* linear,
+                       Member(value, linear_path, kOptional, Type::kArray));
   if (linear != nullptr) {
-    const JsonPath path = field.Key("linear");
-    if (!linear->is_array()) return TypeError(path, "an array", *linear);
     const std::vector<JsonValue>& weights = linear->array();
     if (weights.size() != static_cast<size_t>(n)) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: expected %lld entries (one per variable), got %zu",
-          path.ToString().c_str(), static_cast<long long>(n), weights.size()));
+      return Status::InvalidArgument(
+          StrFormat("%s: expected %lld entries (one per variable), got %zu",
+                    linear_path.ToString().c_str(), static_cast<long long>(n),
+                    weights.size()));
     }
     for (size_t i = 0; i < weights.size(); ++i) {
       QDM_ASSIGN_OR_RETURN(const double weight,
-                           weights[i].AsDouble(path.Index(i)));
+                           weights[i].AsDouble(linear_path.Index(i)));
       if (weight != 0.0) qubo.AddLinear(static_cast<int>(i), weight);
     }
   }
 
-  const JsonValue* quadratic = value.Find("quadratic");
+  const JsonPath quadratic_path = field.Key("quadratic");
+  QDM_ASSIGN_OR_RETURN(const JsonValue* quadratic,
+                       Member(value, quadratic_path, kOptional, Type::kArray));
   if (quadratic != nullptr) {
-    const JsonPath path = field.Key("quadratic");
-    if (!quadratic->is_array()) {
-      return TypeError(path, "an array", *quadratic);
-    }
     for (size_t t = 0; t < quadratic->array().size(); ++t) {
       const JsonValue& term = quadratic->array()[t];
-      const JsonPath term_path = path.Index(t);
-      if (!term.is_array() || term.array().size() != 3) {
+      const JsonPath term_path = quadratic_path.Index(t);
+      if (term.type() != Type::kArray || term.array().size() != 3) {
         return Status::InvalidArgument(
             StrFormat("%s: expected an [i, j, weight] triple",
                       term_path.ToString().c_str()));
@@ -266,48 +305,36 @@ void AppendSolverOptionsJson(const SolverOptions& options, std::string* out) {
 
 Result<SolverOptions> DecodeSolverOptions(const JsonValue& value,
                                           const JsonPath& field) {
-  if (!value.is_object()) return TypeError(field, "a JSON object", value);
+  QDM_RETURN_IF_ERROR(CheckType(value, field, Type::kObject));
   QDM_RETURN_IF_ERROR(RejectUnknownFields(
       value, field,
       {"num_reads", "seed", "num_sweeps", "beta_min", "beta_max",
        "num_replicas", "swap_interval", "max_iterations", "tenure", "layers",
        "restarts", "max_qubits", "chain_strength", "chain_break_policy"}));
 
+  // An absent knob keeps its SolverOptions default.
   SolverOptions options;
-  QDM_ASSIGN_OR_RETURN(
-      options.num_reads,
-      DecodeIntField(value, field, "num_reads", options.num_reads));
-  const JsonValue* seed = value.Find("seed");
-  if (seed != nullptr) {
-    QDM_ASSIGN_OR_RETURN(options.seed, seed->AsUint64(field.Key("seed")));
-  }
-  QDM_ASSIGN_OR_RETURN(options.num_sweeps,
-                       DecodeIntField(value, field, "num_sweeps", 0));
-  QDM_ASSIGN_OR_RETURN(options.beta_min,
-                       DecodeDoubleField(value, field, "beta_min", 0.0));
-  QDM_ASSIGN_OR_RETURN(options.beta_max,
-                       DecodeDoubleField(value, field, "beta_max", 0.0));
-  QDM_ASSIGN_OR_RETURN(options.num_replicas,
-                       DecodeIntField(value, field, "num_replicas", 0));
-  QDM_ASSIGN_OR_RETURN(options.swap_interval,
-                       DecodeIntField(value, field, "swap_interval", 0));
-  QDM_ASSIGN_OR_RETURN(options.max_iterations,
-                       DecodeIntField(value, field, "max_iterations", 0));
-  QDM_ASSIGN_OR_RETURN(options.tenure,
-                       DecodeIntField(value, field, "tenure", 0));
-  QDM_ASSIGN_OR_RETURN(options.layers,
-                       DecodeIntField(value, field, "layers", 0));
-  QDM_ASSIGN_OR_RETURN(options.restarts,
-                       DecodeIntField(value, field, "restarts", 0));
-  QDM_ASSIGN_OR_RETURN(options.max_qubits,
-                       DecodeIntField(value, field, "max_qubits", 0));
-  QDM_ASSIGN_OR_RETURN(options.chain_strength,
-                       DecodeDoubleField(value, field, "chain_strength", 0.0));
+  const auto knob = [&value, &field](const char* key, auto* out) {
+    return NumberMember(value, field.Key(key), kOptional, out);
+  };
+  QDM_RETURN_IF_ERROR(knob("num_reads", &options.num_reads));
+  QDM_RETURN_IF_ERROR(knob("seed", &options.seed));
+  QDM_RETURN_IF_ERROR(knob("num_sweeps", &options.num_sweeps));
+  QDM_RETURN_IF_ERROR(knob("beta_min", &options.beta_min));
+  QDM_RETURN_IF_ERROR(knob("beta_max", &options.beta_max));
+  QDM_RETURN_IF_ERROR(knob("num_replicas", &options.num_replicas));
+  QDM_RETURN_IF_ERROR(knob("swap_interval", &options.swap_interval));
+  QDM_RETURN_IF_ERROR(knob("max_iterations", &options.max_iterations));
+  QDM_RETURN_IF_ERROR(knob("tenure", &options.tenure));
+  QDM_RETURN_IF_ERROR(knob("layers", &options.layers));
+  QDM_RETURN_IF_ERROR(knob("restarts", &options.restarts));
+  QDM_RETURN_IF_ERROR(knob("max_qubits", &options.max_qubits));
+  QDM_RETURN_IF_ERROR(knob("chain_strength", &options.chain_strength));
 
-  const JsonValue* policy = value.Find("chain_break_policy");
+  const JsonPath policy_path = field.Key("chain_break_policy");
+  QDM_ASSIGN_OR_RETURN(const JsonValue* policy,
+                       Member(value, policy_path, kOptional, Type::kString));
   if (policy != nullptr) {
-    const JsonPath path = field.Key("chain_break_policy");
-    if (!policy->is_string()) return TypeError(path, "a string", *policy);
     const std::string& name = policy->string_value();
     if (name == "majority_vote") {
       options.chain_break_policy = ChainBreakPolicy::kMajorityVote;
@@ -319,7 +346,7 @@ Result<SolverOptions> DecodeSolverOptions(const JsonValue& value,
       return Status::InvalidArgument(StrFormat(
           "%s: unknown policy '%s' (majority_vote | minimize_energy | "
           "discard)",
-          path.ToString().c_str(), name.c_str()));
+          policy_path.ToString().c_str(), name.c_str()));
     }
   }
   return options;
@@ -363,32 +390,27 @@ void AppendSampleSetJson(const SampleSet& samples, std::string* out) {
 
 Result<SampleSet> DecodeSampleSet(const JsonValue& value,
                                   const JsonPath& field) {
-  if (!value.is_object()) return TypeError(field, "a JSON object", value);
+  QDM_RETURN_IF_ERROR(CheckType(value, field, Type::kObject));
   QDM_RETURN_IF_ERROR(RejectUnknownFields(
       value, field, {"samples", "noise_fidelity", "decision"}));
-  const JsonValue* samples = value.Find("samples");
   const JsonPath samples_path = field.Key("samples");
-  if (samples == nullptr) return MissingError(samples_path);
-  if (!samples->is_array()) {
-    return TypeError(samples_path, "an array", *samples);
-  }
+  QDM_ASSIGN_OR_RETURN(const JsonValue* samples,
+                       Member(value, samples_path, kRequired, Type::kArray));
 
   std::vector<Sample> decoded;
   decoded.reserve(samples->array().size());
   for (size_t s = 0; s < samples->array().size(); ++s) {
     const JsonValue& entry = samples->array()[s];
     const JsonPath path = samples_path.Index(s);
-    if (!entry.is_object()) return TypeError(path, "a JSON object", entry);
+    QDM_RETURN_IF_ERROR(CheckType(entry, path, Type::kObject));
     QDM_RETURN_IF_ERROR(RejectUnknownFields(
         entry, path, {"assignment", "energy", "chain_break_fraction"}));
 
     Sample sample;
-    const JsonValue* assignment = entry.Find("assignment");
     const JsonPath assignment_path = path.Key("assignment");
-    if (assignment == nullptr) return MissingError(assignment_path);
-    if (!assignment->is_array()) {
-      return TypeError(assignment_path, "an array", *assignment);
-    }
+    QDM_ASSIGN_OR_RETURN(
+        const JsonValue* assignment,
+        Member(entry, assignment_path, kRequired, Type::kArray));
     const std::vector<JsonValue>& bits = assignment->array();
     sample.assignment.reserve(bits.size());
     for (size_t v = 0; v < bits.size(); ++v) {
@@ -402,14 +424,10 @@ Result<SampleSet> DecodeSampleSet(const JsonValue& value,
       }
       sample.assignment.push_back(static_cast<int>(bit));
     }
-
-    const JsonValue* energy = entry.Find("energy");
-    const JsonPath energy_path = path.Key("energy");
-    if (energy == nullptr) return MissingError(energy_path);
-    QDM_ASSIGN_OR_RETURN(sample.energy, energy->AsDouble(energy_path));
-    QDM_ASSIGN_OR_RETURN(
-        sample.chain_break_fraction,
-        DecodeDoubleField(entry, path, "chain_break_fraction", 0.0));
+    QDM_RETURN_IF_ERROR(
+        NumberMember(entry, path.Key("energy"), kRequired, &sample.energy));
+    QDM_RETURN_IF_ERROR(NumberMember(entry, path.Key("chain_break_fraction"),
+                                     kOptional, &sample.chain_break_fraction));
     decoded.push_back(std::move(sample));
   }
 
@@ -421,16 +439,14 @@ Result<SampleSet> DecodeSampleSet(const JsonValue& value,
   for (size_t s = decoded.size(); s > 0; --s) {
     set.Add(std::move(decoded[s - 1]));
   }
-  QDM_ASSIGN_OR_RETURN(const double fidelity,
-                       DecodeDoubleField(value, field, "noise_fidelity", 1.0));
+  double fidelity = 1.0;
+  QDM_RETURN_IF_ERROR(
+      NumberMember(value, field.Key("noise_fidelity"), kOptional, &fidelity));
   set.set_noise_fidelity(fidelity);
-  const JsonValue* decision = value.Find("decision");
-  if (decision != nullptr) {
-    if (!decision->is_string()) {
-      return TypeError(field.Key("decision"), "a string", *decision);
-    }
-    set.set_decision(decision->string_value());
-  }
+  QDM_ASSIGN_OR_RETURN(
+      const JsonValue* decision,
+      Member(value, field.Key("decision"), kOptional, Type::kString));
+  if (decision != nullptr) set.set_decision(decision->string_value());
   return set;
 }
 
@@ -470,17 +486,16 @@ std::string EncodeJobRequest(const JobRequest& request) {
 
 Result<JobRequest> DecodeJobRequest(const std::string& body) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
+  const JsonPath request_path = "request";
   QDM_RETURN_IF_ERROR(
-      RejectUnknownFields(envelope, "request",
+      RejectUnknownFields(envelope, request_path,
                           {"version", "type", "solver", "members", "qubo",
                            "qubos", "options", "deadline_ns"}));
 
   JobRequest request;
-  const JsonValue* type = envelope.Find("type");
-  if (type == nullptr) return MissingError("request.type");
-  if (!type->is_string()) {
-    return TypeError("request.type", "a string", *type);
-  }
+  QDM_ASSIGN_OR_RETURN(
+      const JsonValue* type,
+      Member(envelope, request_path.Key("type"), kRequired, Type::kString));
   const std::string& type_name = type->string_value();
   if (type_name == "submit" || type_name == "submit_race") {
     request.type = JobRequest::Type::kSubmit;
@@ -496,64 +511,58 @@ Result<JobRequest> DecodeJobRequest(const std::string& body) {
   if (type_name == "submit_race") {
     // Legacy: a race of the listed members is the submit of their "race:"
     // name, which is exactly what the server used to run for it.
-    const JsonValue* members = envelope.Find("members");
-    if (members == nullptr) return MissingError("request.members");
-    if (!members->is_array()) {
-      return TypeError("request.members", "an array", *members);
-    }
+    const JsonPath members_path = request_path.Key("members");
+    QDM_ASSIGN_OR_RETURN(
+        const JsonValue* members,
+        Member(envelope, members_path, kRequired, Type::kArray));
     std::vector<std::string> names;
     for (size_t i = 0; i < members->array().size(); ++i) {
       const JsonValue& member = members->array()[i];
-      if (!member.is_string()) {
-        return TypeError(JsonPath("request.members").Index(i), "a string",
-                         member);
-      }
+      QDM_RETURN_IF_ERROR(
+          CheckType(member, members_path.Index(i), Type::kString));
       names.push_back(member.string_value());
     }
     request.solver = "race:" + StrJoin(names, "+");
   } else {
-    const JsonValue* solver = envelope.Find("solver");
-    if (solver == nullptr) return MissingError("request.solver");
-    if (!solver->is_string()) {
-      return TypeError("request.solver", "a string", *solver);
-    }
+    QDM_ASSIGN_OR_RETURN(
+        const JsonValue* solver,
+        Member(envelope, request_path.Key("solver"), kRequired, Type::kString));
     request.solver = solver->string_value();
   }
 
   if (request.type == JobRequest::Type::kSubmitBatch) {
-    const JsonValue* qubos = envelope.Find("qubos");
-    if (qubos == nullptr) return MissingError("request.qubos");
-    if (!qubos->is_array()) {
-      return TypeError("request.qubos", "an array", *qubos);
-    }
-    const JsonPath path = "request.qubos";
+    const JsonPath qubos_path = request_path.Key("qubos");
+    QDM_ASSIGN_OR_RETURN(const JsonValue* qubos,
+                         Member(envelope, qubos_path, kRequired, Type::kArray));
     for (size_t i = 0; i < qubos->array().size(); ++i) {
       QDM_ASSIGN_OR_RETURN(Qubo qubo,
-                           DecodeQubo(qubos->array()[i], path.Index(i)));
+                           DecodeQubo(qubos->array()[i], qubos_path.Index(i)));
       request.qubos.push_back(std::move(qubo));
     }
   } else {
-    const JsonValue* qubo = envelope.Find("qubo");
-    if (qubo == nullptr) return MissingError("request.qubo");
-    QDM_ASSIGN_OR_RETURN(Qubo decoded, DecodeQubo(*qubo, "request.qubo"));
+    const JsonPath qubo_path = request_path.Key("qubo");
+    QDM_ASSIGN_OR_RETURN(const JsonValue* qubo,
+                         Member(envelope, qubo_path, kRequired));
+    QDM_ASSIGN_OR_RETURN(Qubo decoded, DecodeQubo(*qubo, qubo_path));
     request.qubos.push_back(std::move(decoded));
   }
 
-  const JsonValue* options = envelope.Find("options");
+  const JsonPath options_path = request_path.Key("options");
+  QDM_ASSIGN_OR_RETURN(const JsonValue* options,
+                       Member(envelope, options_path, kOptional));
   if (options != nullptr) {
     QDM_ASSIGN_OR_RETURN(request.options,
-                         DecodeSolverOptions(*options, "request.options"));
+                         DecodeSolverOptions(*options, options_path));
   }
-  const JsonValue* deadline = envelope.Find("deadline_ns");
-  if (deadline != nullptr) {
-    QDM_ASSIGN_OR_RETURN(const uint64_t ns,
-                         deadline->AsUint64("request.deadline_ns"));
-    if (ns > static_cast<uint64_t>(INT64_MAX)) {
-      return Status::InvalidArgument(
-          "request.deadline_ns: exceeds int64 nanoseconds");
-    }
-    request.deadline = std::chrono::nanoseconds(static_cast<int64_t>(ns));
+  uint64_t deadline_ns = 0;
+  QDM_RETURN_IF_ERROR(NumberMember(envelope, request_path.Key("deadline_ns"),
+                                   kOptional, &deadline_ns));
+  if (deadline_ns > static_cast<uint64_t>(INT64_MAX)) {
+    return Status::InvalidArgument(
+        "request.deadline_ns: exceeds int64 nanoseconds");
   }
+  request.deadline =
+      std::chrono::nanoseconds(static_cast<int64_t>(deadline_ns));
   return request;
 }
 
@@ -570,26 +579,7 @@ std::string EncodeErrorBody(const Status& status) {
 
 Status DecodeErrorBody(const std::string& body, Status* remote) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
-  const JsonValue* error = envelope.Find("error");
-  if (error == nullptr) return MissingError("error");
-  if (!error->is_object()) {
-    return TypeError("error", "a JSON object", *error);
-  }
-  const JsonValue* code = error->Find("code");
-  if (code == nullptr) return MissingError("error.code");
-  if (!code->is_string()) return TypeError("error.code", "a string", *code);
-  StatusCode parsed = StatusCode::kInternal;
-  if (!StatusCodeFromString(code->string_value(), &parsed)) {
-    return Status::InvalidArgument(StrFormat(
-        "error.code: unknown status code '%s'", code->string_value().c_str()));
-  }
-  const JsonValue* message = error->Find("message");
-  if (message == nullptr) return MissingError("error.message");
-  if (!message->is_string()) {
-    return TypeError("error.message", "a string", *message);
-  }
-  *remote = Status(parsed, message->string_value());
-  return Status::Ok();
+  return DecodeStatus(envelope, "error", remote);
 }
 
 std::string EncodeSubmitResponse(JobId id) {
@@ -599,7 +589,10 @@ std::string EncodeSubmitResponse(JobId id) {
 
 Result<JobId> DecodeSubmitResponse(const std::string& body) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
-  return DecodeJobIdField(envelope, "response", "id");
+  JobId id = 0;
+  QDM_RETURN_IF_ERROR(
+      NumberMember(envelope, JsonPath("response").Key("id"), kRequired, &id));
+  return id;
 }
 
 std::string EncodeSnapshotResponse(const JobSnapshot& snapshot) {
@@ -616,41 +609,20 @@ std::string EncodeSnapshotResponse(const JobSnapshot& snapshot) {
 
 Result<JobSnapshot> DecodeSnapshotResponse(const std::string& body) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
+  const JsonPath response_path = "response";
   JobSnapshot snapshot;
-  QDM_ASSIGN_OR_RETURN(snapshot.id,
-                       DecodeJobIdField(envelope, "response", "id"));
-  const JsonValue* state = envelope.Find("state");
-  if (state == nullptr) return MissingError("response.state");
-  if (!state->is_string()) {
-    return TypeError("response.state", "a string", *state);
-  }
+  QDM_RETURN_IF_ERROR(
+      NumberMember(envelope, response_path.Key("id"), kRequired, &snapshot.id));
+  QDM_ASSIGN_OR_RETURN(
+      const JsonValue* state,
+      Member(envelope, response_path.Key("state"), kRequired, Type::kString));
   if (!JobStateFromString(state->string_value(), &snapshot.state)) {
     return Status::InvalidArgument(
         StrFormat("response.state: unknown job state '%s'",
                   state->string_value().c_str()));
   }
-  const JsonValue* status = envelope.Find("status");
-  if (status == nullptr) return MissingError("response.status");
-  if (!status->is_object()) {
-    return TypeError("response.status", "a JSON object", *status);
-  }
-  const JsonValue* code = status->Find("code");
-  if (code == nullptr) return MissingError("response.status.code");
-  if (!code->is_string()) {
-    return TypeError("response.status.code", "a string", *code);
-  }
-  StatusCode parsed = StatusCode::kOk;
-  if (!StatusCodeFromString(code->string_value(), &parsed)) {
-    return Status::InvalidArgument(
-        StrFormat("response.status.code: unknown status code '%s'",
-                  code->string_value().c_str()));
-  }
-  const JsonValue* message = status->Find("message");
-  if (message == nullptr) return MissingError("response.status.message");
-  if (!message->is_string()) {
-    return TypeError("response.status.message", "a string", *message);
-  }
-  snapshot.status = Status(parsed, message->string_value());
+  QDM_RETURN_IF_ERROR(
+      DecodeStatus(envelope, response_path.Key("status"), &snapshot.status));
   return snapshot;
 }
 
@@ -666,14 +638,12 @@ std::string EncodeResultsResponse(const std::vector<SampleSet>& results) {
 
 Result<std::vector<SampleSet>> DecodeResultsResponse(const std::string& body) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
-  const JsonValue* results = envelope.Find("results");
-  if (results == nullptr) return MissingError("response.results");
-  if (!results->is_array()) {
-    return TypeError("response.results", "an array", *results);
-  }
+  const JsonPath response_path = "response";
+  const JsonPath path = response_path.Key("results");
+  QDM_ASSIGN_OR_RETURN(const JsonValue* results,
+                       Member(envelope, path, kRequired, Type::kArray));
   std::vector<SampleSet> decoded;
   decoded.reserve(results->array().size());
-  const JsonPath path = "response.results";
   for (size_t i = 0; i < results->array().size(); ++i) {
     QDM_ASSIGN_OR_RETURN(SampleSet set,
                          DecodeSampleSet(results->array()[i], path.Index(i)));
@@ -700,18 +670,15 @@ std::string EncodeSolversResponse(const std::vector<std::string>& names) {
 Result<std::vector<std::string>> DecodeSolversResponse(
     const std::string& body) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
-  const JsonValue* solvers = envelope.Find("solvers");
-  if (solvers == nullptr) return MissingError("response.solvers");
-  if (!solvers->is_array()) {
-    return TypeError("response.solvers", "an array", *solvers);
-  }
+  const JsonPath response_path = "response";
+  const JsonPath path = response_path.Key("solvers");
+  QDM_ASSIGN_OR_RETURN(const JsonValue* solvers,
+                       Member(envelope, path, kRequired, Type::kArray));
   std::vector<std::string> names;
   names.reserve(solvers->array().size());
   for (size_t i = 0; i < solvers->array().size(); ++i) {
     const JsonValue& name = solvers->array()[i];
-    if (!name.is_string()) {
-      return TypeError(JsonPath("response.solvers").Index(i), "a string", name);
-    }
+    QDM_RETURN_IF_ERROR(CheckType(name, path.Index(i), Type::kString));
     names.push_back(name.string_value());
   }
   return names;
@@ -736,11 +703,10 @@ std::string EncodeStatsResponse(const StatsResponse& response) {
 
 Result<StatsResponse> DecodeStatsResponse(const std::string& body) {
   QDM_ASSIGN_OR_RETURN(const JsonValue envelope, ParseEnvelope(body));
-  const JsonValue* stats = envelope.Find("stats");
-  if (stats == nullptr) return MissingError("response.stats");
-  if (!stats->is_object()) {
-    return TypeError("response.stats", "a JSON object", *stats);
-  }
+  const JsonPath response_path = "response";
+  const JsonPath stats_path = response_path.Key("stats");
+  QDM_ASSIGN_OR_RETURN(const JsonValue* stats,
+                       Member(envelope, stats_path, kRequired, Type::kObject));
   StatsResponse response;
   struct Field {
     const char* key;
@@ -755,21 +721,16 @@ Result<StatsResponse> DecodeStatsResponse(const std::string& body) {
       {"cancelled", &response.stats.cancelled},
       {"deadline_exceeded", &response.stats.deadline_exceeded},
   };
-  const JsonPath stats_path = "response.stats";
   for (const Field& field : fields) {
-    const JsonValue* value = stats->Find(field.key);
-    const JsonPath path = stats_path.Key(field.key);
-    if (value == nullptr) return MissingError(path);
-    QDM_ASSIGN_OR_RETURN(*field.slot, value->AsUint64(path));
+    QDM_RETURN_IF_ERROR(
+        NumberMember(*stats, stats_path.Key(field.key), kRequired, field.slot));
   }
-  const JsonValue* accepting = envelope.Find("accepting");
-  if (accepting == nullptr) return MissingError("response.accepting");
-  if (!accepting->is_bool()) {
-    return TypeError("response.accepting", "a boolean", *accepting);
-  }
+  QDM_ASSIGN_OR_RETURN(
+      const JsonValue* accepting,
+      Member(envelope, response_path.Key("accepting"), kRequired, Type::kBool));
   response.accepting = accepting->bool_value();
-  QDM_ASSIGN_OR_RETURN(response.num_workers,
-                       DecodeIntField(envelope, "response", "num_workers", 0));
+  QDM_RETURN_IF_ERROR(NumberMember(envelope, response_path.Key("num_workers"),
+                                   kOptional, &response.num_workers));
   return response;
 }
 
