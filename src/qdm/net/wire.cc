@@ -1,6 +1,7 @@
 #include "qdm/net/wire.h"
 
 #include <initializer_list>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -40,19 +41,18 @@ Status CheckType(const JsonValue& value, const JsonPath& path, Type type) {
 
 /// The member of `object` that the last key of `path` names. An absent
 /// member is an error when `presence` is kRequired and nullptr otherwise. A
-/// present one must be of `type`, unless that is kNumber: the As*
-/// conversions check numbers.
+/// present one must be of `type` when one is given; without one, its reader
+/// checks it (the As* conversions, or a decoder such as DecodeQubo).
 Result<const JsonValue*> Member(const JsonValue& object, const JsonPath& path,
-                                Presence presence, Type type = Type::kNumber) {
+                                Presence presence,
+                                std::optional<Type> type = std::nullopt) {
   const JsonValue* member = object.Find(path.key());
   if (member == nullptr) {
     if (presence == kOptional) return member;
     return Status::InvalidArgument(
         StrFormat("%s: missing required field", path.ToString().c_str()));
   }
-  if (type != Type::kNumber) {
-    QDM_RETURN_IF_ERROR(CheckType(*member, path, type));
-  }
+  if (type) QDM_RETURN_IF_ERROR(CheckType(*member, path, *type));
   return member;
 }
 
