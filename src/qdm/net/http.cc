@@ -146,11 +146,13 @@ bool ParseHead(const std::string& head, bool expect_request, ParsedHead* out,
         return false;
       }
       saw_content_length = true;
-      char* end = nullptr;
+      // Digits only: strtoull alone would also take a sign.
       errno = 0;
-      const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-      if (errno != 0 || end == value.c_str() || *end != '\0' ||
-          value[0] == '-') {
+      const unsigned long long parsed =
+          std::strtoull(value.c_str(), nullptr, 10);
+      if (value.empty() ||
+          value.find_first_not_of("0123456789") != std::string::npos ||
+          errno != 0) {
         *error = "malformed Content-Length '" + value + "'";
         return false;
       }

@@ -603,6 +603,46 @@ TEST(NetLifecycleTest, StopRightAfterAnExchangeReturnsAtOnce) {
 }
 
 // ---------------------------------------------------------------------------
+// Request heads outside the HTTP subset: each is a 400 naming why.
+// ---------------------------------------------------------------------------
+
+/// Sends `bytes` on one end of a socketpair and closes it, then reads the
+/// other end with HttpConnection::ReadRequest: the error of a rejected
+/// request, or "accepted".
+std::string ReadRequestOutcome(const std::string& bytes) {
+  int fds[2];
+  QDM_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+  QDM_CHECK(::write(fds[1], bytes.data(), bytes.size()) ==
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+  HttpConnection connection(fds[0]);
+  HttpRequest request;
+  std::string error;
+  const HttpConnection::ReadOutcome outcome =
+      connection.ReadRequest(&request, /*wake_fd=*/-1, &error);
+  if (outcome == HttpConnection::ReadOutcome::kRequest) return "accepted";
+  EXPECT_EQ(outcome, HttpConnection::ReadOutcome::kBad);
+  return error;
+}
+
+TEST(NetHttpHeadTest, BodyFramingOutsideTheSubsetIsRejected) {
+  const std::string head = "GET /healthz HTTP/1.1\r\nHost: qdmd\r\n";
+  EXPECT_EQ(ReadRequestOutcome(head + "Content-Length: 2\r\n\r\n{}"),
+            "accepted");
+  EXPECT_EQ(ReadRequestOutcome(head + "Content-Length: +2\r\n\r\n{}"),
+            "malformed Content-Length '+2'");
+  EXPECT_EQ(
+      ReadRequestOutcome(head + "Content-Length: 2\r\nContent-Length: 2\r\n"
+                                "\r\n{}"),
+      "duplicate Content-Length header");
+  EXPECT_EQ(ReadRequestOutcome(head + "Transfer-Encoding: chunked\r\n\r\n"),
+            "Transfer-Encoding is not supported (use Content-Length)");
+  EXPECT_EQ(ReadRequestOutcome(head + "Content-Length: 8388609\r\n\r\n"),
+            "payload: Content-Length 8388609 exceeds the 8388608-byte wire "
+            "limit");
+}
+
+// ---------------------------------------------------------------------------
 // QdmClient connections: reuse, the one retry, and sharing across threads.
 // ---------------------------------------------------------------------------
 
